@@ -29,13 +29,18 @@ from .distributions import (
     chunk_second_moment,
     condition_clean_prefix_batch,
     condition_on_coordinates,
-    conditional_clean_dist,
     df_conditional_dist,
     noisy_marginal,
     sample_clean_with_rng,
 )
 from .errors import ConfigError, SingularCovarianceError
-from .ode import ORACLE_STEPS, conditional_velocity_field, flow_map_bi, integrate
+from .ode import (
+    _integrate_segments,
+    _segment_plan,
+    chunk_velocity_field,
+    flow_map_bi,
+    integrate,
+)
 from .stages import _sample_chunk_batch
 
 VARIANCE_WITNESS_FACTOR = 10.0
@@ -113,27 +118,36 @@ def energy_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
     return 2.0 * _mean_cross_norm(a, b) - _mean_cross_norm(a, a) - _mean_cross_norm(b, b)
 
 
-def gaussian_kl(p: tuple, q: tuple) -> float:
-    """KL(N(mean_p, cov_p) || N(mean_q, cov_q)), closed form."""
+def gaussian_kl(p: tuple, q: tuple):
+    """KL(N(mean_p, cov_p) || N(mean_q, cov_q)), closed form.
+
+    Means may also be rows (B, d) against shared covariances; the result is
+    then one KL per row, since only the mean term varies.
+    """
     mean_p, cov_p = p
     mean_q, cov_q = q
-    mean_p = np.atleast_1d(np.asarray(mean_p, dtype=float))
-    mean_q = np.atleast_1d(np.asarray(mean_q, dtype=float))
+    mean_p = np.asarray(mean_p, dtype=float)
+    mean_q = np.asarray(mean_q, dtype=float)
     cov_p = np.atleast_2d(np.asarray(cov_p, dtype=float))
     cov_q = np.atleast_2d(np.asarray(cov_q, dtype=float))
-    d = mean_p.size
+    d = cov_p.shape[0]
     try:
         chol_q = np.linalg.cholesky(cov_q)
         chol_p = np.linalg.cholesky(cov_p)
     except np.linalg.LinAlgError as exc:
         raise SingularCovarianceError("KL needs positive-definite covariances") from exc
     solved = np.linalg.solve(cov_q, cov_p)
-    diff = mean_q - mean_p
-    maha = diff @ np.linalg.solve(cov_q, diff)
     log_det = 2.0 * (
         np.sum(np.log(np.diag(chol_q))) - np.sum(np.log(np.diag(chol_p)))
     )
-    return float(0.5 * (np.trace(solved) + maha - d + log_det))
+    diff = np.atleast_1d(mean_q - mean_p)
+    rows = diff.ndim == 2
+    if rows:
+        maha = np.einsum("bd,db->b", diff, np.linalg.solve(cov_q, diff.T))
+    else:
+        maha = diff @ np.linalg.solve(cov_q, diff)
+    kl = 0.5 * (np.trace(solved) + maha - d + log_det)
+    return kl if rows else float(kl)
 
 
 def motion_variability(sequences: np.ndarray, frame_dim: int) -> float:
@@ -158,17 +172,18 @@ def _resample_complement(dist, chunk_index, anchors, t, n_resample, rng):
     """Fill complementary coordinates from p_t(rest | chunk), per anchor.
 
     Returns full-dimension states of shape (n_anchor * n_resample, total_dim)
-    where each anchor's chunk coordinates repeat across its resamples.
+    where each anchor's chunk coordinates repeat across its resamples.  All
+    anchors are conditioned at once; sampling stays per anchor so the draw
+    order matches one sample_clean_with_rng call per anchor.
     """
     spec = dist.spec
-    marg = noisy_marginal(dist, t)
     sl = spec.chunk_slice(chunk_index)
     observed = np.arange(sl.start, sl.stop)
     rest = np.setdiff1d(np.arange(spec.total_dim), observed)
+    cond = condition_on_coordinates(noisy_marginal(dist, t), observed, anchors)
     full = np.empty((anchors.shape[0] * n_resample, spec.total_dim))
     for b in range(anchors.shape[0]):
-        cond = condition_on_coordinates(marg, observed, anchors[b])
-        z = sample_clean_with_rng(cond, n_resample, rng)
+        z = cond.sample(b, n_resample, rng)
         block = full[b * n_resample : (b + 1) * n_resample]
         block[:, observed] = anchors[b]
         block[:, rest] = z
@@ -327,10 +342,8 @@ def collapse_gap(
             prefix = x0[:, spec.prefix_slice(chunk_index)]
             eps = rng.standard_normal((n, spec.chunk_dim))
             x_t = (1.0 - t) * x0[:, spec.chunk_slice(chunk_index)] + t * eps
-            cond = condition_clean_prefix_batch(dist, chunk_index, prefix[:n_rms])
-            oracle, _ = integrate(
-                conditional_velocity_field(cond), x_t[:n_rms], t, 0.0, steps
-            )
+            field_fn = chunk_velocity_field(dist, chunk_index, prefix[:n_rms])
+            oracle, _ = integrate(field_fn, x_t[:n_rms], t, 0.0, steps)
         pred = predict_x0(member, x_t, prefix, t)
         sq_gaps.append(np.sum((pred[:n_rms] - oracle) ** 2, axis=1))
         outputs.append(pred)
@@ -392,9 +405,10 @@ def conditional_energy_distance(
 # ---------------------------------------------------------------------------
 
 
-def _single_gaussian_moments(cond_dist):
-    comp = cond_dist.components[0]
-    return comp.mean, comp.covariance
+def _single_gaussian_rows(cond):
+    """Per-row means (B, d) and the shared covariance of a one-component
+    BatchedConditional."""
+    return cond.means[:, 0], cond.covariances[0]
 
 
 def df_mismatch(
@@ -408,8 +422,9 @@ def df_mismatch(
     prefix values and the true clean conditional, over prefix draws.
 
     Each draw plugs the same clean prefix y into both conditionals; for
-    Gaussian data both are Gaussian, so the per-draw KL is closed form and
-    the MC part is only the average over y.
+    Gaussian data both are Gaussian with prefix-free covariances, so the
+    per-draw KL is closed form, only its mean term varies with y, and the MC
+    part is only the average over y.
     """
     if chunk_index < 2:
         raise ConfigError("the first chunk has no prefix to mismatch")
@@ -423,30 +438,26 @@ def df_mismatch(
     spec = dist.spec
     x0 = sample_clean_with_rng(dist, n, rng)
     prefixes = x0[:, spec.prefix_slice(chunk_index)]
-    kls = np.empty(n)
-    for b in range(n):
-        noisy_cond = df_conditional_dist(
-            dist, chunk_index, NoisyState(values=prefixes[b], time=t)
-        )
-        clean_cond = conditional_clean_dist(dist, chunk_index, prefixes[b])
-        kls[b] = gaussian_kl(
-            _single_gaussian_moments(noisy_cond), _single_gaussian_moments(clean_cond)
-        )
+    noisy_cond = df_conditional_dist(
+        dist, chunk_index, NoisyState(values=prefixes, time=t)
+    )
+    clean_cond = condition_clean_prefix_batch(dist, chunk_index, prefixes)
+    kls = gaussian_kl(
+        _single_gaussian_rows(noisy_cond), _single_gaussian_rows(clean_cond)
+    )
     value, se = mean_with_se(kls)
     report = DiagnosticsReport(name="df_mismatch")
     report.add("expected_kl", value, se, n, note=f"chunk {chunk_index}, t={t}")
     return report
 
 
-def df_mismatch_oracle(dist: SequenceDistribution, chunk_index: int, t: float) -> float:
-    """Analytic expectation of the df_mismatch KL for single-Gaussian data.
+def _prefix_regressions(dist: SequenceDistribution, chunk_index: int, t: float):
+    """Closed-form conditionals of chunk i for single-Gaussian data.
 
-    Both conditionals are Gaussian with prefix-linear means; the variance
-    terms are prefix-free and the mean term averages to a trace against the
-    prefix second moment.
+    Returns (k_clean, v_clean, k_noisy, v_noisy): given a clean prefix y the
+    chunk is N(mu_c + k_clean (y - mu_p), v_clean); given a noisy prefix
+    z = a y + t w it is N(mu_c + k_noisy (z - a mu_p), v_noisy).
     """
-    if len(dist.components) != 1:
-        raise ConfigError("closed form covers single-component data only")
     spec = dist.spec
     comp = dist.components[0]
     p_sl = spec.prefix_slice(chunk_index)
@@ -466,13 +477,29 @@ def df_mismatch_oracle(dist: SequenceDistribution, chunk_index: int, t: float) -
     s_pp_noisy = a * a * s_pp + t * t * np.eye(p_idx.size)
     k_noisy = a * np.linalg.solve(s_pp_noisy, s_cp.T).T
     v_noisy = s_cc - a * k_noisy @ s_cp.T
+    return k_clean, v_clean, k_noisy, v_noisy
 
-    d = c_idx.size
+
+def df_mismatch_oracle(dist: SequenceDistribution, chunk_index: int, t: float) -> float:
+    """Analytic expectation of the df_mismatch KL for single-Gaussian data.
+
+    Both conditionals are Gaussian with prefix-linear means; the variance
+    terms are prefix-free and the mean term averages to a trace against the
+    prefix second moment.
+    """
+    if len(dist.components) != 1:
+        raise ConfigError("closed form covers single-component data only")
+    k_clean, v_clean, k_noisy, v_noisy = _prefix_regressions(dist, chunk_index, t)
+    comp = dist.components[0]
+    p_sl = dist.spec.prefix_slice(chunk_index)
+    s_pp = comp.covariance[p_sl, p_sl]
+
+    d = v_clean.shape[0]
     solved = np.linalg.solve(v_clean, v_noisy)
     log_det = float(np.linalg.slogdet(v_clean)[1] - np.linalg.slogdet(v_noisy)[1])
     delta = k_noisy - k_clean
     # E over prefix y of the mean term; prefix second moment is S_pp + mu mu^T
-    mu_p = comp.mean[p_idx]
+    mu_p = comp.mean[p_sl]
     second = s_pp + np.outer(mu_p, mu_p)
     mean_term = float(np.trace(np.linalg.solve(v_clean, delta @ second @ delta.T)))
     return 0.5 * (np.trace(solved) + mean_term - d + log_det)
@@ -509,12 +536,14 @@ def trained_conditional_kl(
     endpoints = learned_conditional_endpoints(
         member, tiled, seed=int(rng.integers(2**32)), steps=steps
     )
+    cond_means, cond_cov = _single_gaussian_rows(
+        condition_clean_prefix_batch(dist, chunk_index, prefix_draws)
+    )
     kls = np.empty(n_prefix)
     for p in range(n_prefix):
         cloud = endpoints[p * n_samples : (p + 1) * n_samples]
         moments = (cloud.mean(axis=0), np.atleast_2d(np.cov(cloud, rowvar=False)))
-        cond = conditional_clean_dist(dist, chunk_index, prefix_draws[p])
-        kls[p] = gaussian_kl(moments, _single_gaussian_moments(cond))
+        kls[p] = gaussian_kl(moments, (cond_means[p], cond_cov))
     value, se = mean_with_se(kls)
     report = DiagnosticsReport(name="trained_conditional_kl")
     report.add(
@@ -548,17 +577,11 @@ def consistency_rms(
     member = students.member(chunk_index) if hasattr(students, "member") else students
     x0 = sample_clean_with_rng(dist, count, rng)
     prefix = x0[:, spec.prefix_slice(chunk_index)]
-    cond = condition_clean_prefix_batch(dist, chunk_index, prefix)
-    field = conditional_velocity_field(cond)
+    field_fn = chunk_velocity_field(dist, chunk_index, prefix)
     x = rng.standard_normal((count, spec.chunk_dim))
-    bounds = list(times) + [0.0]
-    snaps = {bounds[0]: x.copy()}
-    for hi, lo in zip(bounds, bounds[1:]):
-        sub = max(1, round(steps * (hi - lo) / bounds[0]))
-        x, _ = integrate(field, x, hi, lo, sub)
-        if lo > 0.0:
-            snaps[lo] = x.copy()
-    endpoint = x
+    endpoint, snaps = _integrate_segments(
+        field_fn, x, _segment_plan(times, steps), "heun"
+    )
 
     from .models import predict_x0
 

@@ -21,31 +21,6 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------
-# noise schedule
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NoiseSchedule:
-    """Linear-interpolation forward process x_t = (1 - t) x0 + t eps on [0, 1].
-
-    alpha(t) decays 1 -> 0 and sigma(t) grows 0 -> 1, so t = 0 is clean data
-    and t = 1 is pure standard normal noise.
-    """
-
-    horizon: float = 1.0
-
-    def alpha(self, t):
-        return 1.0 - np.asarray(t, dtype=float)
-
-    def sigma(self, t):
-        return np.asarray(t, dtype=float) + 0.0
-
-
-SCHEDULE = NoiseSchedule()
-
-
-# ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
 
@@ -143,6 +118,7 @@ class SequenceDistribution:
     # stacked per-component arrays, cached for vectorized kernels
     _log_w: np.ndarray = field(init=False, repr=False, compare=False)
     _means: np.ndarray = field(init=False, repr=False, compare=False)
+    _covs: np.ndarray = field(init=False, repr=False, compare=False)
     _eigvecs: np.ndarray = field(init=False, repr=False, compare=False)
     _eigvals: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -161,6 +137,7 @@ class SequenceDistribution:
         with np.errstate(divide="ignore"):
             object.__setattr__(self, "_log_w", np.log(w))
         object.__setattr__(self, "_means", np.stack([c.mean for c in comps]))
+        object.__setattr__(self, "_covs", np.stack([c.covariance for c in comps]))
         object.__setattr__(self, "_eigvecs", np.stack([c.eigvecs for c in comps]))
         object.__setattr__(self, "_eigvals", np.stack([c.eigvals for c in comps]))
 
@@ -291,15 +268,22 @@ def sample_clean_with_rng(
     dist: SequenceDistribution, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Sampling core reused by callers that manage their own generator."""
-    ks = rng.choice(len(dist.components), size=count, p=dist.weights)
-    eps = rng.standard_normal((count, dist.dim))
-    out = np.empty((count, dist.dim))
-    for k, comp in enumerate(dist.components):
+    return _sample_mixture(
+        dist.weights, dist._means, dist._eigvecs, dist._eigvals, count, rng
+    )
+
+
+def _sample_mixture(weights, means, eigvecs, eigvals, count, rng):
+    """Draw `count` rows: component labels first, then one normal per row."""
+    ks = rng.choice(weights.size, size=count, p=weights)
+    eps = rng.standard_normal((count, means.shape[1]))
+    out = np.empty((count, means.shape[1]))
+    for k in range(weights.size):
         mask = ks == k
         if not np.any(mask):
             continue
-        root = comp.eigvecs * np.sqrt(comp.eigvals)[None, :]
-        out[mask] = comp.mean[None, :] + eps[mask] @ root.T
+        root = eigvecs[k] * np.sqrt(eigvals[k])[None, :]
+        out[mask] = means[k][None, :] + eps[mask] @ root.T
     return out
 
 
@@ -340,224 +324,58 @@ def noisy_log_density(dist: SequenceDistribution, state: NoisyState) -> np.ndarr
     return float(v[0]) if single else v
 
 
+def _noised_law(dist: SequenceDistribution, t: float, noised):
+    """Component means and covariances of x_0 with the coordinates `noised`
+    replaced by x_t = a x_0 + t eps (a = 1 - t).
+
+    Scaling coordinate j by s_j (a if noised, else 1) maps a component
+    N(mu, S) to N(s * mu, (s s^T) * S), and the noise adds t^2 to the noised
+    diagonal entries.
+    """
+    scale = np.ones(dist.dim)
+    scale[noised] = 1.0 - t
+    extra = np.zeros(dist.dim)
+    extra[noised] = t * t
+    means = scale * dist._means
+    covs = np.outer(scale, scale) * dist._covs + np.diag(extra)
+    return means, covs
+
+
 def noisy_marginal(dist: SequenceDistribution, t: float) -> SequenceDistribution:
     """The law of x_t as an explicit mixture: components N(a mu, a^2 S + s^2 I)."""
-    a = 1.0 - t
-    comps = []
-    eye = np.eye(dist.dim)
-    for c in dist.components:
-        comps.append(
-            GaussianComponent(
-                weight=c.weight,
-                mean=a * c.mean,
-                covariance=a * a * c.covariance + t * t * eye,
-            )
-        )
-    return SequenceDistribution(spec=dist.spec, components=tuple(comps))
-
-
-def _condition_gaussian(mean, cov, obs_idx, rest_idx, values):
-    """Condition one Gaussian on coordinates obs_idx = values.
-
-    Returns (cond_mean, cond_cov, log_marginal_density_of_observation).
-    Raises SingularCovarianceError when the observed block is not invertible.
-    """
-    mean_o = mean[obs_idx]
-    mean_r = mean[rest_idx]
-    s_oo = cov[np.ix_(obs_idx, obs_idx)]
-    s_ro = cov[np.ix_(rest_idx, obs_idx)]
-    s_rr = cov[np.ix_(rest_idx, rest_idx)]
-    try:
-        chol = np.linalg.cholesky(s_oo)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(
-            "observed covariance block is singular; cannot condition"
-        ) from exc
-    resid = values - mean_o
-    # solve S_oo^{-1} resid and S_oo^{-1} S_or through the Cholesky factor
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, resid))
-    beta = np.linalg.solve(chol.T, np.linalg.solve(chol, s_ro.T))
-    cond_mean = mean_r + s_ro @ alpha
-    cond_cov = s_rr - s_ro @ beta
-    cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    quad = float(resid @ alpha)
-    log_marg = -0.5 * (quad + log_det + len(obs_idx) * _LOG_2PI)
-    return cond_mean, cond_cov, log_marg
-
-
-def _normalized_weights(log_w_unnorm: np.ndarray) -> np.ndarray:
-    shift = np.max(log_w_unnorm)
-    w = np.exp(log_w_unnorm - shift)
-    total = w.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise SingularCovarianceError("conditioning produced no usable component")
-    return w / total
-
-
-def condition_on_coordinates(
-    dist: SequenceDistribution,
-    observed_idx,
-    values,
-    spec: SequenceSpec | None = None,
-) -> SequenceDistribution:
-    """Exact mixture conditional on an arbitrary coordinate subset.
-
-    Weights are reweighted by each component's marginal density of the
-    observation, accumulated in log space.
-    """
-    observed_idx = np.asarray(observed_idx, dtype=int)
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.size != observed_idx.size:
-        raise ValueError("observed values and indices must have equal length")
-    rest_idx = np.setdiff1d(np.arange(dist.dim), observed_idx)
-    if rest_idx.size == 0:
-        raise ValueError("cannot condition on every coordinate")
-    if spec is None:
-        d = dist.spec.frame_dim
-        if rest_idx.size % d == 0:
-            spec = SequenceSpec(n_frames=rest_idx.size // d, frame_dim=d, chunk_size=1)
-        else:
-            spec = SequenceSpec(n_frames=rest_idx.size, frame_dim=1, chunk_size=1)
-    log_ws = np.empty(len(dist.components))
-    cond = []
-    for k, comp in enumerate(dist.components):
-        m, c, log_marg = _condition_gaussian(
-            comp.mean, comp.covariance, observed_idx, rest_idx, values
-        )
-        cond.append((m, c))
-        log_ws[k] = dist._log_w[k] + log_marg
-    new_w = _normalized_weights(log_ws)
+    means, covs = _noised_law(dist, t, np.arange(dist.dim))
     comps = tuple(
-        GaussianComponent(weight=float(w), mean=m, covariance=c)
-        for w, (m, c) in zip(new_w, cond)
+        GaussianComponent(weight=c.weight, mean=m, covariance=s)
+        for c, m, s in zip(dist.components, means, covs)
     )
-    return SequenceDistribution(spec=spec, components=comps)
-
-
-def _chunk_spec(spec: SequenceSpec) -> SequenceSpec:
-    return SequenceSpec(
-        n_frames=spec.chunk_size, frame_dim=spec.frame_dim, chunk_size=spec.chunk_size
-    )
-
-
-def conditional_clean_dist(
-    dist: SequenceDistribution, i: int, prefix: np.ndarray
-) -> SequenceDistribution:
-    """Law of clean chunk i given the clean chunks before it.
-
-    The result is a mixture over the chunk's coordinates only; chunks after
-    i are marginalized out, never conditioned on.
-    """
-    spec = dist.spec
-    sl_prefix = spec.prefix_slice(i)
-    sl_chunk = spec.chunk_slice(i)
-    prefix = np.asarray(prefix, dtype=float).reshape(-1)
-    if prefix.size != spec.prefix_dim(i):
-        raise ValueError(
-            f"prefix for chunk {i} must have {spec.prefix_dim(i)} coordinates"
-        )
-    chunk_idx = np.arange(sl_chunk.start, sl_chunk.stop)
-    if prefix.size == 0:
-        # no conditioning: plain marginal of the chunk coordinates
-        comps = tuple(
-            GaussianComponent(
-                weight=c.weight,
-                mean=c.mean[sl_chunk],
-                covariance=c.covariance[np.ix_(chunk_idx, chunk_idx)],
-            )
-            for c in dist.components
-        )
-        return SequenceDistribution(spec=_chunk_spec(spec), components=comps)
-    prefix_idx = np.arange(sl_prefix.start, sl_prefix.stop)
-    log_ws = np.empty(len(dist.components))
-    cond = []
-    for k, comp in enumerate(dist.components):
-        joint_idx = np.concatenate([chunk_idx, prefix_idx])
-        mean = comp.mean[joint_idx]
-        cov = comp.covariance[np.ix_(joint_idx, joint_idx)]
-        obs = np.arange(chunk_idx.size, joint_idx.size)
-        rest = np.arange(chunk_idx.size)
-        m, c, log_marg = _condition_gaussian(mean, cov, obs, rest, prefix)
-        cond.append((m, c))
-        log_ws[k] = dist._log_w[k] + log_marg
-    new_w = _normalized_weights(log_ws)
-    comps = tuple(
-        GaussianComponent(weight=float(w), mean=m, covariance=c)
-        for w, (m, c) in zip(new_w, cond)
-    )
-    return SequenceDistribution(spec=_chunk_spec(spec), components=comps)
-
-
-def df_conditional_dist(
-    dist: SequenceDistribution, i: int, noisy_prefix: NoisyState
-) -> SequenceDistribution:
-    """Law of clean chunk i given a noisy prefix x_t^{<i} = z at time t.
-
-    Per component, (x0^i, x_t^{<i}) is jointly Gaussian with
-    Cov(x_t^{<i}) = a^2 S_PP + s^2 I and Cov(x0^i, x_t^{<i}) = a S_CP,
-    so the conditional follows from standard Gaussian conditioning; weights
-    are reweighted by the noisy-prefix marginal density.
-    """
-    spec = dist.spec
-    t = noisy_prefix.time
-    a = 1.0 - t
-    sl_prefix = spec.prefix_slice(i)
-    sl_chunk = spec.chunk_slice(i)
-    z = np.asarray(noisy_prefix.values, dtype=float).reshape(-1)
-    if z.size != spec.prefix_dim(i):
-        raise ValueError(
-            f"noisy prefix for chunk {i} must have {spec.prefix_dim(i)} coordinates"
-        )
-    if z.size == 0:
-        raise ValueError("chunk 1 has no prefix to condition on")
-    chunk_idx = np.arange(sl_chunk.start, sl_chunk.stop)
-    prefix_idx = np.arange(sl_prefix.start, sl_prefix.stop)
-    nC, nP = chunk_idx.size, prefix_idx.size
-    log_ws = np.empty(len(dist.components))
-    cond = []
-    for k, comp in enumerate(dist.components):
-        s_cc = comp.covariance[np.ix_(chunk_idx, chunk_idx)]
-        s_cp = comp.covariance[np.ix_(chunk_idx, prefix_idx)]
-        s_pp = comp.covariance[np.ix_(prefix_idx, prefix_idx)]
-        mean = np.concatenate([comp.mean[chunk_idx], a * comp.mean[prefix_idx]])
-        cov = np.empty((nC + nP, nC + nP))
-        cov[:nC, :nC] = s_cc
-        cov[:nC, nC:] = a * s_cp
-        cov[nC:, :nC] = a * s_cp.T
-        cov[nC:, nC:] = a * a * s_pp + t * t * np.eye(nP)
-        obs = np.arange(nC, nC + nP)
-        rest = np.arange(nC)
-        m, c, log_marg = _condition_gaussian(mean, cov, obs, rest, z)
-        cond.append((m, c))
-        log_ws[k] = dist._log_w[k] + log_marg
-    new_w = _normalized_weights(log_ws)
-    comps = tuple(
-        GaussianComponent(weight=float(w), mean=m, covariance=c)
-        for w, (m, c) in zip(new_w, cond)
-    )
-    return SequenceDistribution(spec=_chunk_spec(spec), components=comps)
+    return SequenceDistribution(spec=dist.spec, components=comps)
 
 
 # ---------------------------------------------------------------------------
-# batched prefix conditionals (shared covariances, per-row means and weights)
+# conditionals (shared covariances, per-row means and weights)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class BatchedConditional:
-    """Per-row conditional mixtures of chunk i given per-row prefixes.
+    """Per-row conditional mixtures over the same kept coordinates.
 
     Gaussian conditional covariances do not depend on the observed value, so
-    all rows share the component covariances (stored once as eigensystems)
+    all rows share the component covariances (and their cached eigensystems)
     while means and weights vary per row.  This is what makes trajectory-level
     batching of the conditional velocity field cheap.
     """
 
-    log_w: np.ndarray  # (B, K)
+    log_w: np.ndarray  # (B, K), normalized per row
     means: np.ndarray  # (B, K, D)
-    eigvecs: np.ndarray  # (K, D, D)
-    eigvals: np.ndarray  # (K, D)
+    covariances: np.ndarray  # (K, D, D)
+    eigvecs: np.ndarray = field(init=False, repr=False)
+    eigvals: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        lam, q = np.linalg.eigh(self.covariances)
+        self.eigvals = np.clip(lam, 0.0, None)
+        self.eigvecs = q
 
     @property
     def batch(self) -> int:
@@ -577,91 +395,162 @@ class BatchedConditional:
             self.log_w, self.means, self.eigvecs, self.eigvals, x, t
         )
 
+    def sample(self, b: int, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw `count` samples of row b, in sample_clean_with_rng's order."""
+        return _sample_mixture(
+            np.exp(self.log_w[b]), self.means[b], self.eigvecs, self.eigvals,
+            count, rng,
+        )
+
     def row(self, b: int, spec: SequenceSpec) -> SequenceDistribution:
         """Materialize row b as an ordinary SequenceDistribution."""
-        w = _normalized_weights(self.log_w[b])
-        comps = []
-        for k in range(self.means.shape[1]):
-            cov = (self.eigvecs[k] * self.eigvals[k][None, :]) @ self.eigvecs[k].T
-            cov = 0.5 * (cov + cov.T)
-            comps.append(
-                GaussianComponent(weight=float(w[k]), mean=self.means[b, k], covariance=cov)
-            )
-        return SequenceDistribution(spec=spec, components=tuple(comps))
+        w = np.exp(self.log_w[b])
+        comps = tuple(
+            GaussianComponent(weight=float(w[k]), mean=self.means[b, k], covariance=c)
+            for k, c in enumerate(self.covariances)
+        )
+        return SequenceDistribution(spec=spec, components=comps)
+
+
+def _condition(log_w, means, covs, observed, kept, values) -> BatchedConditional:
+    """Condition every mixture component on coordinates `observed` = values.
+
+    The one Gaussian-conditioning kernel.  log_w (K,), means (K, D) and
+    covs (K, D, D) describe the mixture; values (B, len(observed)) holds one
+    observation per row.  Per component, the Cholesky factor of the observed
+    block gives the Schur complement over the `kept` coordinates, shared by
+    every row, and per row the conditional mean plus the log marginal
+    density of the observation that reweights the component.  Coordinates in
+    neither set are marginalized out.  Raises SingularCovarianceError when an
+    observed block is not positive definite.
+    """
+    nB, kK, nR = values.shape[0], log_w.size, kept.size
+    if observed.size == 0:
+        return BatchedConditional(
+            np.broadcast_to(log_w, (nB, kK)).copy(),
+            np.broadcast_to(means[:, kept], (nB, kK, nR)).copy(),
+            covs[:, kept][:, :, kept],
+        )
+    cond_w = np.empty((nB, kK))
+    cond_means = np.empty((nB, kK, nR))
+    cond_covs = np.empty((kK, nR, nR))
+    for k in range(kK):
+        s_oo = covs[k][np.ix_(observed, observed)]
+        s_ro = covs[k][np.ix_(kept, observed)]
+        s_rr = covs[k][np.ix_(kept, kept)]
+        try:
+            chol = np.linalg.cholesky(s_oo)
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovarianceError(
+                "observed covariance block is singular; cannot condition"
+            ) from exc
+        resid = values - means[k, observed][None, :]  # (B, O)
+        # solve S_oo^{-1} resid and S_oo^{-1} S_or through the Cholesky factor
+        alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, resid.T))  # (O, B)
+        beta = np.linalg.solve(chol.T, np.linalg.solve(chol, s_ro.T))  # (O, R)
+        cond_means[:, k, :] = means[k, kept][None, :] + (s_ro @ alpha).T
+        cov = s_rr - s_ro @ beta
+        cond_covs[k] = 0.5 * (cov + cov.T)
+        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        quad = np.einsum("bo,ob->b", resid, alpha)
+        cond_w[:, k] = log_w[k] - 0.5 * (quad + log_det + observed.size * _LOG_2PI)
+    shift = np.max(cond_w, axis=1, keepdims=True)
+    log_z = shift + np.log(np.sum(np.exp(cond_w - shift), axis=1, keepdims=True))
+    if not np.all(np.isfinite(log_z)):
+        raise SingularCovarianceError("conditioning produced no usable component")
+    return BatchedConditional(cond_w - log_z, cond_means, cond_covs)
+
+
+def condition_on_coordinates(
+    dist: SequenceDistribution,
+    observed_idx,
+    values,
+    spec: SequenceSpec | None = None,
+):
+    """Exact mixture conditional on an arbitrary coordinate subset.
+
+    Weights are reweighted by each component's marginal density of the
+    observation, accumulated in log space.  A vector of values gives a
+    SequenceDistribution over the remaining coordinates; rows of values
+    (B, len(observed_idx)) give the BatchedConditional of all rows.
+    """
+    observed_idx = np.asarray(observed_idx, dtype=int)
+    values, single = _as_batch(values, observed_idx.size)
+    rest_idx = np.setdiff1d(np.arange(dist.dim), observed_idx)
+    if rest_idx.size == 0:
+        raise ValueError("cannot condition on every coordinate")
+    cond = _condition(
+        dist._log_w, dist._means, dist._covs, observed_idx, rest_idx, values
+    )
+    if not single:
+        return cond
+    if spec is None:
+        d = dist.spec.frame_dim
+        if rest_idx.size % d == 0:
+            spec = SequenceSpec(n_frames=rest_idx.size // d, frame_dim=d, chunk_size=1)
+        else:
+            spec = SequenceSpec(n_frames=rest_idx.size, frame_dim=1, chunk_size=1)
+    return cond.row(0, spec)
+
+
+def _chunk_spec(spec: SequenceSpec) -> SequenceSpec:
+    return SequenceSpec(
+        n_frames=spec.chunk_size, frame_dim=spec.frame_dim, chunk_size=spec.chunk_size
+    )
+
+
+def _coordinates(sl: slice) -> np.ndarray:
+    return np.arange(sl.start, sl.stop)
 
 
 def condition_clean_prefix_batch(
     dist: SequenceDistribution, i: int, prefixes: np.ndarray
 ) -> BatchedConditional:
-    """Batched conditional_clean_dist over rows of prefixes (B, prefix_dim)."""
+    """Law of clean chunk i given each row of clean prefixes (B, prefix_dim).
+
+    Chunks after i are marginalized out, never conditioned on.
+    """
     spec = dist.spec
+    chunk_idx = _coordinates(spec.chunk_slice(i))
     prefixes = np.atleast_2d(np.asarray(prefixes, dtype=float))
     if prefixes.shape[1] != spec.prefix_dim(i):
         raise ValueError(
             f"prefix rows for chunk {i} must have {spec.prefix_dim(i)} coordinates"
         )
-    nB = prefixes.shape[0]
-    sl_chunk = spec.chunk_slice(i)
-    chunk_idx = np.arange(sl_chunk.start, sl_chunk.stop)
-    kK = len(dist.components)
-    dC = chunk_idx.size
-    if prefixes.shape[1] == 0:
-        means = np.broadcast_to(dist._means[:, chunk_idx], (nB, kK, dC)).copy()
-        log_w = np.broadcast_to(dist._log_w, (nB, kK)).copy()
-        eigvecs = np.empty((kK, dC, dC))
-        eigvals = np.empty((kK, dC))
-        for k, comp in enumerate(dist.components):
-            lam, q = np.linalg.eigh(comp.covariance[np.ix_(chunk_idx, chunk_idx)])
-            eigvals[k] = np.clip(lam, 0.0, None)
-            eigvecs[k] = q
-        return BatchedConditional(log_w, means, eigvecs, eigvals)
-    prefix_idx = np.arange(0, prefixes.shape[1])
-    means = np.empty((nB, kK, dC))
-    log_w = np.empty((nB, kK))
-    eigvecs = np.empty((kK, dC, dC))
-    eigvals = np.empty((kK, dC))
-    for k, comp in enumerate(dist.components):
-        s_oo = comp.covariance[np.ix_(prefix_idx, prefix_idx)]
-        s_ro = comp.covariance[np.ix_(chunk_idx, prefix_idx)]
-        s_rr = comp.covariance[np.ix_(chunk_idx, chunk_idx)]
-        try:
-            chol = np.linalg.cholesky(s_oo)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovarianceError(
-                "prefix covariance block is singular; cannot condition"
-            ) from exc
-        resid = prefixes - comp.mean[prefix_idx][None, :]  # (B, P)
-        alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, resid.T))  # (P, B)
-        beta = np.linalg.solve(chol.T, np.linalg.solve(chol, s_ro.T))  # (P, C)
-        means[:, k, :] = comp.mean[chunk_idx][None, :] + (s_ro @ alpha).T
-        cond_cov = s_rr - s_ro @ beta
-        cond_cov = 0.5 * (cond_cov + cond_cov.T)
-        lam, q = np.linalg.eigh(cond_cov)
-        eigvals[k] = np.clip(lam, 0.0, None)
-        eigvecs[k] = q
-        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        quad = np.einsum("bp,pb->b", resid, alpha)
-        log_w[:, k] = dist._log_w[k] - 0.5 * (
-            quad + log_det + prefix_idx.size * _LOG_2PI
-        )
-    shift = np.max(log_w, axis=1, keepdims=True)
-    log_w = log_w - (shift + np.log(np.sum(np.exp(log_w - shift), axis=1, keepdims=True)))
-    return BatchedConditional(log_w, means, eigvecs, eigvals)
+    return _condition(
+        dist._log_w, dist._means, dist._covs,
+        _coordinates(spec.prefix_slice(i)), chunk_idx, prefixes,
+    )
 
 
-def sample_batched_conditional(
-    cond: BatchedConditional, rng: np.random.Generator
-) -> np.ndarray:
-    """One draw per row of the batched conditional; returns (B, D)."""
-    nB, kK, dC = cond.means.shape
-    w = np.exp(cond.log_w)
-    w = w / w.sum(axis=1, keepdims=True)
-    u = rng.random((nB, 1))
-    ks = np.sum(np.cumsum(w, axis=1) < u, axis=1).clip(0, kK - 1)
-    eps = rng.standard_normal((nB, dC))
-    roots = cond.eigvecs * np.sqrt(cond.eigvals)[:, None, :]  # (K, D, D)
-    moved = np.einsum("bde,be->bd", roots[ks], eps)
-    return cond.means[np.arange(nB), ks] + moved
+def conditional_clean_dist(
+    dist: SequenceDistribution, i: int, prefix: np.ndarray
+) -> SequenceDistribution:
+    """Law of clean chunk i given the clean chunks before it, as a mixture
+    over the chunk's coordinates only."""
+    prefix = np.asarray(prefix, dtype=float).reshape(1, -1)
+    cond = condition_clean_prefix_batch(dist, i, prefix)
+    return cond.row(0, _chunk_spec(dist.spec))
+
+
+def df_conditional_dist(dist: SequenceDistribution, i: int, noisy_prefix: NoisyState):
+    """Law of clean chunk i given a noisy prefix x_t^{<i} = z at time t.
+
+    Per component, (x_t^{<i}, x0^i) is jointly Gaussian with
+    Cov(x_t^{<i}) = a^2 S_PP + s^2 I and Cov(x0^i, x_t^{<i}) = a S_CP, so
+    the conditional is the same Gaussian conditioning applied to that law.
+    A prefix vector gives a SequenceDistribution; rows of prefixes
+    (B, prefix_dim) give the BatchedConditional of all rows.
+    """
+    spec = dist.spec
+    chunk_idx = _coordinates(spec.chunk_slice(i))
+    prefix_idx = _coordinates(spec.prefix_slice(i))
+    if prefix_idx.size == 0:
+        raise ValueError("chunk 1 has no prefix to condition on")
+    z, single = _as_batch(noisy_prefix.values, prefix_idx.size)
+    means, covs = _noised_law(dist, noisy_prefix.time, prefix_idx)
+    cond = _condition(dist._log_w, means, covs, prefix_idx, chunk_idx, z)
+    return cond.row(0, _chunk_spec(spec)) if single else cond
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
-    BatchedConditional,
     NoisyState,
     SequenceDistribution,
     SequenceSpec,
@@ -24,6 +23,7 @@ from .distributions import (
     sample_clean_with_rng,
 )
 from .errors import DivergenceError, GridError
+from .models import ChunkModelSet, predict
 
 _NODE_TOL = 1e-9
 _BLOCK = 512
@@ -109,39 +109,35 @@ def bi_velocity_field(dist: SequenceDistribution):
     return field_fn
 
 
-def conditional_velocity_field(cond: BatchedConditional):
-    """Velocity callable over row batches for per-row conditional mixtures."""
+def chunk_velocity_field(source, i: int, prefixes: np.ndarray):
+    """Chunk-i velocity callable f(x, t) given one prefix per row of x.
 
-    def field_fn(x, t):
-        return _div_time(x - cond.posterior_mean(x, t), t)
+    `source` is a SequenceDistribution (the exact conditional field, with
+    the prefixes conditioned on once) or a ChunkModelSet (its trained chunk-i
+    member).  t may be a scalar or one time per row.
+    """
+    if isinstance(source, ChunkModelSet):
+        member = source.member(i)
+        return lambda x, t: predict(member, x, prefixes, t)
+    cond = condition_clean_prefix_batch(source, i, prefixes)
+    return lambda x, t: _div_time(x - cond.posterior_mean(x, t), t)
 
-    return field_fn
+
+def _repeat_prefix(prefix, rows: int) -> np.ndarray:
+    """One prefix as `rows` identical prefix rows (a read-only view)."""
+    prefix = np.asarray(prefix, dtype=float).reshape(1, -1)
+    return np.broadcast_to(prefix, (rows, prefix.shape[1]))
 
 
 def velocity_ar(teacher, i: int, prefix: np.ndarray, x, t: float) -> np.ndarray:
-    """Chunk-i conditional velocity given a clean prefix.
-
-    `teacher` may be a SequenceDistribution (exact oracle) or a trained
-    velocity model set; both expose the same (x, prefix, t) -> velocity map.
-    """
+    """Chunk-i conditional velocity given one clean prefix, from the exact
+    oracle or a trained velocity model set (see chunk_velocity_field)."""
     if t <= 0.0:
         raise ValueError("the velocity field is defined for t > 0 only")
     x = np.asarray(x, dtype=float)
     batch = np.atleast_2d(x)
-    if isinstance(teacher, SequenceDistribution):
-        prefixes = np.broadcast_to(
-            np.asarray(prefix, dtype=float).reshape(-1), (batch.shape[0], teacher.spec.prefix_dim(i))
-        )
-        cond = condition_clean_prefix_batch(teacher, i, prefixes)
-        v = (batch - cond.posterior_mean(batch, t)) / t
-    else:
-        model = teacher.member(i)
-        from .models import predict
-
-        pref = np.broadcast_to(
-            np.asarray(prefix, dtype=float).reshape(-1), (batch.shape[0], model.features.prefix_dim)
-        )
-        v = predict(model, batch, pref, t)
+    prefixes = _repeat_prefix(prefix, batch.shape[0])
+    v = chunk_velocity_field(teacher, i, prefixes)(batch, t)
     return v[0] if x.ndim == 1 else v
 
 
@@ -233,17 +229,8 @@ def flow_map_ar(
     """Transport chunk-i values to the conditional flow endpoint given a prefix."""
     values = np.asarray(values, dtype=float)
     batch = np.atleast_2d(values)
-    if isinstance(teacher, SequenceDistribution):
-        prefixes = np.broadcast_to(
-            np.asarray(prefix, dtype=float).reshape(-1),
-            (batch.shape[0], teacher.spec.prefix_dim(i)),
-        )
-        cond = condition_clean_prefix_batch(teacher, i, prefixes)
-        field_fn = conditional_velocity_field(cond)
-    else:
-        def field_fn(x, tt):
-            return velocity_ar(teacher, i, prefix, x, tt)
-
+    prefixes = _repeat_prefix(prefix, batch.shape[0])
+    field_fn = chunk_velocity_field(teacher, i, prefixes)
     out, _ = integrate(field_fn, batch, t, 0.0, steps, method)
     return out[0] if values.ndim == 1 else out
 
@@ -302,14 +289,14 @@ def _record_seeds(master_seed: int, count: int) -> np.ndarray:
     return np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
 
 
-def _segment_plan(grid: TimestepGrid, steps: int):
-    """Chain of (t_hi, t_lo, sub_steps) segments covering grid[0] down to 0.
+def _segment_plan(times, steps: int):
+    """Chain of (t_hi, t_lo, sub_steps) segments covering times[0] down to 0.
 
-    Each requested grid time becomes a segment boundary, so every snapshot is
-    an exact node of its uniform sub-grid; sub-step counts are allocated
-    proportionally to segment length.
+    Each requested time (a TimestepGrid or any decreasing sequence) becomes a
+    segment boundary, so every snapshot is an exact node of its uniform
+    sub-grid; sub-step counts are allocated proportionally to segment length.
     """
-    bounds = list(grid.times) + [0.0]
+    bounds = list(times) + [0.0]
     total = bounds[0]
     plan = []
     for hi, lo in zip(bounds, bounds[1:]):
@@ -329,6 +316,7 @@ def _integrate_segments(field_fn, x, plan, method):
 
 
 def _worker_count() -> int:
+    """ARDLAB_WORKERS, capped at the CPUs this process may use."""
     raw = os.environ.get(WORKERS_ENV, "")
     if not raw:
         return 1
@@ -336,7 +324,7 @@ def _worker_count() -> int:
         n = int(raw)
     except ValueError:
         return 1
-    return max(1, n)
+    return max(1, min(n, len(os.sched_getaffinity(0))))
 
 
 def _map_blocks(worker, arg_blocks):
@@ -425,18 +413,9 @@ def _causal_block(args):
     plan = _segment_plan(grid, steps)
     endpoints = np.empty((n, spec.n_chunks, cd))
     snapshots = []
+    source = dist if teacher is None else teacher
     for i in range(1, spec.n_chunks + 1):
-        prefixes = gt[:, spec.prefix_slice(i)]
-        if teacher is None:
-            cond = condition_clean_prefix_batch(dist, i, prefixes)
-            field_fn = conditional_velocity_field(cond)
-        else:
-            model = teacher.member(i)
-            from .models import predict
-
-            def field_fn(x, t, _model=model, _pref=prefixes):
-                return predict(_model, x, _pref, t)
-
+        field_fn = chunk_velocity_field(source, i, gt[:, spec.prefix_slice(i)])
         end, snaps = _integrate_segments(field_fn, eps[:, i - 1], plan, method)
         endpoints[:, i - 1] = end
         snapshots.append(snaps)

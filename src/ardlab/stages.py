@@ -43,7 +43,13 @@ from .models import (
     sgd_step,
 )
 from .models import predict_x0 as _predict_x0
-from .ode import PairDataset, TimestepGrid, bi_velocity_field, integrate
+from .ode import (
+    PairDataset,
+    TimestepGrid,
+    bi_velocity_field,
+    chunk_velocity_field,
+    integrate,
+)
 
 DMD_DIVERGENCE_LIMIT = 1e6
 
@@ -639,22 +645,6 @@ def dmd_train(
 # ---------------------------------------------------------------------------
 
 
-def _teacher_velocity(teacher, dist, i, prefixes, teacher_kind):
-    """Velocity callable for one consistency step.
-
-    autoregressive: chunk-conditional field given the step's clean prefixes,
-    from the oracle (teacher None) or a trained velocity set.
-    bidirectional: full-dimension joint oracle field.
-    """
-    if teacher_kind == "bidirectional":
-        return bi_velocity_field(dist)
-    if teacher is None:
-        cond = condition_clean_prefix_batch(dist, i, prefixes)
-        return lambda x, t: (x - cond.posterior_mean(x, t)) / _as_time_column(t)
-    member = teacher.member(i)
-    return lambda x, t: predict(member, x, prefixes, t)
-
-
 def _one_teacher_step(field_fn, x, t, dt_mag):
     """One solver step from per-row times t down to t - dt_mag.
 
@@ -718,6 +708,11 @@ def cd_train(
     theta_minus = {
         i: students.member(i).theta.copy() for i in range(1, spec.n_chunks + 1)
     }
+    # autoregressive: chunk-conditional field given each step's clean
+    # prefixes, from the oracle (teacher None) or a trained velocity set;
+    # bidirectional: the full-dimension joint oracle field
+    source = dist if teacher is None else teacher
+    joint_field = bi_velocity_field(dist)
     trace = np.empty(cfg.step_count)
 
     for step in range(cfg.step_count):
@@ -730,14 +725,13 @@ def cd_train(
         if teacher_kind == "autoregressive":
             eps = rng.standard_normal((cfg.batch_size, spec.chunk_dim))
             x_t = (1.0 - t)[:, None] * x_gt[:, spec.chunk_slice(i)] + t[:, None] * eps
-            field_fn = _teacher_velocity(teacher, dist, i, prefixes, teacher_kind)
+            field_fn = chunk_velocity_field(source, i, prefixes)
             x_prev, t_prev = _one_teacher_step(field_fn, x_t, t, dt)
             student_in = x_t
         else:
             eps = rng.standard_normal((cfg.batch_size, spec.total_dim))
             x_t_full = (1.0 - t)[:, None] * x_gt + t[:, None] * eps
-            field_fn = _teacher_velocity(teacher, dist, i, prefixes, teacher_kind)
-            x_prev_full, t_prev = _one_teacher_step(field_fn, x_t_full, t, dt)
+            x_prev_full, t_prev = _one_teacher_step(joint_field, x_t_full, t, dt)
             student_in = x_t_full[:, spec.chunk_slice(i)]
             x_prev = x_prev_full[:, spec.chunk_slice(i)]
         phi = featurize(member.features, student_in, prefixes, t)

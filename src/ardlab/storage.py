@@ -74,6 +74,19 @@ def _require(obj: dict, keys, lineno: int, path) -> None:
         raise DatasetFormatError(f"{path}, line {lineno}: missing fields {missing}")
 
 
+def _vector(values, size: int, what: str, lineno: int, path) -> np.ndarray:
+    """values as a float vector of exactly `size` entries."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (size,):
+        raise DatasetFormatError(
+            f"{path}, line {lineno}: {what} must hold {size} values"
+        )
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # pair datasets
 # ---------------------------------------------------------------------------
@@ -140,20 +153,33 @@ def load_dataset(path) -> PairDataset:
             lineno,
             path,
         )
-        snapshots = {}
-        for key, values in obj["snapshots"].items():
-            if key not in time_of:
-                raise DatasetFormatError(
-                    f"{path}, line {lineno}: snapshot time {key} is not a grid time"
-                )
-            snapshots[time_of[key]] = np.asarray(values, dtype=float)
+        i = obj["chunk_index"]
+        if not isinstance(i, int) or not 1 <= i <= spec.n_chunks:
+            raise DatasetFormatError(
+                f"{path}, line {lineno}: chunk_index {i!r} is outside "
+                f"1..{spec.n_chunks}"
+            )
+        snaps = obj["snapshots"]
+        if not isinstance(snaps, dict) or sorted(snaps) != sorted(time_of):
+            raise DatasetFormatError(
+                f"{path}, line {lineno}: snapshot times are not exactly the "
+                f"grid times {sorted(time_of, reverse=True)}"
+            )
+        cd = spec.chunk_dim
         records.append(
             ODEPairRecord(
-                chunk_index=int(obj["chunk_index"]),
+                chunk_index=i,
                 seed=int(obj["seed"]),
-                prefix=np.asarray(obj["prefix"], dtype=float),
-                snapshots=snapshots,
-                endpoint=np.asarray(obj["endpoint"], dtype=float),
+                prefix=_vector(
+                    obj["prefix"], spec.prefix_dim(i), "prefix", lineno, path
+                ),
+                snapshots={
+                    time_of[key]: _vector(
+                        values, cd, f"snapshot {key}", lineno, path
+                    )
+                    for key, values in snaps.items()
+                },
+                endpoint=_vector(obj["endpoint"], cd, "endpoint", lineno, path),
                 provenance=obj["provenance"],
             )
         )

@@ -9,6 +9,7 @@ from ardlab.cli import main
 from ardlab.config import (
     ExperimentConfig,
     ar1_sequence,
+    bivariate_pair,
     component_tables,
     load_config,
     named_distribution,
@@ -189,6 +190,25 @@ def test_cli_io_errors_exit_3(tmp_path, capsys):
     garbled.write_text("not a dataset\n")
     assert main(args[:4] + [str(garbled), "--output-dir", str(tmp_path)]) == 3
     capsys.readouterr()
+
+
+def test_cli_distill_malformed_record_exits_3(tmp_path, capsys):
+    from ardlab.ode import make_pairs_causal
+    from ardlab.storage import save_dataset
+
+    path = tmp_path / "pairs.jsonl"
+    save_dataset(make_pairs_causal(bivariate_pair(0.8), count=3, steps=8), path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    del rec["snapshots"][min(rec["snapshots"])]  # one grid time missing
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    args = [
+        "distill", "--ode", "causal-ode", "--data", str(path),
+        "--output-dir", str(tmp_path / "out"),
+    ]
+    assert main(args) == 3
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_cli_audit_passes_and_writes_reports(tmp_path, capsys):

@@ -80,6 +80,13 @@ def test_gaussian_kl_known_values():
     q = (np.zeros(1), 2.0 * np.eye(1))
     expected = 0.5 * (0.5 + 0.0 - 1.0 + math.log(2.0))
     assert gaussian_kl(p, q) == pytest.approx(expected, abs=1e-12)
+    # rows of means against shared covariances: one KL per row
+    rng = np.random.default_rng(3)
+    cov_p = np.array([[1.0, 0.3], [0.3, 0.8]])
+    cov_q = np.array([[1.5, -0.2], [-0.2, 1.1]])
+    mp, mq = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+    per_row = [gaussian_kl((mp[b], cov_p), (mq[b], cov_q)) for b in range(4)]
+    assert np.allclose(gaussian_kl((mp, cov_p), (mq, cov_q)), per_row, atol=1e-12)
 
 
 def test_motion_variability():

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ardlab.config import ar1_sequence, bivariate_pair, two_mode
+from ardlab.diagnostics import _prefix_regressions
 from ardlab.distributions import (
     GaussianComponent,
     NoisyState,
     SequenceDistribution,
     SequenceSpec,
+    _condition,
     chunk_second_moment,
     condition_clean_prefix_batch,
     condition_on_coordinates,
@@ -23,6 +25,7 @@ from ardlab.distributions import (
     noisy_marginal,
     sample_clean,
 )
+from ardlab.errors import SingularCovarianceError
 
 RHO = 0.8
 DIST = bivariate_pair(RHO)
@@ -199,3 +202,117 @@ def test_noisy_state_validation():
         NoisyState(values=np.array([np.nan]), time=0.5)
     with pytest.raises(ValueError):
         NoisyState(values=np.array([0.0]), time=1.5)
+
+
+# ---------------------------------------------------------------------------
+# the batched conditioning kernel against dense per-row references
+# ---------------------------------------------------------------------------
+
+
+def random_mixture(rng, k, n_frames, frame_dim=1, chunk_size=1):
+    """K random well-conditioned SPD components with random weights."""
+    spec = SequenceSpec(n_frames=n_frames, frame_dim=frame_dim, chunk_size=chunk_size)
+    dim = spec.total_dim
+    weights = rng.dirichlet(np.ones(k))
+    weights[-1] = 1.0 - weights[:-1].sum()
+    comps = []
+    for w in weights:
+        a = rng.standard_normal((dim, dim))
+        cov = a @ a.T / dim + 0.5 * np.eye(dim)
+        comps.append(GaussianComponent(float(w), rng.standard_normal(dim), 0.5 * (cov + cov.T)))
+    return SequenceDistribution(spec, tuple(comps))
+
+
+def dense_conditional(dist, observed, kept, value):
+    """One row's conditional via the explicit inverse of the observed block:
+    normalized weights, per-component means and covariances."""
+    log_post, means, covs = [], [], []
+    for comp in dist.components:
+        s = comp.covariance
+        inv = np.linalg.inv(s[np.ix_(observed, observed)])
+        gain = s[np.ix_(kept, observed)] @ inv
+        resid = value - comp.mean[observed]
+        means.append(comp.mean[kept] + gain @ resid)
+        covs.append(s[np.ix_(kept, kept)] - gain @ s[np.ix_(observed, kept)])
+        log_det = np.linalg.slogdet(s[np.ix_(observed, observed)])[1]
+        log_post.append(
+            np.log(comp.weight)
+            - 0.5 * (resid @ inv @ resid + log_det + observed.size * np.log(2 * np.pi))
+        )
+    log_post = np.array(log_post)
+    w = np.exp(log_post - log_post.max())
+    return w / w.sum(), np.array(means), np.array(covs)
+
+
+@given(
+    k=st.integers(1, 3),
+    dim=st.integers(2, 6),
+    rows=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_condition_kernel_matches_dense_reference(k, dim, rows, seed):
+    rng = np.random.default_rng(seed)
+    dist = random_mixture(rng, k, dim)
+    order = rng.permutation(dim)
+    n_obs = int(rng.integers(1, dim))
+    observed = np.sort(order[:n_obs])
+    rest = order[n_obs:]
+    kept = np.sort(rng.choice(rest, size=int(rng.integers(1, rest.size + 1)), replace=False))
+    values = rng.standard_normal((rows, n_obs))
+    cond = _condition(dist._log_w, dist._means, dist._covs, observed, kept, values)
+    assert cond.batch == rows and cond.dim == kept.size
+    for b in range(rows):
+        w, means, covs = dense_conditional(dist, observed, kept, values[b])
+        assert np.allclose(np.exp(cond.log_w[b]), w, rtol=0.0, atol=1e-9)
+        assert np.allclose(cond.means[b], means, rtol=0.0, atol=1e-9)
+        assert np.allclose(cond.covariances, covs, rtol=0.0, atol=1e-9)
+    # the public wrapper keeps every unobserved coordinate, row by row or at once
+    batched = condition_on_coordinates(dist, observed, values)
+    single = condition_on_coordinates(dist, observed, values[0])
+    w, means, covs = dense_conditional(dist, observed, np.sort(rest), values[0])
+    assert np.allclose(batched.means[0], means, rtol=0.0, atol=1e-9)
+    assert np.allclose(single.weights, w, rtol=0.0, atol=1e-9)
+    for comp, m, c in zip(single.components, means, covs):
+        assert np.allclose(comp.mean, m, rtol=0.0, atol=1e-9)
+        assert np.allclose(comp.covariance, c, rtol=0.0, atol=1e-9)
+
+
+@given(
+    n_chunks=st.integers(2, 3),
+    frame_dim=st.integers(1, 2),
+    t=st.floats(0.05, 0.95),
+    rows=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_noisy_prefix_conditional_matches_oracle_regression(
+    n_chunks, frame_dim, t, rows, seed
+):
+    rng = np.random.default_rng(seed)
+    dist = random_mixture(rng, 1, n_chunks, frame_dim)
+    i = int(rng.integers(2, n_chunks + 1))
+    spec = dist.spec
+    mean = dist.components[0].mean
+    mu_p, mu_c = mean[spec.prefix_slice(i)], mean[spec.chunk_slice(i)]
+    z = rng.standard_normal((rows, spec.prefix_dim(i)))
+    k_clean, v_clean, k_noisy, v_noisy = _prefix_regressions(dist, i, t)
+    noisy = df_conditional_dist(dist, i, NoisyState(values=z, time=t))
+    expected = mu_c + (z - (1.0 - t) * mu_p) @ k_noisy.T
+    assert np.allclose(noisy.means[:, 0], expected, rtol=0.0, atol=1e-9)
+    assert np.allclose(noisy.covariances[0], v_noisy, rtol=0.0, atol=1e-9)
+    single = df_conditional_dist(dist, i, NoisyState(values=z[0], time=t))
+    assert np.allclose(single.components[0].mean, expected[0], rtol=0.0, atol=1e-9)
+    clean = condition_clean_prefix_batch(dist, i, z)
+    assert np.allclose(clean.means[:, 0], mu_c + (z - mu_p) @ k_clean.T, rtol=0.0, atol=1e-9)
+    assert np.allclose(clean.covariances[0], v_clean, rtol=0.0, atol=1e-9)
+
+
+def test_conditioning_singular_observed_block_raises():
+    spec = SequenceSpec(n_frames=2, frame_dim=1)
+    flat = np.array([[0.0, 0.0], [0.0, 1.0]])
+    dist = SequenceDistribution(spec, (GaussianComponent(1.0, np.zeros(2), flat),))
+    with pytest.raises(SingularCovarianceError):
+        conditional_clean_dist(dist, 2, np.array([0.3]))
+    with pytest.raises(SingularCovarianceError):
+        condition_clean_prefix_batch(dist, 2, np.array([[0.3], [0.1]]))

@@ -1,5 +1,7 @@
 """Velocity fields, fixed-step integration, closed-form flow maps, datasets."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +15,13 @@ from ardlab.distributions import (
     forward_noise,
 )
 from ardlab.errors import GridError
+from ardlab.models import make_chunk_models, predict
 from ardlab.ode import (
     DEFAULT_GRID,
     TimestepGrid,
     WORKERS_ENV,
+    _worker_count,
+    chunk_velocity_field,
     flow_map_ar,
     flow_map_bi,
     gaussian_flow_map,
@@ -136,6 +141,35 @@ def test_velocity_ar_oracle_vs_model_interface():
     assert np.isfinite(v).all()
 
 
+@given(
+    i=st.integers(1, 3),
+    rows=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_chunk_field_from_models_matches_predict_per_row(i, rows, seed):
+    rng = np.random.default_rng(seed)
+    spec = SequenceSpec(n_frames=6, frame_dim=1, chunk_size=2)
+    models = make_chunk_models(spec, role="ar-velocity", m=16, seed=seed % 1000)
+    member = models.member(i)
+    member.theta[:] = rng.standard_normal(member.theta.shape)
+    x = rng.standard_normal((rows, spec.chunk_dim))
+    prefixes = rng.standard_normal((rows, spec.prefix_dim(i)))
+    t = 1.0 - rng.random(rows)
+    field_fn = chunk_velocity_field(models, i, prefixes)
+    v = field_fn(x, t)
+    assert np.array_equal(v, predict(member, x, prefixes, t))
+    for b in range(rows):
+        one = predict(member, x[b : b + 1], prefixes[b : b + 1], float(t[b]))
+        assert np.allclose(v[b], one[0], rtol=0.0, atol=1e-12)
+    # the oracle source accepts the same per-row times
+    dist = ar1_sequence(6, 0.7, 2)
+    oracle = chunk_velocity_field(dist, i, prefixes)(x, t)
+    for b in range(rows):
+        one = velocity_ar(dist, i, prefixes[b], x[b], float(t[b]))
+        assert np.allclose(oracle[b], one, rtol=0.0, atol=1e-12)
+
+
 @given(t=st.floats(0.05, 1.0))
 @settings(max_examples=20, deadline=None)
 def test_flow_map_identity_on_component_mean_ray(t):
@@ -198,6 +232,15 @@ def test_worker_env_var_parity(monkeypatch):
     for a, b in zip(seq.records, par.records):
         assert np.array_equal(a.endpoint, b.endpoint)
         assert np.array_equal(a.prefix, b.prefix)
+
+
+def test_worker_count_capped_at_usable_cpus(monkeypatch):
+    # only the count is computed here: no dataset is built, no pool started
+    usable = len(os.sched_getaffinity(0))
+    monkeypatch.setenv(WORKERS_ENV, "1000000")
+    assert _worker_count() == usable
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    assert _worker_count() == 1
 
 
 def test_worker_env_var_garbage_means_sequential(monkeypatch):

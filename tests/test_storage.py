@@ -1,5 +1,7 @@
 """On-disk formats: round trips, byte identity, malformed-input errors."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,62 @@ def test_dataset_record_count_mismatch(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")  # drop one record
     with pytest.raises(DatasetFormatError, match="promises"):
+        load_dataset(path)
+
+
+def _drop_snapshot(rec):
+    del rec["snapshots"][min(rec["snapshots"])]
+
+
+def _set_chunk_index(value):
+    def edit(rec):
+        rec["chunk_index"] = value
+
+    return edit
+
+
+def _grow(key):
+    def edit(rec):
+        rec[key] = rec[key] + [0.0]
+
+    return edit
+
+
+def _shrink_snapshot(rec):
+    key = max(rec["snapshots"])
+    rec["snapshots"][key] = rec["snapshots"][key][:-1]
+
+
+def corrupt_record(path, edit, line=3):
+    """Rewrite one record line of a saved dataset through `edit`."""
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[line - 1])
+    edit(rec)
+    lines[line - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_chunk_index(0),
+        _set_chunk_index(3),
+        _drop_snapshot,
+        _shrink_snapshot,
+        _grow("endpoint"),
+        _grow("prefix"),
+    ],
+    ids=[
+        "chunk-index-0", "chunk-index-past-last", "missing-snapshot-time",
+        "short-snapshot", "long-endpoint", "long-prefix",
+    ],
+)
+def test_dataset_rejects_records_that_disagree_with_header(tmp_path, edit):
+    path = tmp_path / "pairs.jsonl"
+    save_dataset(small_dataset(), path)
+    load_dataset(path)  # intact file loads
+    corrupt_record(path, edit)
+    with pytest.raises(DatasetFormatError, match="line 3"):
         load_dataset(path)
 
 
