@@ -68,6 +68,7 @@ from .models import (
 )
 from .ode import (
     DEFAULT_GRID,
+    PairColumns,
     PairDataset,
     TimestepGrid,
     flow_map_ar,

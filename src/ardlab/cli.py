@@ -70,7 +70,6 @@ _FIELD_FLAGS = (
     ("dmd", "dmd"),
     ("cd", "cd"),
     ("d2_init", "d2_init"),
-    ("d3_init", "d3_init"),
     ("dmd_fresh_init", "dmd_fresh_init"),
     ("feature_count", "feature_count"),
     ("frequency_scale", "frequency_scale"),
@@ -103,8 +102,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--cd", choices=("causal-cd", "asymmetric-cd", "none"))
     group.add_argument("--d2-init", action="store_true", default=None,
                        dest="d2_init")
-    group.add_argument("--d3-init", action="store_true", default=None,
-                       dest="d3_init")
     group.add_argument("--dmd-fresh-init", action="store_true", default=None,
                        dest="dmd_fresh_init")
     group.add_argument("--feature-count", type=int, dest="feature_count")

@@ -123,8 +123,7 @@ class ExperimentConfig:
     The distribution is stored as explicit mixture tables plus the sequence
     layout fields; stage toggles select one diffusion flavor and at most one
     entry from each later family.  DMD needs a generator to start from, so
-    it requires an ODE stage, an init toggle, or the explicit fresh-init
-    flag.
+    it requires an ODE stage, d2_init, or the explicit fresh-init flag.
     """
 
     components: tuple = field(default_factory=_default_tables)
@@ -138,7 +137,6 @@ class ExperimentConfig:
     dmd: str = "none"
     cd: str = "none"
     d2_init: bool = False
-    d3_init: bool = False
     dmd_fresh_init: bool = False
     train: dict = field(default_factory=_default_train)
     feature_count: int = 512
@@ -157,11 +155,11 @@ class ExperimentConfig:
         if self.cd not in CD_MODES:
             raise ConfigError(f"cd must be one of {CD_MODES}")
         if self.dmd == "dmd" and not (
-            self.ode != "none" or self.d2_init or self.d3_init or self.dmd_fresh_init
+            self.ode != "none" or self.d2_init or self.dmd_fresh_init
         ):
             raise ConfigError(
-                "dmd needs an initialized generator: enable an ode stage, an "
-                "init toggle, or dmd_fresh_init"
+                "dmd needs an initialized generator: enable an ode stage, "
+                "d2_init, or dmd_fresh_init"
             )
         if self.solver_steps < 1:
             raise ConfigError("solver_steps must be positive")

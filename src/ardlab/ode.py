@@ -8,8 +8,6 @@ produced by integrating these fields from t = 1 to t = 0.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,12 +24,9 @@ from .errors import DivergenceError, GridError
 from .models import ChunkModelSet, predict
 
 _NODE_TOL = 1e-9
-_BLOCK = 512
 
 DATASET_STEPS = 256
 ORACLE_STEPS = 1024
-
-WORKERS_ENV = "ARDLAB_WORKERS"
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +252,28 @@ def gaussian_flow_map(mean: np.ndarray, cov: np.ndarray, t: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ODEPairRecord:
-    """One chunk of one trajectory: noisy snapshots and the clean endpoint."""
+@dataclass(frozen=True)
+class PairColumns:
+    """Trajectory-major columns of a pair dataset with N trajectories.
 
-    chunk_index: int
-    seed: int
-    prefix: np.ndarray
-    snapshots: dict[float, np.ndarray]
-    endpoint: np.ndarray
-    provenance: str
+    Record (r, i), chunk i of trajectory r, is the unit one file line stores:
+    its prefix is prefix[r, :prefix_dim(i)], its snapshots (in grid order)
+    snapshots[r, :, chunk_slice(i)] and its endpoint endpoint[r, chunk_slice(i)].
+    """
+
+    seed: np.ndarray  # (N,) uint64
+    prefix: np.ndarray  # (N, prefix_dim(n_chunks))
+    snapshots: np.ndarray  # (N, T, total_dim)
+    endpoint: np.ndarray  # (N, total_dim)
+
+    @property
+    def n_chunks(self) -> int:
+        # the prefix column holds every chunk but the last
+        total = self.endpoint.shape[1]
+        return total // (total - self.prefix.shape[1])
+
+    def __len__(self):
+        return self.seed.size * self.n_chunks
 
 
 @dataclass
@@ -274,18 +281,15 @@ class PairDataset:
     spec: SequenceSpec
     grid: TimestepGrid
     provenance: str
-    records: list[ODEPairRecord]
+    records: PairColumns
     metadata: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.records)
 
-    def records_for_chunk(self, i: int) -> list[ODEPairRecord]:
-        return [r for r in self.records if r.chunk_index == i]
-
 
 def _record_seeds(master_seed: int, count: int) -> np.ndarray:
-    """Counter-based split of the master seed into one seed per record."""
+    """Counter-based split of the master seed into one seed per trajectory."""
     return np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
 
 
@@ -315,36 +319,9 @@ def _integrate_segments(field_fn, x, plan, method):
     return x, snaps
 
 
-def _worker_count() -> int:
-    """ARDLAB_WORKERS, capped at the CPUs this process may use."""
-    raw = os.environ.get(WORKERS_ENV, "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(n, len(os.sched_getaffinity(0))))
-
-
-def _map_blocks(worker, arg_blocks):
-    n_workers = _worker_count()
-    if n_workers <= 1 or len(arg_blocks) <= 1:
-        return [worker(args) for args in arg_blocks]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, arg_blocks))
-
-
-def _bi_block(args):
-    dist, grid, steps, method, seeds = args
-    dim = dist.spec.total_dim
-    x1 = np.empty((len(seeds), dim))
-    for r, s in enumerate(seeds):
-        rng = np.random.default_rng(int(s))
-        x1[r] = rng.standard_normal(dim)
-    plan = _segment_plan(grid, steps)
-    endpoint, snaps = _integrate_segments(bi_velocity_field(dist), x1, plan, method)
-    return endpoint, snaps
+def _grid_columns(snaps, grid) -> np.ndarray:
+    """Per-time snapshot rows (N, D) as one (N, T, D) array in grid order."""
+    return np.stack([snaps[t] for t in grid], axis=1)
 
 
 def make_pairs_bi(
@@ -362,27 +339,17 @@ def make_pairs_bi(
     """
     spec = dist.spec
     seeds = _record_seeds(seed, count)
-    blocks = [
-        (dist, grid, steps, method, seeds[lo : lo + _BLOCK])
-        for lo in range(0, count, _BLOCK)
-    ]
-    records: list[ODEPairRecord] = []
-    results = _map_blocks(_bi_block, blocks)
-    for (endpoint, snaps), block in zip(results, blocks):
-        block_seeds = block[4]
-        for r in range(len(block_seeds)):
-            for i in range(1, spec.n_chunks + 1):
-                sl = spec.chunk_slice(i)
-                records.append(
-                    ODEPairRecord(
-                        chunk_index=i,
-                        seed=int(block_seeds[r]),
-                        prefix=endpoint[r, spec.prefix_slice(i)].copy(),
-                        snapshots={t: snaps[t][r, sl].copy() for t in grid},
-                        endpoint=endpoint[r, sl].copy(),
-                        provenance="bidirectional",
-                    )
-                )
+    x1 = np.empty((count, spec.total_dim))
+    for r, s in enumerate(seeds):
+        x1[r] = np.random.default_rng(int(s)).standard_normal(spec.total_dim)
+    plan = _segment_plan(grid, steps)
+    endpoint, snaps = _integrate_segments(bi_velocity_field(dist), x1, plan, method)
+    records = PairColumns(
+        seed=seeds,
+        prefix=endpoint[:, spec.prefix_slice(spec.n_chunks)].copy(),
+        snapshots=_grid_columns(snaps, grid),
+        endpoint=endpoint,
+    )
     return PairDataset(
         spec=spec,
         grid=grid,
@@ -395,31 +362,6 @@ def make_pairs_bi(
             "master_seed": seed,
         },
     )
-
-
-def _causal_block(args):
-    dist, teacher, grid, steps, method, seeds = args
-    spec = dist.spec
-    n = len(seeds)
-    dim = spec.total_dim
-    cd = spec.chunk_dim
-    gt = np.empty((n, dim))
-    eps = np.empty((n, spec.n_chunks, cd))
-    for r, s in enumerate(seeds):
-        rng = np.random.default_rng(int(s))
-        gt[r] = sample_clean_with_rng(dist, 1, rng)[0]
-        for i in range(spec.n_chunks):
-            eps[r, i] = rng.standard_normal(cd)
-    plan = _segment_plan(grid, steps)
-    endpoints = np.empty((n, spec.n_chunks, cd))
-    snapshots = []
-    source = dist if teacher is None else teacher
-    for i in range(1, spec.n_chunks + 1):
-        field_fn = chunk_velocity_field(source, i, gt[:, spec.prefix_slice(i)])
-        end, snaps = _integrate_segments(field_fn, eps[:, i - 1], plan, method)
-        endpoints[:, i - 1] = end
-        snapshots.append(snaps)
-    return gt, endpoints, snapshots
 
 
 def make_pairs_causal(
@@ -442,28 +384,29 @@ def make_pairs_causal(
     provenance = (
         "autoregressive-oracle" if teacher is None else "autoregressive-learned"
     )
-    blocks = [
-        (dist, teacher, grid, steps, method, seeds[lo : lo + _BLOCK])
-        for lo in range(0, count, _BLOCK)
-    ]
-    results = _map_blocks(_causal_block, blocks)
-    records: list[ODEPairRecord] = []
-    for (gt, endpoints, snapshots), block in zip(results, blocks):
-        block_seeds = block[5]
-        for r in range(len(block_seeds)):
-            for i in range(1, spec.n_chunks + 1):
-                records.append(
-                    ODEPairRecord(
-                        chunk_index=i,
-                        seed=int(block_seeds[r]),
-                        prefix=gt[r, spec.prefix_slice(i)].copy(),
-                        snapshots={
-                            t: snapshots[i - 1][t][r].copy() for t in grid
-                        },
-                        endpoint=endpoints[r, i - 1].copy(),
-                        provenance=provenance,
-                    )
-                )
+    gt = np.empty((count, spec.total_dim))
+    eps = np.empty((count, spec.n_chunks, spec.chunk_dim))
+    for r, s in enumerate(seeds):
+        rng = np.random.default_rng(int(s))
+        gt[r] = sample_clean_with_rng(dist, 1, rng)[0]
+        eps[r] = rng.standard_normal((spec.n_chunks, spec.chunk_dim))
+    plan = _segment_plan(grid, steps)
+    snapshots = np.empty((count, len(grid), spec.total_dim))
+    endpoint = np.empty((count, spec.total_dim))
+    source = dist if teacher is None else teacher
+    for i in range(1, spec.n_chunks + 1):
+        sl = spec.chunk_slice(i)
+        field_fn = chunk_velocity_field(source, i, gt[:, spec.prefix_slice(i)])
+        endpoint[:, sl], snaps = _integrate_segments(
+            field_fn, eps[:, i - 1], plan, method
+        )
+        snapshots[:, :, sl] = _grid_columns(snaps, grid)
+    records = PairColumns(
+        seed=seeds,
+        prefix=gt[:, spec.prefix_slice(spec.n_chunks)].copy(),
+        snapshots=snapshots,
+        endpoint=endpoint,
+    )
     return PairDataset(
         spec=spec,
         grid=grid,

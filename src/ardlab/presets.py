@@ -545,7 +545,6 @@ def _base_config(name: str) -> ExperimentConfig:
         return ExperimentConfig(
             components=biv,
             ode="causal-ode",
-            d3_init=True,
             dataset_size=4096,
             solver_steps=128,
             train=_stage_train(

@@ -223,47 +223,31 @@ def _train_velocity(
 # ---------------------------------------------------------------------------
 
 
-def _sibling_snapshots(dataset: PairDataset):
-    """(seed, chunk) -> record lookup for noisy-prefix assembly."""
-    lookup: dict[tuple[int, int], object] = {}
-    for rec in dataset.records:
-        lookup[(rec.seed, rec.chunk_index)] = rec
-    return lookup
-
-
 def _distill_design(dataset: PairDataset, prefix_mode: str):
-    """Per-chunk (noisy chunk, prefix, time, endpoint) rows from a dataset."""
+    """Per-chunk (noisy chunk, prefix, time, endpoint) rows from a dataset.
+
+    Row r * T + k is trajectory r at grid time k.  A noisy prefix is the
+    trajectory's own earlier chunks at that time.
+    """
     spec = dataset.spec
-    times = list(dataset.grid)
-    lookup = _sibling_snapshots(dataset) if prefix_mode == "noisy" else None
+    cols = dataset.records
+    n, n_times = cols.snapshots.shape[:2]
+    if n == 0:
+        raise ConfigError("dataset has no records")
+    rows = n * n_times
     design: dict[int, dict[str, np.ndarray]] = {}
     for i in range(1, spec.n_chunks + 1):
-        recs = dataset.records_for_chunk(i)
-        if not recs:
-            raise ConfigError(f"dataset has no records for chunk {i}")
-        n = len(recs) * len(times)
-        chunk_in = np.empty((n, spec.chunk_dim))
-        prefix = np.empty((n, spec.prefix_dim(i)))
-        t_col = np.empty(n)
-        target = np.empty((n, spec.chunk_dim))
-        row = 0
-        for rec in recs:
-            for t in times:
-                chunk_in[row] = rec.snapshots[t]
-                if prefix_mode == "noisy" and i > 1:
-                    prefix[row] = np.concatenate(
-                        [lookup[(rec.seed, j)].snapshots[t] for j in range(1, i)]
-                    )
-                else:
-                    prefix[row] = rec.prefix
-                t_col[row] = t
-                target[row] = rec.endpoint
-                row += 1
+        sl = spec.chunk_slice(i)
+        p = spec.prefix_dim(i)
+        if prefix_mode == "noisy":
+            prefix = cols.snapshots[:, :, :p].reshape(rows, p)
+        else:
+            prefix = np.repeat(cols.prefix[:, :p], n_times, axis=0)
         design[i] = {
-            "chunk": chunk_in,
+            "chunk": cols.snapshots[:, :, sl].reshape(rows, spec.chunk_dim),
             "prefix": prefix,
-            "t": t_col,
-            "target": target,
+            "t": np.tile(np.asarray(dataset.grid.times), n),
+            "target": np.repeat(cols.endpoint[:, sl], n_times, axis=0),
         }
     return design
 

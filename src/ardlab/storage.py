@@ -19,7 +19,7 @@ from .diagnostics import DiagnosticsReport, MetricEntry
 from .distributions import SequenceSpec
 from .errors import DatasetFormatError
 from .models import ChunkModelSet, FeatureSpec, LinearStudent
-from .ode import ODEPairRecord, PairDataset, TimestepGrid
+from .ode import PairColumns, PairDataset, TimestepGrid
 
 DATASET_FORMAT = "ardlab-pairs"
 MODELS_FORMAT = "ardlab-models"
@@ -93,101 +93,146 @@ def _vector(values, size: int, what: str, lineno: int, path) -> np.ndarray:
 
 
 def save_dataset(dataset: PairDataset, path) -> None:
-    times = list(dataset.grid.times)
-    keys = [_TIME_KEY.format(t) for t in times]
+    spec = dataset.spec
+    cols = dataset.records
+    keys = [_TIME_KEY.format(t) for t in dataset.grid.times]
     if len(set(keys)) != len(keys):
         raise DatasetFormatError("grid times collide at six-decimal precision")
     header = {
         "format": DATASET_FORMAT,
         "version": FORMAT_VERSION,
         "spec": {
-            "n_frames": dataset.spec.n_frames,
-            "frame_dim": dataset.spec.frame_dim,
-            "chunk_size": dataset.spec.chunk_size,
+            "n_frames": spec.n_frames,
+            "frame_dim": spec.frame_dim,
+            "chunk_size": spec.chunk_size,
         },
-        "grid": times,
+        "grid": list(dataset.grid.times),
         "provenance": dataset.provenance,
         "metadata": dataset.metadata,
-        "record_count": len(dataset.records),
+        "record_count": len(cols),
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dumps(header) + "\n")
-        for rec in dataset.records:
-            row = {
-                "chunk_index": int(rec.chunk_index),
-                "seed": int(rec.seed),
-                "prefix": rec.prefix.tolist(),
-                "snapshots": {
-                    _TIME_KEY.format(t): snap.tolist()
-                    for t, snap in sorted(rec.snapshots.items(), reverse=True)
-                },
-                "endpoint": rec.endpoint.tolist(),
-                "provenance": rec.provenance,
-            }
-            fh.write(_dumps(row) + "\n")
+        for r in range(cols.seed.size):
+            for i in range(1, spec.n_chunks + 1):
+                sl = spec.chunk_slice(i)
+                row = {
+                    "chunk_index": i,
+                    "seed": int(cols.seed[r]),
+                    "prefix": cols.prefix[r, : spec.prefix_dim(i)].tolist(),
+                    "snapshots": dict(zip(keys, cols.snapshots[r, :, sl].tolist())),
+                    "endpoint": cols.endpoint[r, sl].tolist(),
+                    "provenance": dataset.provenance,
+                }
+                fh.write(_dumps(row) + "\n")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_dataset(path) -> PairDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DatasetFormatError(f"{path}: empty file, expected a header line")
-    header = _parse_line(lines[0], 1, path)
-    _check_header(header, DATASET_FORMAT, 1, path)
-    _require(
-        header, ("spec", "grid", "provenance", "metadata", "record_count"), 1, path
-    )
-    try:
-        spec = SequenceSpec(**header["spec"])
-        grid = TimestepGrid(tuple(header["grid"]))
-    except (TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"{path}, line 1: bad spec or grid ({exc})")
-    time_of = {_TIME_KEY.format(t): t for t in grid.times}
+    """Stream a pair dataset into columns, checking every record line.
 
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        obj = _parse_line(line, lineno, path)
+    Records must come trajectory by trajectory, chunks 1..n in order, with
+    one seed per trajectory and each prefix extending the previous chunk's,
+    because that is the only layout the columns (and save_dataset) hold.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
+            raise DatasetFormatError(f"{path}: empty file, expected a header line")
+        header = _parse_line(first, 1, path)
+        _check_header(header, DATASET_FORMAT, 1, path)
         _require(
-            obj,
-            ("chunk_index", "seed", "prefix", "snapshots", "endpoint", "provenance"),
-            lineno,
+            header,
+            ("spec", "grid", "provenance", "metadata", "record_count"),
+            1,
             path,
         )
-        i = obj["chunk_index"]
-        if not isinstance(i, int) or not 1 <= i <= spec.n_chunks:
-            raise DatasetFormatError(
-                f"{path}, line {lineno}: chunk_index {i!r} is outside "
-                f"1..{spec.n_chunks}"
+        try:
+            spec = SequenceSpec(**header["spec"])
+            grid = TimestepGrid(tuple(header["grid"]))
+        except (TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"{path}, line 1: bad spec or grid ({exc})")
+        keys = [_TIME_KEY.format(t) for t in grid.times]
+        n, cd = spec.n_chunks, spec.chunk_dim
+        seeds, prefixes, snapshots, endpoints = [], [], [], []
+        count = 0
+        for lineno, line in enumerate(fh, start=2):
+            where = f"{path}, line {lineno}"
+            obj = _parse_line(line, lineno, path)
+            _require(
+                obj,
+                ("chunk_index", "seed", "prefix", "snapshots", "endpoint", "provenance"),
+                lineno,
+                path,
             )
-        snaps = obj["snapshots"]
-        if not isinstance(snaps, dict) or sorted(snaps) != sorted(time_of):
-            raise DatasetFormatError(
-                f"{path}, line {lineno}: snapshot times are not exactly the "
-                f"grid times {sorted(time_of, reverse=True)}"
-            )
-        cd = spec.chunk_dim
-        records.append(
-            ODEPairRecord(
-                chunk_index=i,
-                seed=int(obj["seed"]),
-                prefix=_vector(
-                    obj["prefix"], spec.prefix_dim(i), "prefix", lineno, path
-                ),
-                snapshots={
-                    time_of[key]: _vector(
-                        values, cd, f"snapshot {key}", lineno, path
-                    )
-                    for key, values in snaps.items()
-                },
-                endpoint=_vector(obj["endpoint"], cd, "endpoint", lineno, path),
-                provenance=obj["provenance"],
-            )
-        )
-    if len(records) != header["record_count"]:
+            i = obj["chunk_index"]
+            if not _is_int(i) or not 1 <= i <= n:
+                raise DatasetFormatError(
+                    f"{where}: chunk_index {i!r} is outside 1..{n}"
+                )
+            if i != count % n + 1:
+                raise DatasetFormatError(
+                    f"{where}: chunk_index {i} is out of order, expected "
+                    f"{count % n + 1}"
+                )
+            seed = obj["seed"]
+            if not _is_int(seed) or not 0 <= seed < 2**64:
+                raise DatasetFormatError(
+                    f"{where}: seed {seed!r} is not an integer in 0..2**64-1"
+                )
+            if i > 1 and seed != seeds[-1]:
+                raise DatasetFormatError(
+                    f"{where}: seed {seed} differs from its trajectory's "
+                    f"chunk-1 seed {seeds[-1]}"
+                )
+            if obj["provenance"] != header["provenance"]:
+                raise DatasetFormatError(
+                    f"{where}: provenance {obj['provenance']!r} differs from the "
+                    f"header's {header['provenance']!r}"
+                )
+            snaps = obj["snapshots"]
+            if not isinstance(snaps, dict) or sorted(snaps) != sorted(keys):
+                raise DatasetFormatError(
+                    f"{where}: snapshot times are not exactly the grid times {keys}"
+                )
+            prefix = _vector(obj["prefix"], spec.prefix_dim(i), "prefix", lineno, path)
+            if i == 1:
+                seeds.append(seed)
+                prefixes.append(prefix)
+                snapshots.append(np.empty((len(keys), spec.total_dim)))
+                endpoints.append(np.empty(spec.total_dim))
+            elif prefix[: spec.prefix_dim(i - 1)].tobytes() != prefixes[-1].tobytes():
+                raise DatasetFormatError(
+                    f"{where}: prefix does not extend the prefix of chunk {i - 1}"
+                )
+            else:
+                prefixes[-1] = prefix
+            sl = spec.chunk_slice(i)
+            for k, key in enumerate(keys):
+                snapshots[-1][k, sl] = _vector(
+                    snaps[key], cd, f"snapshot {key}", lineno, path
+                )
+            endpoints[-1][sl] = _vector(obj["endpoint"], cd, "endpoint", lineno, path)
+            count += 1
+    if count != header["record_count"]:
         raise DatasetFormatError(
             f"{path}: header promises {header['record_count']} records, "
-            f"found {len(records)}"
+            f"found {count}"
         )
+    if count % n:
+        raise DatasetFormatError(
+            f"{path}: the last trajectory stops after chunk {count % n} of {n}"
+        )
+    rows = len(seeds)
+    records = PairColumns(
+        seed=np.array(seeds, dtype=np.uint64),
+        prefix=np.array(prefixes).reshape(rows, spec.prefix_dim(n)),
+        snapshots=np.array(snapshots).reshape(rows, len(keys), spec.total_dim),
+        endpoint=np.array(endpoints).reshape(rows, spec.total_dim),
+    )
     return PairDataset(
         spec=spec,
         grid=grid,

@@ -65,6 +65,8 @@ def test_partial_document_fills_defaults():
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown config keys"):
         ExperimentConfig.from_dict({"master_sed": 3})
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        ExperimentConfig.from_dict({"d3_init": True})
     with pytest.raises(ConfigError, match="unknown stage"):
         ExperimentConfig.from_dict({"train": {"warmup": {}}})
     with pytest.raises(ConfigError, match="unknown train keys"):

@@ -1,7 +1,5 @@
 """Velocity fields, fixed-step integration, closed-form flow maps, datasets."""
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,14 +11,13 @@ from ardlab.distributions import (
     SequenceDistribution,
     SequenceSpec,
     forward_noise,
+    sample_clean_with_rng,
 )
 from ardlab.errors import GridError
 from ardlab.models import make_chunk_models, predict
 from ardlab.ode import (
     DEFAULT_GRID,
     TimestepGrid,
-    WORKERS_ENV,
-    _worker_count,
     chunk_velocity_field,
     flow_map_ar,
     flow_map_bi,
@@ -193,57 +190,36 @@ def test_make_pairs_bi_layout_and_determinism():
     ds = make_pairs_bi(DIST, DEFAULT_GRID, count=40, steps=32, seed=5)
     assert ds.provenance == "bidirectional"
     assert len(ds.records) == 80  # one record per (draw, chunk)
-    rec = ds.records_for_chunk(2)[0]
-    assert set(rec.snapshots) == set(DEFAULT_GRID.times)
-    assert rec.prefix.shape == (1,)
+    cols = ds.records
+    assert cols.seed.shape == (40,) and cols.seed.dtype == np.uint64
+    assert cols.snapshots.shape == (40, len(DEFAULT_GRID), 2)
+    assert cols.prefix.shape == (40, 1)
+    assert cols.endpoint.shape == (40, 2)
+    # the t = 1 snapshot is the trajectory's starting noise
+    assert np.array_equal(
+        cols.snapshots[0, 0], np.random.default_rng(int(cols.seed[0])).standard_normal(2)
+    )
     again = make_pairs_bi(DIST, DEFAULT_GRID, count=40, steps=32, seed=5)
-    for a, b in zip(ds.records, again.records):
-        assert np.array_equal(a.endpoint, b.endpoint)
-        assert all(np.array_equal(a.snapshots[t], b.snapshots[t]) for t in DEFAULT_GRID)
+    assert np.array_equal(cols.seed, again.records.seed)
+    assert np.array_equal(cols.endpoint, again.records.endpoint)
+    assert np.array_equal(cols.snapshots, again.records.snapshots)
 
 
 def test_make_pairs_bi_prefix_is_own_endpoint():
-    ds = make_pairs_bi(DIST, DEFAULT_GRID, count=10, steps=32, seed=5)
-    by_seed = {}
-    for rec in ds.records:
-        by_seed.setdefault(rec.seed, {})[rec.chunk_index] = rec
-    for recs in by_seed.values():
-        assert np.array_equal(recs[2].prefix, recs[1].endpoint)
+    ds = make_pairs_bi(ar1_sequence(3, 0.5), DEFAULT_GRID, count=10, steps=32, seed=5)
+    cols = ds.records
+    assert np.array_equal(cols.prefix, cols.endpoint[:, :2])
 
 
 def test_make_pairs_causal_prefix_is_ground_truth():
     ds = make_pairs_causal(DIST, DEFAULT_GRID, count=30, steps=32, seed=9)
     assert ds.provenance == "autoregressive-oracle"
     assert len(ds.records) == 60
+    cols = ds.records
+    # the prefix is the clean draw made first from each trajectory's own seed
+    for r in (0, 29):
+        rng = np.random.default_rng(int(cols.seed[r]))
+        assert np.array_equal(cols.prefix[r], sample_clean_with_rng(DIST, 1, rng)[0, :1])
     # chunk-2 endpoints given prefix y should center on rho y
-    recs = ds.records_for_chunk(2)
-    resid = np.array([r.endpoint[0] - RHO * r.prefix[0] for r in recs])
-    assert abs(resid.mean()) < 4.0 * np.sqrt(1 - RHO**2) / np.sqrt(len(recs))
-
-
-def test_worker_env_var_parity(monkeypatch):
-    # > _BLOCK rows so the pool actually splits work; results must not change
-    dist = ar1_sequence(2, 0.5)
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    seq = make_pairs_bi(dist, DEFAULT_GRID, count=530, steps=8, seed=3)
-    monkeypatch.setenv(WORKERS_ENV, "2")
-    par = make_pairs_bi(dist, DEFAULT_GRID, count=530, steps=8, seed=3)
-    assert len(seq.records) == len(par.records)
-    for a, b in zip(seq.records, par.records):
-        assert np.array_equal(a.endpoint, b.endpoint)
-        assert np.array_equal(a.prefix, b.prefix)
-
-
-def test_worker_count_capped_at_usable_cpus(monkeypatch):
-    # only the count is computed here: no dataset is built, no pool started
-    usable = len(os.sched_getaffinity(0))
-    monkeypatch.setenv(WORKERS_ENV, "1000000")
-    assert _worker_count() == usable
-    monkeypatch.setenv(WORKERS_ENV, "1")
-    assert _worker_count() == 1
-
-
-def test_worker_env_var_garbage_means_sequential(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "not-a-number")
-    ds = make_pairs_bi(DIST, DEFAULT_GRID, count=8, steps=8, seed=1)
-    assert len(ds.records) == 16
+    resid = cols.endpoint[:, 1] - RHO * cols.prefix[:, 0]
+    assert abs(resid.mean()) < 4.0 * np.sqrt(1 - RHO**2) / np.sqrt(resid.size)

@@ -1,9 +1,11 @@
 """Training stages: denoising regression, distillation, DMD, consistency."""
 
+import json
+
 import numpy as np
 import pytest
 
-from ardlab.config import bivariate_pair, two_mode
+from ardlab.config import ar1_sequence, bivariate_pair, two_mode
 from ardlab.distributions import (
     GaussianComponent,
     NoisyState,
@@ -14,7 +16,13 @@ from ardlab.distributions import (
 )
 from ardlab.errors import ConfigError, DivergenceError
 from ardlab.models import TrainConfig, build_student, make_chunk_models, predict, predict_x0
-from ardlab.ode import DEFAULT_GRID, gaussian_flow_map, make_pairs_causal, velocity_bi
+from ardlab.ode import (
+    DEFAULT_GRID,
+    gaussian_flow_map,
+    make_pairs_bi,
+    make_pairs_causal,
+    velocity_bi,
+)
 from ardlab.stages import (
     StageResult,
     cd_train,
@@ -28,6 +36,8 @@ from ardlab.stages import (
     score_from_velocity,
     train_ar_diffusion_tf,
 )
+from ardlab.stages import _distill_design
+from ardlab.storage import load_dataset, save_dataset
 
 RHO = 0.8
 DIST = bivariate_pair(RHO)
@@ -145,6 +155,66 @@ def test_distill_noisy_prefix_needs_bidirectional_data():
     students = make_chunk_models(SPEC, role="generator", m=8, seed=0)
     with pytest.raises(ConfigError):
         ode_distill(pairs, students, TrainConfig(), seed=0, prefix_mode="noisy")
+
+
+def _design_from_file(path, prefix_mode):
+    """Reference distill design, built record by record from a saved file.
+
+    A noisy prefix joins the snapshots of the record's sibling chunks, found
+    by seed, at the same time.
+    """
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    recs = [json.loads(line) for line in lines[1:]]
+    siblings = {(rec["seed"], rec["chunk_index"]): rec for rec in recs}
+    n_chunks = header["spec"]["n_frames"] // header["spec"]["chunk_size"]
+    keys = ["{:.6f}".format(t) for t in header["grid"]]
+    design = {}
+    for i in range(1, n_chunks + 1):
+        rows = {"chunk": [], "prefix": [], "t": [], "target": []}
+        for rec in recs:
+            if rec["chunk_index"] != i:
+                continue
+            for t, key in zip(header["grid"], keys):
+                rows["chunk"].append(rec["snapshots"][key])
+                if prefix_mode == "noisy":
+                    rows["prefix"].append(
+                        [v for j in range(1, i)
+                         for v in siblings[(rec["seed"], j)]["snapshots"][key]]
+                    )
+                else:
+                    rows["prefix"].append(rec["prefix"])
+                rows["t"].append(t)
+                rows["target"].append(rec["endpoint"])
+        design[i] = {k: np.array(v, dtype=float) for k, v in rows.items()}
+    return design
+
+
+@pytest.mark.parametrize(
+    "build, prefix_mode",
+    [(make_pairs_bi, "clean"), (make_pairs_bi, "noisy"), (make_pairs_causal, "clean")],
+    ids=["bi-clean", "bi-noisy", "causal-clean"],
+)
+def test_distill_design_matches_record_by_record_reference(tmp_path, build, prefix_mode):
+    ds = build(ar1_sequence(3, 0.5), DEFAULT_GRID, count=7, steps=8, seed=3)
+    path = tmp_path / "pairs.jsonl"
+    save_dataset(ds, path)
+    expected = _design_from_file(path, prefix_mode)
+    for data in (ds, load_dataset(path)):
+        design = _distill_design(data, prefix_mode)
+        assert design.keys() == expected.keys()
+        for i, rows in expected.items():
+            assert design[i].keys() == rows.keys()
+            for key, want in rows.items():
+                assert np.array_equal(design[i][key], want), (i, key)
+
+
+def test_distill_rejects_an_empty_dataset(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    save_dataset(make_pairs_causal(DIST, DEFAULT_GRID, count=0, steps=8), path)
+    students = make_chunk_models(SPEC, role="generator", m=8, seed=0)
+    with pytest.raises(ConfigError, match="no records"):
+        ode_distill(load_dataset(path), students, TrainConfig(), seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ardlab.config import bivariate_pair
+from ardlab.config import ar1_sequence, bivariate_pair
 from ardlab.diagnostics import DiagnosticsReport
 from ardlab.errors import DatasetFormatError
 from ardlab.models import make_chunk_models, predict
@@ -53,16 +53,17 @@ def test_dataset_round_trip_exact(tmp_path):
     assert loaded.grid.times == ds.grid.times
     assert loaded.metadata == ds.metadata
     assert len(loaded.records) == len(ds.records)
-    for a, b in zip(ds.records, loaded.records):
-        assert a.chunk_index == b.chunk_index and a.seed == b.seed
-        assert np.array_equal(a.prefix, b.prefix)
-        assert np.array_equal(a.endpoint, b.endpoint)
-        for t in DEFAULT_GRID:
-            assert np.array_equal(a.snapshots[t], b.snapshots[t])
+    for name in ("seed", "prefix", "snapshots", "endpoint"):
+        a, b = getattr(ds.records, name), getattr(loaded.records, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def test_dataset_save_load_save_is_byte_identical(tmp_path):
-    ds = make_pairs_bi(DIST, DEFAULT_GRID, count=5, steps=8, seed=1)
+@pytest.mark.parametrize("build", [make_pairs_bi, make_pairs_causal])
+@pytest.mark.parametrize(
+    "dist", [DIST, ar1_sequence(3, 0.5)], ids=["bivariate", "ar1-3-chunks"]
+)
+def test_dataset_save_load_save_is_byte_identical(tmp_path, build, dist):
+    ds = build(dist, DEFAULT_GRID, count=5, steps=8, seed=1)
     first = tmp_path / "a.jsonl"
     second = tmp_path / "b.jsonl"
     save_dataset(ds, first)
@@ -102,59 +103,101 @@ def test_dataset_record_count_mismatch(tmp_path):
         load_dataset(path)
 
 
-def _drop_snapshot(rec):
-    del rec["snapshots"][min(rec["snapshots"])]
+def _drop_snapshot(recs, k):
+    del recs[k]["snapshots"][min(recs[k]["snapshots"])]
+
+
+def _set(key, value):
+    def edit(recs, k):
+        recs[k][key] = value
+
+    return edit
 
 
 def _set_chunk_index(value):
-    def edit(rec):
-        rec["chunk_index"] = value
-
-    return edit
+    return _set("chunk_index", value)
 
 
 def _grow(key):
-    def edit(rec):
-        rec[key] = rec[key] + [0.0]
+    def edit(recs, k):
+        recs[k][key] = recs[k][key] + [0.0]
 
     return edit
 
 
-def _shrink_snapshot(rec):
-    key = max(rec["snapshots"])
-    rec["snapshots"][key] = rec["snapshots"][key][:-1]
+def _shrink_snapshot(recs, k):
+    key = max(recs[k]["snapshots"])
+    recs[k]["snapshots"][key] = recs[k]["snapshots"][key][:-1]
+
+
+def _flip_seed_bit(recs, k):
+    recs[k]["seed"] ^= 1
+
+
+def _swap_with_next(recs, k):
+    recs[k], recs[k + 1] = recs[k + 1], recs[k]
+
+
+def _bump_prefix_head(recs, k):
+    recs[k]["prefix"][0] += 1.0
 
 
 def corrupt_record(path, edit, line=3):
-    """Rewrite one record line of a saved dataset through `edit`."""
+    """Rewrite a saved dataset through `edit`(records, index of `line`)."""
     lines = path.read_text().splitlines()
-    rec = json.loads(lines[line - 1])
-    edit(rec)
-    lines[line - 1] = json.dumps(rec)
-    path.write_text("\n".join(lines) + "\n")
+    recs = [json.loads(text) for text in lines[1:]]
+    edit(recs, line - 2)
+    path.write_text("\n".join(lines[:1] + [json.dumps(r) for r in recs]) + "\n")
+
+
+AR3 = ar1_sequence(3, 0.5)
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, dist, line",
     [
-        _set_chunk_index(0),
-        _set_chunk_index(3),
-        _drop_snapshot,
-        _shrink_snapshot,
-        _grow("endpoint"),
-        _grow("prefix"),
+        (_set_chunk_index(0), DIST, 3),
+        (_set_chunk_index(3), DIST, 3),
+        (_drop_snapshot, DIST, 3),
+        (_shrink_snapshot, DIST, 3),
+        (_grow("endpoint"), DIST, 3),
+        (_grow("prefix"), DIST, 3),
+        (_set("seed", "abc"), DIST, 3),
+        (_set("seed", None), DIST, 3),
+        (_set("seed", 1.5), DIST, 3),
+        (_set("seed", -5), DIST, 2),
+        (_set("seed", 2**64), DIST, 2),
+        (_flip_seed_bit, DIST, 3),
+        (_set("provenance", "bidirectional"), DIST, 3),
+        (_swap_with_next, DIST, 3),
+        (_swap_with_next, AR3, 3),
+        (_bump_prefix_head, AR3, 4),
     ],
     ids=[
         "chunk-index-0", "chunk-index-past-last", "missing-snapshot-time",
         "short-snapshot", "long-endpoint", "long-prefix",
+        "seed-text", "seed-null", "seed-fraction", "seed-negative",
+        "seed-past-uint64", "seed-differs-from-chunk-1", "provenance-differs",
+        "swapped-lines", "chunk-out-of-order", "prefix-does-not-extend",
     ],
 )
-def test_dataset_rejects_records_that_disagree_with_header(tmp_path, edit):
+def test_dataset_rejects_records_that_disagree_with_header(tmp_path, edit, dist, line):
+    path = tmp_path / "pairs.jsonl"
+    save_dataset(make_pairs_causal(dist, DEFAULT_GRID, count=6, steps=8), path)
+    load_dataset(path)  # intact file loads
+    corrupt_record(path, edit, line)
+    with pytest.raises(DatasetFormatError, match=f"line {line}"):
+        load_dataset(path)
+
+
+def test_dataset_rejects_a_trajectory_cut_short(tmp_path):
     path = tmp_path / "pairs.jsonl"
     save_dataset(small_dataset(), path)
-    load_dataset(path)  # intact file loads
-    corrupt_record(path, edit)
-    with pytest.raises(DatasetFormatError, match="line 3"):
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["record_count"] -= 1
+    path.write_text("\n".join([json.dumps(header)] + lines[1:-1]) + "\n")
+    with pytest.raises(DatasetFormatError, match="stops after chunk 1 of 2"):
         load_dataset(path)
 
 
