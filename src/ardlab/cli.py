@@ -3,7 +3,9 @@
 Verbs: gen-data, train, distill, dmd, cd, audit, preset, report.  Every
 pipeline verb accepts the same configuration flags (mirroring
 ExperimentConfig fields) plus --config pointing at a JSON document; values
-from the document override flags, which override built-in defaults.
+from the document override flags, which override built-in defaults.  A
+preset fixes its own config, so `preset` takes only --master-seed and
+--output-dir.
 
 Exit codes: 0 success, 1 failed run-level assertion or diverged training,
 2 usage or configuration error, 3 I/O or file-format error.
@@ -52,6 +54,7 @@ from .stages import (
 from .storage import (
     emit_report,
     load_dataset,
+    load_models,
     read_report_csv,
     save_dataset,
     save_loss_trace,
@@ -67,10 +70,8 @@ _FIELD_FLAGS = (
     ("solver_steps", "solver_steps"),
     ("diffusion", "diffusion"),
     ("ode", "ode"),
-    ("dmd", "dmd"),
     ("cd", "cd"),
     ("d2_init", "d2_init"),
-    ("dmd_fresh_init", "dmd_fresh_init"),
     ("feature_count", "feature_count"),
     ("frequency_scale", "frequency_scale"),
     ("dataset_size", "dataset_size"),
@@ -98,12 +99,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--solver-steps", type=int, dest="solver_steps")
     group.add_argument("--diffusion", choices=("tf", "df"))
     group.add_argument("--ode", choices=("asymmetric-ode", "causal-ode", "none"))
-    group.add_argument("--dmd", choices=("dmd", "none"))
     group.add_argument("--cd", choices=("causal-cd", "asymmetric-cd", "none"))
     group.add_argument("--d2-init", action="store_true", default=None,
                        dest="d2_init")
-    group.add_argument("--dmd-fresh-init", action="store_true", default=None,
-                       dest="dmd_fresh_init")
     group.add_argument("--feature-count", type=int, dest="feature_count")
     group.add_argument("--frequency-scale", type=float, dest="frequency_scale")
     group.add_argument("--dataset-size", type=int, dest="dataset_size")
@@ -254,8 +252,6 @@ def _cmd_distill(args) -> int:
 
 def _cmd_dmd(args) -> int:
     config = build_config(args)
-    if config.dmd == "none":
-        raise ConfigError("dmd verb requires dmd=dmd in the configuration")
     dist = config.distribution()
     grid = config.timestep_grid()
     root = _out_root(config)
@@ -276,8 +272,6 @@ def _cmd_dmd(args) -> int:
         copy_head(velocities, generators)
         source = "denoiser head"
     elif config.ode != "none":
-        from .storage import load_models
-
         generators = load_models(root / "models_generator.jsonl")
         source = "distilled checkpoint"
     else:
@@ -363,16 +357,20 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    overrides = gather_overrides(args)
-    output_dir = overrides.pop("output_dir", "runs")
     if args.name == "all":
-        results = run_all_presets(output_dir=output_dir)
+        if args.master_seed is not None:
+            raise ConfigError("preset all takes no --master-seed: each preset "
+                              "has its own base seed; run presets one by one")
+        results = run_all_presets(output_dir=args.output_dir)
         for result in results:
             print(f"{result.name}: {len(result.checks)} checks passed "
                   f"-> {result.path}")
         return 0
-    result = run_preset(args.name, output_dir=output_dir,
-                        overrides=overrides or None)
+    overrides = None
+    if args.master_seed is not None:
+        overrides = {"master_seed": args.master_seed}
+    result = run_preset(args.name, output_dir=args.output_dir,
+                        overrides=overrides)
     for check in result.checks:
         print(f"{result.name}: {check}: pass")
     print(f"artifacts in {result.path}")
@@ -445,7 +443,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preset", help="run a canned experiment end to end")
     p.add_argument("name", choices=PRESET_NAMES + ("all",))
-    _add_config_flags(p)
+    p.add_argument("--master-seed", type=int, dest="master_seed",
+                   help="replaces the preset's own master seed")
+    p.add_argument("--output-dir", dest="output_dir", default="runs")
     p.set_defaults(func=_cmd_preset)
 
     p = sub.add_parser("report", help="print or re-emit a stored report")

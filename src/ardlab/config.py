@@ -24,7 +24,6 @@ from .ode import DATASET_STEPS, DEFAULT_GRID, TimestepGrid
 
 DIFFUSION_MODES = ("tf", "df")
 ODE_MODES = ("asymmetric-ode", "causal-ode", "none")
-DMD_MODES = ("dmd", "none")
 CD_MODES = ("causal-cd", "asymmetric-cd", "none")
 
 #: stages that carry their own TrainConfig
@@ -122,8 +121,7 @@ class ExperimentConfig:
 
     The distribution is stored as explicit mixture tables plus the sequence
     layout fields; stage toggles select one diffusion flavor and at most one
-    entry from each later family.  DMD needs a generator to start from, so
-    it requires an ODE stage, d2_init, or the explicit fresh-init flag.
+    entry from each later family.
     """
 
     components: tuple = field(default_factory=_default_tables)
@@ -134,10 +132,8 @@ class ExperimentConfig:
     solver_steps: int = DATASET_STEPS
     diffusion: str = "tf"
     ode: str = "none"
-    dmd: str = "none"
     cd: str = "none"
     d2_init: bool = False
-    dmd_fresh_init: bool = False
     train: dict = field(default_factory=_default_train)
     feature_count: int = 512
     frequency_scale: float = 1.0
@@ -150,17 +146,8 @@ class ExperimentConfig:
             raise ConfigError(f"diffusion must be one of {DIFFUSION_MODES}")
         if self.ode not in ODE_MODES:
             raise ConfigError(f"ode must be one of {ODE_MODES}")
-        if self.dmd not in DMD_MODES:
-            raise ConfigError(f"dmd must be one of {DMD_MODES}")
         if self.cd not in CD_MODES:
             raise ConfigError(f"cd must be one of {CD_MODES}")
-        if self.dmd == "dmd" and not (
-            self.ode != "none" or self.d2_init or self.dmd_fresh_init
-        ):
-            raise ConfigError(
-                "dmd needs an initialized generator: enable an ode stage, "
-                "d2_init, or dmd_fresh_init"
-            )
         if self.solver_steps < 1:
             raise ConfigError("solver_steps must be positive")
         if self.feature_count < 1:

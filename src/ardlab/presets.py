@@ -36,7 +36,7 @@ from .diagnostics import (
     trained_conditional_kl,
 )
 from .distributions import sample_clean
-from .errors import PresetCheckError
+from .errors import ConfigError, PresetCheckError
 from .models import TrainConfig, copy_head, make_chunk_models
 from .ode import make_pairs_bi, make_pairs_causal
 from .stages import (
@@ -218,12 +218,8 @@ def _run_table2(config: ExperimentConfig):
     reports, checks, datasets, traces = [], {}, {}, {}
     for chunk_size in (1, 3):
         tag = f"c{chunk_size}"
-        dist = ar1_sequence(n_frames=config.n_frames, corr=0.8, chunk_size=chunk_size)
-        sub = config.with_overrides(
-            components=component_tables(dist),
-            n_frames=config.n_frames,
-            chunk_size=chunk_size,
-        )
+        sub = config.with_overrides(chunk_size=chunk_size)
+        dist = sub.distribution()
         grid = sub.timestep_grid()
 
         vel_tf = _velocities(sub, seed + 11)
@@ -326,7 +322,7 @@ def _run_prop2(config: ExperimentConfig):
     """Noisy-past conditional mismatch: Monte Carlo KL against the analytic
     expectation at several times, and exact zero for independent frames."""
     seed = config.master_seed
-    dist = bivariate_pair(0.8)
+    dist = config.distribution()
     reports, checks = [], {}
     for t in (0.25, 0.5, 0.75):
         rep = df_mismatch(dist, 2, t, n=1500, seed=seed + 1)
@@ -531,7 +527,6 @@ def _base_config(name: str) -> ExperimentConfig:
         return ExperimentConfig(
             components=component_tables(two_mode(3.0)),
             n_frames=1,
-            dmd="dmd",
             d2_init=True,
             feature_count=256,
             train=_stage_train(
@@ -568,8 +563,15 @@ _RUNNERS = {
 
 
 def preset_config(name: str, overrides: dict | None = None) -> ExperimentConfig:
+    """The preset's base config.  master_seed is the only override it takes:
+    every other field is fixed by the claim the preset checks."""
     config = _base_config(name)
     if overrides:
+        ignored = sorted(set(overrides) - {"master_seed"})
+        if ignored:
+            raise ConfigError(
+                f"preset {name!r} takes only a master_seed override, got {ignored}"
+            )
         config = config.with_overrides(**overrides)
     return config
 

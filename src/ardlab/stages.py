@@ -2,9 +2,10 @@
 
 Four stages are implemented, all sharing TrainConfig and StageResult:
 
-* train_ar_velocity -- per-chunk denoising regression toward the velocity
-  target eps - x0, with the prefix fed either clean or independently noised
-  at the chunk's own time.
+* train_ar_diffusion_tf / train_ar_diffusion_df -- per-chunk denoising
+  regression toward the velocity target eps - x0, with the prefix fed either
+  clean (teacher forcing) or independently noised at the chunk's own time
+  (diffusion forcing).
 * ode_distill -- regression of few-step generators onto (noisy snapshot,
   flow endpoint) pairs recorded by the ODE integrators.
 * dmd_train -- distribution matching: the generator head descends the score
@@ -154,7 +155,7 @@ def _train_velocity(
     if prefix_mode not in ("clean", "noisy"):
         raise ConfigError(f"unknown prefix_mode {prefix_mode!r}")
     if students.role != "ar-velocity":
-        raise ConfigError("train_ar_velocity expects ar-velocity students")
+        raise ConfigError("train_ar_diffusion_tf/df expect ar-velocity students")
     if students.parameterization != "direct":
         raise ConfigError("velocity students must use the direct readout")
     spec = students.seq_spec
@@ -283,15 +284,13 @@ def ode_distill(
     rng = np.random.default_rng(seed)
     design = _distill_design(dataset, prefix_mode)
 
-    def residual(member, rows, theta=None):
-        theta = member.theta if theta is None else theta
-        phi = featurize(member.features, rows["chunk"], rows["prefix"], rows["t"])
+    def residual(phi, theta, rows):
         out = phi @ theta
         if anchored:
             pred = rows["chunk"] - rows["t"][:, None] * out
         else:
             pred = out
-        return phi, pred - rows["target"]
+        return pred - rows["target"]
 
     if cfg.method == "ridge":
         per_chunk = np.empty(spec.n_chunks)
@@ -315,7 +314,7 @@ def ode_distill(
                     member.features, theta, "generator", member.parameterization
                 ),
             )
-            _, resid = residual(students.member(i), rows)
+            resid = residual(phi, theta, rows)
             per_chunk[i - 1] = float(np.mean(w[:, None] * resid**2))
         trace = np.array([float(np.mean(per_chunk))])
     else:
@@ -327,7 +326,8 @@ def ode_distill(
             pick = rng.integers(0, rows_all["t"].size, size=cfg.batch_size)
             rows = {k: v[pick] for k, v in rows_all.items()}
             member = students.member(i)
-            phi, resid = residual(member, rows)
+            phi = featurize(member.features, rows["chunk"], rows["prefix"], rows["t"])
+            resid = residual(phi, member.theta, rows)
             w = cfg.weight(rows["t"])
             wr = w[:, None] * resid
             if anchored:

@@ -324,7 +324,7 @@ def load_models(path) -> ChunkModelSet:
                     parameterization=obj["parameterization"],
                 )
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise DatasetFormatError(f"{path}, line {lineno}: {exc}")
     if len(members) != header["member_count"]:
         raise DatasetFormatError(

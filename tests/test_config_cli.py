@@ -17,8 +17,9 @@ from ardlab.config import (
     two_mode,
 )
 from ardlab.errors import ConfigError, GridError
-from ardlab.models import TrainConfig
-from ardlab.storage import read_report_csv
+from ardlab.models import TrainConfig, make_chunk_models
+from ardlab.presets import PRESET_NAMES, preset_config, run_preset
+from ardlab.storage import load_models, read_report_csv, save_models
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +68,10 @@ def test_unknown_keys_rejected():
         ExperimentConfig.from_dict({"master_sed": 3})
     with pytest.raises(ConfigError, match="unknown config keys"):
         ExperimentConfig.from_dict({"d3_init": True})
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        ExperimentConfig.from_dict({"dmd": "dmd"})
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        ExperimentConfig.from_dict({"dmd_fresh_init": True})
     with pytest.raises(ConfigError, match="unknown stage"):
         ExperimentConfig.from_dict({"train": {"warmup": {}}})
     with pytest.raises(ConfigError, match="unknown train keys"):
@@ -77,8 +82,9 @@ def test_mode_and_pipeline_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(diffusion="ddpm")
     with pytest.raises(ConfigError):
-        ExperimentConfig(dmd="dmd")  # nothing to initialize the generator from
-    assert ExperimentConfig(dmd="dmd", dmd_fresh_init=True).dmd == "dmd"
+        ExperimentConfig(ode="bidirectional-ode")
+    with pytest.raises(ConfigError):
+        ExperimentConfig(cd="cd")
     with pytest.raises(GridError):
         ExperimentConfig(grid=(0.9, 0.5))
 
@@ -265,3 +271,91 @@ def test_cli_train_distill_pipeline(tmp_path, capsys):
     assert models.role == "generator"
     assert load_loss_trace(out / "diffusion_trace.csv").size > 0
     assert load_loss_trace(out / "distill_trace.csv").size > 0
+
+
+def test_cli_dmd_from_fresh_generators(tmp_path, capsys):
+    out = tmp_path / "dmd"
+    doc = tmp_path / "config.json"
+    doc.write_text(json.dumps({"train": {"dmd": {"step_count": 3, "batch_size": 16}}}))
+    args = ["dmd", "--config", str(doc), "--feature-count", "16",
+            "--output-dir", str(out)]
+    assert main(args) == 0
+    assert "fresh (identity map)" in capsys.readouterr().out
+    models = load_models(out / "models_dmd.jsonl")
+    assert models.role == "generator"
+    assert models.member(1).features.m == 16
+
+
+@pytest.mark.parametrize(
+    "field, value", [("m", "8"), ("seed", "abc"), ("frequency_scale", "x")]
+)
+def test_cli_dmd_checkpoint_with_wrong_field_type_exits_3(tmp_path, capsys,
+                                                          field, value):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "models_generator.jsonl"
+    save_models(
+        make_chunk_models(bivariate_pair(0.8).spec, role="generator", m=16,
+                          parameterization="anchored"),
+        path,
+    )
+    lines = path.read_text().splitlines()
+    member = json.loads(lines[1])
+    member[field] = value
+    lines[1] = json.dumps(member)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["dmd", "--ode", "causal-ode", "--output-dir", str(out)]) == 3
+    assert "line 2" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# presets take only a master seed
+# ---------------------------------------------------------------------------
+
+
+_NON_SEED_FIELDS = sorted(set(ExperimentConfig().to_dict()) - {"master_seed"})
+
+
+@pytest.mark.parametrize("key", _NON_SEED_FIELDS)
+def test_preset_rejects_every_override_but_master_seed(tmp_path, key):
+    # even an override that restates the preset's own value is rejected
+    overrides = {key: getattr(preset_config("prop2-audit"), key)}
+    with pytest.raises(ConfigError, match=key):
+        preset_config("prop2-audit", overrides)
+    with pytest.raises(ConfigError, match=key):
+        run_preset("prop2-audit", output_dir=str(tmp_path), overrides=overrides)
+    assert not any(tmp_path.iterdir())
+
+
+def test_preset_override_error_names_every_ignored_key():
+    with pytest.raises(ConfigError) as exc:
+        preset_config("table2-analog",
+                      {"master_seed": 1, "chunk_size": 3, "solver_steps": 4})
+    assert "chunk_size" in str(exc.value) and "solver_steps" in str(exc.value)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_master_seed_override(name):
+    base = preset_config(name)
+    seeded = preset_config(name, {"master_seed": base.master_seed + 5})
+    assert seeded == base.with_overrides(master_seed=base.master_seed + 5)
+
+
+def test_cli_preset_rejects_config_flags(tmp_path, capsys):
+    for flags in (["--distribution", "bivariate", "--rho", "0.3"],
+                  ["--solver-steps", "3"], ["--feature-count", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["preset", "prop2-audit", "--output-dir", str(tmp_path)] + flags)
+        assert exc.value.code == 2
+    assert main(["preset", "all", "--master-seed", "1",
+                 "--output-dir", str(tmp_path)]) == 2
+    assert "master-seed" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_preset_master_seed(tmp_path, capsys):
+    assert main(["preset", "prop2-audit", "--master-seed", "7",
+                 "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    recorded = json.loads((tmp_path / "prop2-audit" / "config.json").read_text())
+    assert recorded == preset_config("prop2-audit", {"master_seed": 7}).to_dict()
