@@ -202,9 +202,6 @@ class ExperimentConfig:
         out = dataclasses.asdict(self)
         out["components"] = [dict(row) for row in self.components]
         out["grid"] = list(self.grid)
-        out["train"] = {
-            name: _train_config_to_dict(cfg) for name, cfg in self.train.items()
-        }
         return out
 
     @classmethod
@@ -240,17 +237,10 @@ class ExperimentConfig:
         return dataclasses.replace(self, **kwargs)
 
 
-def _train_config_to_dict(cfg: TrainConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    # loss_weight is a code-level callable; config documents cannot carry it
-    del out["loss_weight"]
-    return out
-
-
 def _train_config_from_dict(raw: dict) -> TrainConfig:
     if not isinstance(raw, dict):
         raise ConfigError("stage train settings must be a JSON object")
-    known = {f.name for f in dataclasses.fields(TrainConfig)} - {"loss_weight"}
+    known = {f.name for f in dataclasses.fields(TrainConfig)}
     extra = set(raw) - known
     if extra:
         raise ConfigError(f"unknown train keys: {sorted(extra)}")

@@ -10,7 +10,6 @@ initialization whenever the feature banks match.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -18,6 +17,8 @@ from .distributions import SequenceSpec
 from .errors import SingularCovarianceError
 
 TIME_EMBED_DIM = 4
+
+ROLES = ("generator", "ar-velocity", "fake-score")
 
 
 def time_embedding(t) -> np.ndarray:
@@ -107,7 +108,7 @@ class LinearStudent:
         theta = np.asarray(self.theta, dtype=float)
         if theta.ndim != 2 or theta.shape[0] != self.features.m:
             raise ValueError("theta must have shape (m, output_dim)")
-        if self.role not in ("generator", "ar-velocity", "fake-score"):
+        if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}")
         if self.parameterization not in ("direct", "anchored"):
             raise ValueError(f"unknown parameterization {self.parameterization!r}")
@@ -171,10 +172,7 @@ def grad_output_wrt_params(model: LinearStudent, chunk, prefix, t) -> np.ndarray
 
 
 def fit_ridge(
-    features: np.ndarray,
-    targets: np.ndarray,
-    ridge_lambda: float,
-    sample_weight: np.ndarray | None = None,
+    features: np.ndarray, targets: np.ndarray, ridge_lambda: float
 ) -> np.ndarray:
     """Closed-form ridge solution (Phi^T Phi + lambda I)^-1 Phi^T Y.
 
@@ -189,13 +187,6 @@ def fit_ridge(
         raise ValueError("feature and target row counts differ")
     if ridge_lambda < 0.0:
         raise ValueError("ridge_lambda must be nonnegative")
-    if sample_weight is not None:
-        w = np.asarray(sample_weight, dtype=float).reshape(-1, 1)
-        if w.shape[0] != phi.shape[0]:
-            raise ValueError("sample_weight length must match the row count")
-        root = np.sqrt(w)
-        phi = phi * root
-        y = y * root
     gram = phi.T @ phi + ridge_lambda * np.eye(phi.shape[1])
     try:
         np.linalg.cholesky(gram)
@@ -229,11 +220,10 @@ def ema_update(theta_minus: np.ndarray, theta: np.ndarray, rate: float) -> np.nd
 class TrainConfig:
     """Knobs shared by the training stages.
 
-    `method` picks between a one-shot closed-form ridge fit over a sampled
-    design ("ridge") and plain minibatch gradient descent ("sgd"); stages
-    that are inherently iterative ignore the ridge option where noted.
-    The design size of a ridge stage is step_count * batch_size, so budgets
-    stay comparable across methods.
+    `method` picks how every head update is made (see update_head): a
+    closed-form ridge fit over a sampled design ("ridge") or one plain
+    minibatch gradient step ("sgd").  The design size of a ridge stage is
+    step_count * batch_size, so budgets stay comparable across methods.
     """
 
     learning_rate: float = 0.1
@@ -241,7 +231,6 @@ class TrainConfig:
     batch_size: int = 128
     ridge_lambda: float = 1e-6
     ema_rate: float = 0.99
-    loss_weight: Callable | None = None
     fake_update_ratio: int = 5
     method: str = "ridge"
 
@@ -259,10 +248,47 @@ class TrainConfig:
         if self.method not in ("ridge", "sgd"):
             raise ValueError(f"unknown method {self.method!r}")
 
-    def weight(self, t) -> np.ndarray:
-        if self.loss_weight is None:
-            return np.ones_like(np.asarray(t, dtype=float))
-        return np.asarray(self.loss_weight(t), dtype=float)
+
+def head_residual(theta, phi, target, anchor=None) -> np.ndarray:
+    """Readout minus target for a head theta over feature rows phi.
+
+    The readout is phi @ theta, or chunk - t * (phi @ theta) when
+    anchor = (chunk, t) with one time per row.
+    """
+    out = phi @ theta
+    if anchor is not None:
+        chunk, t = anchor
+        out = chunk - t[:, None] * out
+    return out - target
+
+
+def update_head(
+    model: LinearStudent, phi, target, cfg: TrainConfig, anchor=None, resid=None
+) -> LinearStudent:
+    """Fit the head's readout (see head_residual) to target by cfg.method.
+
+    "ridge" returns the closed-form fit, which for the anchored readout
+    scales the rows by t and regresses onto chunk - target.  "sgd" takes one
+    step on mean |residual|^2, whose gradient is (2/n) Phi^T r, negated and
+    with rows scaled by t for the anchored readout; pass `resid` when the
+    current residual is already at hand.
+    """
+    if cfg.method == "ridge":
+        if anchor is None:
+            theta = fit_ridge(phi, target, cfg.ridge_lambda)
+        else:
+            chunk, t = anchor
+            theta = fit_ridge(phi * t[:, None], chunk - target, cfg.ridge_lambda)
+        return replace(model, theta=theta)
+    if resid is None:
+        resid = head_residual(model.theta, phi, target, anchor)
+    n = phi.shape[0]
+    if anchor is None:
+        grad = (2.0 / n) * phi.T @ resid
+    else:
+        t = anchor[1]
+        grad = -(2.0 / n) * (phi * t[:, None]).T @ resid
+    return sgd_step(model, grad, cfg.learning_rate)
 
 
 @dataclass
@@ -278,9 +304,15 @@ class ChunkModelSet:
     members: tuple[LinearStudent, ...]
 
     def __post_init__(self):
+        if self.role not in ROLES:
+            raise ValueError(f"unknown role {self.role!r}")
         if len(self.members) != self.seq_spec.n_chunks:
             raise ValueError("need exactly one member per chunk")
         for i, member in enumerate(self.members, start=1):
+            if member.role != self.role:
+                raise ValueError(
+                    f"member {i} has role {member.role!r}, not the set's {self.role!r}"
+                )
             if member.features.chunk_dim != self.seq_spec.chunk_dim:
                 raise ValueError(f"member {i} has the wrong chunk width")
             if member.features.prefix_dim != self.seq_spec.prefix_dim(i):

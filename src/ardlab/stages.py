@@ -14,6 +14,10 @@ Four stages are implemented, all sharing TrainConfig and StageResult:
 * cd_train -- consistency training against a one-step teacher solve on a
   uniform time grid, with an EMA target head.
 
+Each stage fits a linear head over fixed features, and every such fit goes
+through models.update_head: a closed-form ridge fit or one SGD step, as
+cfg.method says (the DMD generator step is always SGD).
+
 Generators are "anchored": G(x, prefix, t) = x - t * head(x, prefix, t), so
 G at t = 0 is the identity map no matter what the head does.  Ridge fits for
 anchored models scale feature rows by t and regress onto x - x0, which is the
@@ -39,9 +43,10 @@ from .models import (
     TrainConfig,
     ema_update,
     featurize,
-    fit_ridge,
+    head_residual,
     predict,
     sgd_step,
+    update_head,
 )
 from .models import predict_x0 as _predict_x0
 from .ode import (
@@ -177,14 +182,12 @@ def _train_velocity(
             noisy = (1.0 - t_i)[:, None] * x0[rows, sl] + t_i[:, None] * eps_chunk[rows]
             target = eps_chunk[rows] - x0[rows, sl]
             prefix = prefix_source[rows, spec.prefix_slice(i)]
-            phi = featurize(students.member(i).features, noisy, prefix, t_i)
-            w = cfg.weight(t_i)
-            theta = fit_ridge(phi, target, cfg.ridge_lambda, w)
-            students.replace_member(
-                i, LinearStudent(students.member(i).features, theta, "ar-velocity")
-            )
-            resid = phi @ theta - target
-            per_chunk[i - 1] = float(np.mean(w[:, None] * resid**2))
+            member = students.member(i)
+            phi = featurize(member.features, noisy, prefix, t_i)
+            member = update_head(member, phi, target, cfg)
+            students.replace_member(i, member)
+            resid = head_residual(member.theta, phi, target)
+            per_chunk[i - 1] = float(np.mean(resid**2))
         trace = np.array([float(np.mean(per_chunk))])
     else:
         per_chunk = None
@@ -200,11 +203,11 @@ def _train_velocity(
             prefix = prefix_source[:, spec.prefix_slice(i)]
             member = students.member(i)
             phi = featurize(member.features, noisy, prefix, t)
-            w = cfg.weight(t)
-            resid = phi @ member.theta - target
-            grad = (2.0 / cfg.batch_size) * phi.T @ (w[:, None] * resid)
-            students.replace_member(i, sgd_step(member, grad, cfg.learning_rate))
-            trace[step] = float(np.mean(w[:, None] * resid**2))
+            resid = head_residual(member.theta, phi, target)
+            students.replace_member(
+                i, update_head(member, phi, target, cfg, resid=resid)
+            )
+            trace[step] = float(np.mean(resid**2))
 
     info = {"prefix_mode": prefix_mode, "mode": cfg.method}
     if per_chunk is not None:
@@ -284,38 +287,17 @@ def ode_distill(
     rng = np.random.default_rng(seed)
     design = _distill_design(dataset, prefix_mode)
 
-    def residual(phi, theta, rows):
-        out = phi @ theta
-        if anchored:
-            pred = rows["chunk"] - rows["t"][:, None] * out
-        else:
-            pred = out
-        return pred - rows["target"]
-
     if cfg.method == "ridge":
         per_chunk = np.empty(spec.n_chunks)
         for i in range(1, spec.n_chunks + 1):
             rows = design[i]
+            anchor = (rows["chunk"], rows["t"]) if anchored else None
             member = students.member(i)
             phi = featurize(member.features, rows["chunk"], rows["prefix"], rows["t"])
-            w = cfg.weight(rows["t"])
-            if anchored:
-                theta = fit_ridge(
-                    phi * rows["t"][:, None],
-                    rows["chunk"] - rows["target"],
-                    cfg.ridge_lambda,
-                    w,
-                )
-            else:
-                theta = fit_ridge(phi, rows["target"], cfg.ridge_lambda, w)
-            students.replace_member(
-                i,
-                LinearStudent(
-                    member.features, theta, "generator", member.parameterization
-                ),
-            )
-            resid = residual(phi, theta, rows)
-            per_chunk[i - 1] = float(np.mean(w[:, None] * resid**2))
+            member = update_head(member, phi, rows["target"], cfg, anchor)
+            students.replace_member(i, member)
+            resid = head_residual(member.theta, phi, rows["target"], anchor)
+            per_chunk[i - 1] = float(np.mean(resid**2))
         trace = np.array([float(np.mean(per_chunk))])
     else:
         per_chunk = None
@@ -325,17 +307,14 @@ def ode_distill(
             rows_all = design[i]
             pick = rng.integers(0, rows_all["t"].size, size=cfg.batch_size)
             rows = {k: v[pick] for k, v in rows_all.items()}
+            anchor = (rows["chunk"], rows["t"]) if anchored else None
             member = students.member(i)
             phi = featurize(member.features, rows["chunk"], rows["prefix"], rows["t"])
-            resid = residual(phi, member.theta, rows)
-            w = cfg.weight(rows["t"])
-            wr = w[:, None] * resid
-            if anchored:
-                grad = -(2.0 / cfg.batch_size) * (phi * rows["t"][:, None]).T @ wr
-            else:
-                grad = (2.0 / cfg.batch_size) * phi.T @ wr
-            students.replace_member(i, sgd_step(member, grad, cfg.learning_rate))
-            trace[step] = float(np.mean(wr * resid))
+            resid = head_residual(member.theta, phi, rows["target"], anchor)
+            students.replace_member(
+                i, update_head(member, phi, rows["target"], cfg, anchor, resid)
+            )
+            trace[step] = float(np.mean(resid**2))
 
     info = {
         "prefix_mode": prefix_mode,
@@ -469,16 +448,8 @@ def dmd_generator_gradient(
     return -(phi.T @ delta) / n
 
 
-def _dmd_prefixes(generators, dist, i, n, rng, prefix_source, grid):
-    if prefix_source == "data":
-        x_gt = sample_clean_with_rng(dist, n, rng)
-        return x_gt[:, dist.spec.prefix_slice(i)]
-    spec = generators.seq_spec
-    prefix = np.empty((n, 0))
-    for j in range(1, i):
-        chunk = _sample_chunk_batch(generators.member(j), prefix, grid, rng)
-        prefix = np.concatenate([prefix, chunk], axis=1)
-    return prefix
+def _dmd_prefixes(dist, i, n, rng):
+    return sample_clean_with_rng(dist, n, rng)[:, dist.spec.prefix_slice(i)]
 
 
 def fake_score(model: LinearStudent, chunk, prefix, t) -> np.ndarray:
@@ -496,11 +467,11 @@ def fake_score(model: LinearStudent, chunk, prefix, t) -> np.ndarray:
     return -chunk - (1.0 - t_col) * predict(model, chunk, prefix, t)
 
 
-def _fake_design(generators, dist, i, n, grid, rng, prefix_source):
+def _fake_design(generators, dist, i, n, grid, rng):
     """Fresh generator samples noised at uniform times, plus the regression
     pieces for the anchored fake field: design scale t and bounded target
     (eps - x~) + x_t."""
-    prefixes = _dmd_prefixes(generators, dist, i, n, rng, prefix_source, grid)
+    prefixes = _dmd_prefixes(dist, i, n, rng)
     fake_x0 = _sample_chunk_batch(generators.member(i), prefixes, grid, rng)
     t = _uniform_times(rng, n)
     eps = rng.standard_normal(fake_x0.shape)
@@ -509,35 +480,24 @@ def _fake_design(generators, dist, i, n, grid, rng, prefix_source):
     return prefixes, noisy, t, target
 
 
-def _dmd_fake_refit(fake_models, generators, dist, i, grid, cfg, rng, prefix_source):
-    """Refit the chunk-i fake head on fresh generator samples.
+def _dmd_fake_update(fake_models, generators, dist, i, grid, cfg, rng):
+    """Update the chunk-i fake head on fresh generator samples.
 
-    One closed-form fit per generator step, on fake_update_ratio * batch_size
-    rows, plays the role of that many inner updates.
+    Ridge makes one closed-form fit on fake_update_ratio * batch_size rows,
+    which plays the role of that many inner updates; SGD takes
+    fake_update_ratio steps on batch_size rows each.
     """
-    n = cfg.fake_update_ratio * cfg.batch_size
-    prefixes, noisy, t, target = _fake_design(
-        generators, dist, i, n, grid, rng, prefix_source
-    )
-    member = fake_models.member(i)
-    phi = featurize(member.features, noisy, prefixes, t)
-    theta = fit_ridge(phi * t[:, None], target, cfg.ridge_lambda, cfg.weight(t))
-    fake_models.replace_member(
-        i, LinearStudent(member.features, theta, "fake-score", "anchored")
-    )
-
-
-def _dmd_fake_sgd(fake_models, generators, dist, i, grid, cfg, rng, prefix_source):
-    for _ in range(cfg.fake_update_ratio):
-        prefixes, noisy, t, target = _fake_design(
-            generators, dist, i, cfg.batch_size, grid, rng, prefix_source
-        )
+    if cfg.method == "ridge":
+        rounds, n = 1, cfg.fake_update_ratio * cfg.batch_size
+    else:
+        rounds, n = cfg.fake_update_ratio, cfg.batch_size
+    for _ in range(rounds):
+        prefixes, noisy, t, target = _fake_design(generators, dist, i, n, grid, rng)
         member = fake_models.member(i)
-        phi = featurize(member.features, noisy, prefixes, t) * t[:, None]
-        w = cfg.weight(t)
-        resid = phi @ member.theta - target
-        grad = (2.0 / cfg.batch_size) * phi.T @ (w[:, None] * resid)
-        fake_models.replace_member(i, sgd_step(member, grad, cfg.learning_rate))
+        phi = featurize(member.features, noisy, prefixes, t)
+        fake_models.replace_member(
+            i, update_head(member, phi * t[:, None], target, cfg)
+        )
 
 
 def dmd_train(
@@ -547,7 +507,6 @@ def dmd_train(
     grid: TimestepGrid,
     cfg: TrainConfig,
     seed: int = 0,
-    prefix_source: str = "data",
     force_real_fake: bool = False,
 ) -> StageResult:
     """Distribution-matching updates of few-step generators.
@@ -561,8 +520,6 @@ def dmd_train(
     a control.  The trace records mean |score difference|^2 per step; a trace
     above DMD_DIVERGENCE_LIMIT aborts with DivergenceError.
     """
-    if prefix_source not in ("data", "rollout"):
-        raise ConfigError(f"unknown prefix_source {prefix_source!r}")
     if generators.role != "generator":
         raise ConfigError("dmd_train expects generator students")
     if fake_models.role != "fake-score":
@@ -581,17 +538,8 @@ def dmd_train(
     for step in range(cfg.step_count):
         i = int(rng.integers(1, spec.n_chunks + 1))
         if not force_real_fake:
-            if cfg.method == "ridge":
-                _dmd_fake_refit(
-                    fake_models, generators, dist, i, grid, cfg, rng, prefix_source
-                )
-            else:
-                _dmd_fake_sgd(
-                    fake_models, generators, dist, i, grid, cfg, rng, prefix_source
-                )
-        prefixes = _dmd_prefixes(
-            generators, dist, i, cfg.batch_size, rng, prefix_source, grid
-        )
+            _dmd_fake_update(fake_models, generators, dist, i, grid, cfg, rng)
+        prefixes = _dmd_prefixes(dist, i, cfg.batch_size, rng)
         member = generators.member(i)
         x_tilde, (final_in, t_last) = _sample_chunk_batch(
             member, prefixes, grid, rng, capture=True
@@ -620,7 +568,7 @@ def dmd_train(
         config=cfg,
         master_seed=seed,
         wall_seconds=time.perf_counter() - start,
-        info={"prefix_source": prefix_source, "fake_models": fake_models},
+        info={"fake_models": fake_models},
     )
 
 
@@ -719,23 +667,15 @@ def cd_train(
             student_in = x_t_full[:, spec.chunk_slice(i)]
             x_prev = x_prev_full[:, spec.chunk_slice(i)]
         phi = featurize(member.features, student_in, prefixes, t)
-        pred = student_in - t[:, None] * (phi @ member.theta)
         target_model = LinearStudent(
             member.features, theta_minus[i], "generator", "anchored"
         )
         target = _predict_x0(target_model, x_prev, prefixes, t_prev)
-        diff = pred - target
+        diff = head_residual(member.theta, phi, target, (student_in, t))
         trace[step] = float(np.mean(diff**2))
-        if cfg.method == "ridge":
-            theta_new = fit_ridge(
-                phi * t[:, None], student_in - target, cfg.ridge_lambda
-            )
-            students.replace_member(
-                i, LinearStudent(member.features, theta_new, "generator", "anchored")
-            )
-        else:
-            grad = -(2.0 / cfg.batch_size) * (phi * t[:, None]).T @ diff
-            students.replace_member(i, sgd_step(member, grad, cfg.learning_rate))
+        students.replace_member(
+            i, update_head(member, phi, target, cfg, (student_in, t), diff)
+        )
         theta_minus[i] = ema_update(
             theta_minus[i], students.member(i).theta, cfg.ema_rate
         )

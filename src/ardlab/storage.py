@@ -285,6 +285,9 @@ def load_models(path) -> ChunkModelSet:
     header = _parse_line(lines[0], 1, path)
     _check_header(header, MODELS_FORMAT, 1, path)
     _require(header, ("spec", "role", "member_count"), 1, path)
+    count = header["member_count"]
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise DatasetFormatError(f"{path}, line 1: member_count must be an integer")
     try:
         spec = SequenceSpec(**header["spec"])
     except (TypeError, ValueError) as exc:
@@ -326,10 +329,9 @@ def load_models(path) -> ChunkModelSet:
             )
         except (TypeError, ValueError) as exc:
             raise DatasetFormatError(f"{path}, line {lineno}: {exc}")
-    if len(members) != header["member_count"]:
+    if len(members) != count:
         raise DatasetFormatError(
-            f"{path}: header promises {header['member_count']} members, "
-            f"found {len(members)}"
+            f"{path}: header promises {count} members, found {len(members)}"
         )
     try:
         return ChunkModelSet(seq_spec=spec, role=header["role"], members=tuple(members))

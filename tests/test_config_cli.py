@@ -308,6 +308,22 @@ def test_cli_dmd_checkpoint_with_wrong_field_type_exits_3(tmp_path, capsys,
     assert "line 2" in capsys.readouterr().err
 
 
+def test_cli_dmd_checkpoint_with_unknown_header_role_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "models_generator.jsonl"
+    save_models(
+        make_chunk_models(bivariate_pair(0.8).spec, role="generator", m=16,
+                          parameterization="anchored"),
+        path,
+    )
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "role": 5})
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["dmd", "--ode", "causal-ode", "--output-dir", str(out)]) == 3
+    assert "role 5" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # presets take only a master seed
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ from ardlab.models import (
     featurize,
     fit_ridge,
     grad_output_wrt_params,
+    head_residual,
     make_chunk_models,
     member_seed,
     predict,
     predict_x0,
     sgd_step,
     time_embedding,
+    update_head,
 )
 
 SPEC = SequenceSpec(n_frames=2, frame_dim=1, chunk_size=1)
@@ -78,17 +80,6 @@ def test_fit_ridge_rankdeficient_raises_without_lambda():
         fit_ridge(phi, np.zeros(5), ridge_lambda=0.0)
     theta = fit_ridge(phi, np.zeros(5), ridge_lambda=1e-6)
     assert np.allclose(theta, 0.0)
-
-
-def test_fit_ridge_integer_weights_equal_row_duplication():
-    rng = np.random.default_rng(2)
-    phi = rng.standard_normal((30, 6))
-    y = rng.standard_normal((30, 1))
-    w = rng.integers(1, 4, size=30).astype(float)
-    weighted = fit_ridge(phi, y, 1e-8, sample_weight=w)
-    rows = np.repeat(np.arange(30), w.astype(int))
-    duplicated = fit_ridge(phi[rows], y[rows], 1e-8)
-    assert np.allclose(weighted, duplicated, atol=1e-8)
 
 
 def test_ridge_solution_is_strict_local_minimum():
@@ -153,6 +144,63 @@ def test_student_validation():
         LinearStudent(spec, np.zeros((4, 1)), parameterization="affine")
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    anchored=st.booleans(),
+    n=st.integers(8, 40),
+    m=st.integers(1, 6),
+    d=st.integers(1, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_update_head_readouts_and_gradient(seed, anchored, n, m, d):
+    rng = np.random.default_rng(seed)
+    spec = FeatureSpec(m=m, chunk_dim=d, prefix_dim=0, seed=seed % 1000)
+    chunk = rng.standard_normal((n, d))
+    t = rng.uniform(0.05, 1.0, n)
+    target = rng.standard_normal((n, d))
+    anchor = (chunk, t) if anchored else None
+    model = LinearStudent(
+        spec, rng.standard_normal((m, d)), "generator",
+        "anchored" if anchored else "direct",
+    )
+
+    # the residual is the model's clean-chunk readout minus the target
+    phi = featurize(spec, chunk, None, t)
+    resid = head_residual(model.theta, phi, target, anchor)
+    assert np.allclose(resid, predict_x0(model, chunk, None, t) - target, atol=1e-12)
+
+    # one SGD step descends mean_rows |residual|^2: with learning rate 1 the
+    # step is the gradient, which must match central finite differences
+    phi = rng.standard_normal((n, m))  # a well-conditioned design
+
+    def loss(theta):
+        return float(np.sum(head_residual(theta, phi, target, anchor) ** 2)) / n
+
+    sgd = TrainConfig(method="sgd", learning_rate=1.0)
+    stepped = update_head(model, phi, target, sgd, anchor)
+    grad = model.theta - stepped.theta
+    h = 1e-5
+    numeric = np.zeros_like(model.theta)
+    for idx in np.ndindex(*model.theta.shape):
+        bump = np.zeros_like(model.theta)
+        bump[idx] = h
+        numeric[idx] = (loss(model.theta + bump) - loss(model.theta - bump)) / (2 * h)
+    assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-7)
+    resid = head_residual(model.theta, phi, target, anchor)
+    given = update_head(model, phi, target, sgd, anchor, resid=resid)
+    assert np.array_equal(given.theta, stepped.theta)
+
+    # the ridge fit at lambda 0 on a full-rank design (n > m) is where that
+    # gradient vanishes; it keeps the model's role and readout
+    ridge = TrainConfig(method="ridge", ridge_lambda=0.0)
+    fitted = update_head(model, phi, target, ridge, anchor)
+    assert (fitted.role, fitted.parameterization) == (
+        model.role, model.parameterization)
+    step = fitted.theta - update_head(fitted, phi, target, sgd, anchor).theta
+    scale = 1.0 + np.abs(fitted.theta).max() * np.abs(phi).max() ** 2
+    assert np.abs(step).max() <= 1e-9 * scale
+
+
 def test_sgd_step_and_ema():
     model = build_student(m=4, chunk_dim=1, prefix_dim=0, role="generator", seed=0)
     grad = np.ones_like(model.theta)
@@ -186,9 +234,6 @@ def test_train_config_validation():
         TrainConfig(ema_rate=1.0)
     with pytest.raises(ValueError):
         TrainConfig(method="adam")
-    cfg = TrainConfig(loss_weight=lambda t: t)
-    assert np.allclose(cfg.weight(np.array([0.5])), [0.5])
-    assert np.allclose(TrainConfig().weight(np.array([0.3, 0.9])), 1.0)
 
 
 def test_member_seed_is_role_free_and_banks_match():

@@ -18,7 +18,10 @@ from ardlab.errors import ConfigError, DivergenceError
 from ardlab.models import TrainConfig, build_student, make_chunk_models, predict, predict_x0
 from ardlab.ode import (
     DEFAULT_GRID,
+    _segment_plan,
+    chunk_velocity_field,
     gaussian_flow_map,
+    integrate,
     make_pairs_bi,
     make_pairs_causal,
     velocity_bi,
@@ -414,3 +417,116 @@ def test_stage_result_rejects_nonfinite_trace():
             master_seed=0,
             wall_seconds=0.0,
         )
+
+
+# ---------------------------------------------------------------------------
+# every stage's SGD path
+# ---------------------------------------------------------------------------
+
+
+def _run_sgd_stage(stage):
+    """Run one stage with method "sgd" on a small budget; returns the trace,
+    the head sets the stage updates, and copies of their starting heads."""
+    cfg = TrainConfig(
+        method="sgd", learning_rate=0.5, step_count=300, batch_size=64,
+        fake_update_ratio=2, ema_rate=0.5,
+    )
+    kind = "ar-velocity" if stage == "tf" else "generator"
+    readout = "direct" if stage == "tf" else "anchored"
+    students = make_chunk_models(
+        SPEC, role=kind, m=32, seed=30, parameterization=readout
+    )
+    sets = [students]
+    if stage == "dmd":
+        sets.append(make_chunk_models(
+            SPEC, role="fake-score", m=32, seed=31, parameterization="anchored"
+        ))
+    before = [[member.theta.copy() for member in models.members] for models in sets]
+    if stage == "tf":
+        result = train_ar_diffusion_tf(DIST, students, cfg, seed=32)
+    elif stage == "distill":
+        pairs = make_pairs_causal(DIST, DEFAULT_GRID, count=64, steps=16, seed=33)
+        result = ode_distill(pairs, students, cfg, seed=32)
+    elif stage == "dmd":
+        result = dmd_train(students, sets[1], DIST, DEFAULT_GRID, cfg, seed=32)
+    else:
+        result = cd_train(DIST, students, cfg, seed=32, grid_size=4)
+    return result.loss_trace, sets, before
+
+
+@pytest.mark.parametrize("stage", ["tf", "distill", "dmd", "cd"])
+def test_sgd_path_of_every_stage(stage):
+    trace, sets, before = _run_sgd_stage(stage)
+    assert trace.shape == (300,) and np.all(np.isfinite(trace))
+    for models, start in zip(sets, before):
+        for member, theta in zip(models.members, start):
+            assert not np.array_equal(member.theta, theta)
+    if stage != "dmd":  # the regression stages descend their loss
+        tenth = trace.size // 10
+        assert np.mean(trace[-tenth:]) < np.mean(trace[:tenth])
+
+
+# ---------------------------------------------------------------------------
+# the learned autoregressive teacher
+# ---------------------------------------------------------------------------
+
+AR3 = ar1_sequence(3, 0.5)
+
+
+@pytest.fixture(scope="module")
+def learned_teacher():
+    velocities = make_chunk_models(AR3.spec, role="ar-velocity", m=32, seed=40)
+    train_ar_diffusion_tf(
+        AR3, velocities, TrainConfig(method="ridge", step_count=20, batch_size=64),
+        seed=41,
+    )
+    return velocities
+
+
+def test_learned_teacher_pairs_integrate_its_field(learned_teacher):
+    steps = 12
+    ds = make_pairs_causal(AR3, DEFAULT_GRID, count=7, steps=steps, seed=42,
+                           teacher=learned_teacher)
+    oracle = make_pairs_causal(AR3, DEFAULT_GRID, count=7, steps=steps, seed=42)
+    assert ds.provenance == "autoregressive-learned"
+    assert not np.allclose(ds.records.endpoint, oracle.records.endpoint)
+    spec = AR3.spec
+    cols = ds.records
+    assert np.array_equal(cols.prefix, oracle.records.prefix)
+    for i in range(1, spec.n_chunks + 1):
+        sl = spec.chunk_slice(i)
+        prefixes = cols.prefix[:, : spec.prefix_dim(i)]
+        field_fn = chunk_velocity_field(learned_teacher, i, prefixes)
+        x = cols.snapshots[:, 0, sl]  # the noise at t = 1
+        for k, (hi, lo, sub) in enumerate(_segment_plan(DEFAULT_GRID, steps), start=1):
+            x, _ = integrate(field_fn, x, hi, lo, sub, "heun")
+            if lo > 0.0:
+                assert np.array_equal(x, cols.snapshots[:, k, sl])
+        assert np.array_equal(x, cols.endpoint[:, sl])
+
+
+def test_learned_teacher_pairs_save_load_save_is_byte_identical(
+    tmp_path, learned_teacher
+):
+    ds = make_pairs_causal(AR3, DEFAULT_GRID, count=5, steps=8, seed=43,
+                           teacher=learned_teacher)
+    first = tmp_path / "a.jsonl"
+    second = tmp_path / "b.jsonl"
+    save_dataset(ds, first)
+    save_dataset(load_dataset(first), second)
+    assert first.read_bytes() == second.read_bytes()
+    assert load_dataset(first).provenance == "autoregressive-learned"
+
+
+def test_cd_with_learned_teacher(learned_teacher):
+    students = make_chunk_models(
+        AR3.spec, role="generator", m=32, seed=44, parameterization="anchored"
+    )
+    cfg = TrainConfig(method="ridge", step_count=6, batch_size=128)
+    result = cd_train(AR3, students, cfg, seed=45, grid_size=6, teacher=learned_teacher)
+    assert result.loss_trace.shape == (6,) and np.all(np.isfinite(result.loss_trace))
+    oracle = make_chunk_models(
+        AR3.spec, role="generator", m=32, seed=44, parameterization="anchored"
+    )
+    oracle_trace = cd_train(AR3, oracle, cfg, seed=45, grid_size=6).loss_trace
+    assert not np.array_equal(result.loss_trace, oracle_trace)

@@ -237,6 +237,27 @@ def test_models_bad_member_line(tmp_path):
         load_models(path)
 
 
+@pytest.mark.parametrize(
+    "header, match",
+    [
+        ({"role": 5}, "role 5"),
+        ({"role": "ar-velocity"}, "member 1 has role 'generator'"),
+        ({"member_count": "2"}, "member_count must be an integer"),
+        ({"member_count": True}, "member_count must be an integer"),
+    ],
+    ids=["role-not-a-role", "role-differs-from-members", "count-as-text",
+         "count-as-bool"],
+)
+def test_models_header_checks(tmp_path, header, match):
+    path = tmp_path / "models.jsonl"
+    save_models(small_models(), path)
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), **header})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=match):
+        load_models(path)
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
