@@ -85,7 +85,12 @@ def _assemble_inputs(spec: FeatureSpec, chunk, prefix, t):
 def featurize(spec: FeatureSpec, chunk, prefix, t) -> np.ndarray:
     """Feature rows sqrt(2/m) cos(<omega_j, z> + b_j); bounded by sqrt(2/m)."""
     z, single = _assemble_inputs(spec, chunk, prefix, t)
-    phi = np.sqrt(2.0 / spec.m) * np.cos(z @ spec.frequencies + spec.phases)
+    # One rows x m buffer: the add, cos and scale are elementwise, so doing
+    # them in place gives the same bits as the expression without temporaries.
+    phi = z @ spec.frequencies
+    phi += spec.phases
+    np.cos(phi, out=phi)
+    phi *= np.sqrt(2.0 / spec.m)
     return phi[0] if single else phi
 
 
@@ -159,16 +164,6 @@ def predict_x0(model: LinearStudent, chunk, prefix, t) -> np.ndarray:
             t_arr = t_arr[:, None]
         return chunk - t_arr * out
     return out
-
-
-def grad_output_wrt_params(model: LinearStudent, chunk, prefix, t) -> np.ndarray:
-    """Gradient of each output coordinate with respect to its head column.
-
-    The full Jacobian of the raw output w.r.t. theta is block diagonal:
-    d output_k / d theta_{j, l} = phi_j when l == k and 0 otherwise, so the
-    feature vector is the whole story and is returned directly.
-    """
-    return featurize(model.features, chunk, prefix, t)
 
 
 def fit_ridge(

@@ -269,6 +269,13 @@ def ode_distill(
     endpoint from its snapshot at that time.  prefix_mode "noisy" swaps the
     stored clean prefix for the sibling chunks' snapshots at the same time,
     which only exists for jointly-integrated datasets.
+
+    Either method featurizes each chunk's design once and holds one chunk's
+    rows x m features at a time: "ridge" fits each head on its whole design,
+    "sgd" draws its (chunk, batch_size-row pick) schedule up front, in step
+    order, and then runs each chunk's steps on rows indexed from that chunk's
+    features.  With batch_size and m of 2 or more this gives the same bits
+    as featurizing every pick.
     """
     if prefix_mode not in ("clean", "noisy"):
         raise ConfigError(f"unknown prefix_mode {prefix_mode!r}")
@@ -298,23 +305,36 @@ def ode_distill(
             students.replace_member(i, member)
             resid = head_residual(member.theta, phi, rows["target"], anchor)
             per_chunk[i - 1] = float(np.mean(resid**2))
+            del phi  # hold one chunk's features at a time
         trace = np.array([float(np.mean(per_chunk))])
     else:
         per_chunk = None
-        trace = np.empty(cfg.step_count)
+        # The schedule does not depend on the heads, so draw it up front in
+        # step order; each chunk's steps then index one featurized design.
+        step_chunk = np.empty(cfg.step_count, dtype=np.int64)
+        picks = np.empty((cfg.step_count, cfg.batch_size), dtype=np.int64)
         for step in range(cfg.step_count):
             i = int(rng.integers(1, spec.n_chunks + 1))
-            rows_all = design[i]
-            pick = rng.integers(0, rows_all["t"].size, size=cfg.batch_size)
-            rows = {k: v[pick] for k, v in rows_all.items()}
-            anchor = (rows["chunk"], rows["t"]) if anchored else None
+            step_chunk[step] = i
+            picks[step] = rng.integers(0, design[i]["t"].size, size=cfg.batch_size)
+        trace = np.empty(cfg.step_count)
+        for i in range(1, spec.n_chunks + 1):
+            steps = np.flatnonzero(step_chunk == i)
+            if steps.size == 0:
+                continue
+            rows = design[i]
             member = students.member(i)
-            phi = featurize(member.features, rows["chunk"], rows["prefix"], rows["t"])
-            resid = head_residual(member.theta, phi, rows["target"], anchor)
-            students.replace_member(
-                i, update_head(member, phi, rows["target"], cfg, anchor, resid)
-            )
-            trace[step] = float(np.mean(resid**2))
+            phi_all = featurize(member.features, rows["chunk"], rows["prefix"], rows["t"])
+            for step in steps:
+                pick = picks[step]
+                phi = phi_all[pick]
+                target = rows["target"][pick]
+                anchor = (rows["chunk"][pick], rows["t"][pick]) if anchored else None
+                resid = head_residual(member.theta, phi, target, anchor)
+                member = update_head(member, phi, target, cfg, anchor, resid)
+                trace[step] = float(np.mean(resid**2))
+            students.replace_member(i, member)
+            del phi_all  # hold one chunk's features at a time
 
     info = {
         "prefix_mode": prefix_mode,

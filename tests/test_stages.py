@@ -1,10 +1,12 @@
 """Training stages: denoising regression, distillation, DMD, consistency."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+import ardlab.stages
 from ardlab.config import ar1_sequence, bivariate_pair, two_mode
 from ardlab.distributions import (
     GaussianComponent,
@@ -15,7 +17,16 @@ from ardlab.distributions import (
     sample_clean,
 )
 from ardlab.errors import ConfigError, DivergenceError
-from ardlab.models import TrainConfig, build_student, make_chunk_models, predict, predict_x0
+from ardlab.models import (
+    TrainConfig,
+    build_student,
+    featurize,
+    head_residual,
+    make_chunk_models,
+    predict,
+    predict_x0,
+    update_head,
+)
 from ardlab.ode import (
     DEFAULT_GRID,
     _segment_plan,
@@ -210,6 +221,79 @@ def test_distill_design_matches_record_by_record_reference(tmp_path, build, pref
             assert design[i].keys() == rows.keys()
             for key, want in rows.items():
                 assert np.array_equal(design[i][key], want), (i, key)
+
+
+def _watch_featurize(monkeypatch):
+    """Count the stage's featurize calls; fail one made while an earlier
+    call's features are still alive.  Returns weak references to them."""
+    live = []
+
+    def watched(*args):
+        assert all(ref() is None for ref in live), "two chunks' features held at once"
+        phi = featurize(*args)
+        live.append(weakref.ref(phi))
+        return phi
+
+    monkeypatch.setattr(ardlab.stages, "featurize", watched)
+    return live
+
+
+def test_ridge_distill_holds_one_chunks_features_at_a_time(monkeypatch):
+    dist = ar1_sequence(3, 0.5)
+    pairs = make_pairs_causal(dist, DEFAULT_GRID, count=24, steps=8, seed=53)
+    students = make_chunk_models(
+        dist.spec, role="generator", m=32, seed=54, parameterization="anchored"
+    )
+    live = _watch_featurize(monkeypatch)
+    ode_distill(pairs, students, TrainConfig(method="ridge"), seed=55)
+    assert len(live) == dist.spec.n_chunks
+
+
+def _sgd_distill_reference(dataset, students, cfg, seed, prefix_mode):
+    """SGD distillation that featurizes every step's picked rows afresh."""
+    rng = np.random.default_rng(seed)
+    design = _distill_design(dataset, prefix_mode)
+    anchored = students.parameterization == "anchored"
+    trace = np.empty(cfg.step_count)
+    for step in range(cfg.step_count):
+        i = int(rng.integers(1, students.seq_spec.n_chunks + 1))
+        pick = rng.integers(0, design[i]["t"].size, size=cfg.batch_size)
+        rows = {k: v[pick] for k, v in design[i].items()}
+        anchor = (rows["chunk"], rows["t"]) if anchored else None
+        member = students.member(i)
+        phi = featurize(member.features, rows["chunk"], rows["prefix"], rows["t"])
+        resid = head_residual(member.theta, phi, rows["target"], anchor)
+        students.replace_member(
+            i, update_head(member, phi, rows["target"], cfg, anchor, resid)
+        )
+        trace[step] = float(np.mean(resid**2))
+    return trace
+
+
+@pytest.mark.parametrize("prefix_mode", ["clean", "noisy"])
+@pytest.mark.parametrize("readout", ["anchored", "direct"])
+@pytest.mark.parametrize("dist", [DIST, ar1_sequence(3, 0.5)], ids=["bivariate", "ar1-3"])
+def test_sgd_distill_matches_per_step_featurize_reference(
+    monkeypatch, dist, readout, prefix_mode
+):
+    build = make_pairs_bi if prefix_mode == "noisy" else make_pairs_causal
+    pairs = build(dist, DEFAULT_GRID, count=24, steps=8, seed=50)
+    cfg = TrainConfig(method="sgd", learning_rate=0.3, step_count=80, batch_size=16)
+
+    def students():
+        return make_chunk_models(
+            dist.spec, role="generator", m=32, seed=51, parameterization=readout
+        )
+
+    expected = students()
+    want_trace = _sgd_distill_reference(pairs, expected, cfg, 52, prefix_mode)
+    live = _watch_featurize(monkeypatch)
+    got = students()
+    result = ode_distill(pairs, got, cfg, seed=52, prefix_mode=prefix_mode)
+    assert len(live) <= dist.spec.n_chunks
+    assert np.array_equal(result.loss_trace, want_trace)
+    for member, want in zip(got.members, expected.members):
+        assert np.array_equal(member.theta, want.theta)
 
 
 def test_distill_rejects_an_empty_dataset(tmp_path):
