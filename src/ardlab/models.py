@@ -9,6 +9,8 @@ initialization whenever the feature banks match.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -82,16 +84,107 @@ def _assemble_inputs(spec: FeatureSpec, chunk, prefix, t):
     return np.concatenate([chunk, pref, emb], axis=1), single
 
 
-def featurize(spec: FeatureSpec, chunk, prefix, t) -> np.ndarray:
-    """Feature rows sqrt(2/m) cos(<omega_j, z> + b_j); bounded by sqrt(2/m)."""
-    z, single = _assemble_inputs(spec, chunk, prefix, t)
+# featurize works in row blocks of about this many cells (rows x m).  Both
+# BLAS products of such a block, z @ omega and phi @ head, stay below the
+# size at which OpenBLAS (measured on 0.3.31) hands a product to its own
+# threads; those busy-wait on another CPU for ~0.1 s after every threaded
+# call, which would leave the block threads no CPU to run on.
+_BLOCK_CELLS = 1 << 16
+# The blocks go to a thread per CPU only when each thread gets this many
+# cells: d2-init, whose 2,400 calls of 512 x 256 are two blocks each, ran
+# slower with them split over two threads.
+_THREAD_CELLS = 1 << 18
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _row_blocks(n: int, m: int) -> list[tuple[int, int]]:
+    """Row ranges of _BLOCK_CELLS cells rounded down to a multiple of 4 rows,
+    and the rest.  A 1-row rest joins the block before it: a 1-row product
+    goes through a BLAS vector kernel, whose last bits can differ."""
+    size = max(4, _BLOCK_CELLS // m // 4 * 4)
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_pool():
+    """One thread per CPU this process may use, started on first need."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="featurize")
+        return _pool
+
+
+def _forget_pool():
+    # A forked child inherits the pool object but none of its threads, so
+    # work handed to it would wait forever; the child starts its own.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _cos_features(spec: FeatureSpec, z, out=None) -> np.ndarray:
     # One rows x m buffer: the add, cos and scale are elementwise, so doing
     # them in place gives the same bits as the expression without temporaries.
-    phi = z @ spec.frequencies
+    phi = np.matmul(z, spec.frequencies, out=out)
     phi += spec.phases
     np.cos(phi, out=phi)
     phi *= np.sqrt(2.0 / spec.m)
-    return phi[0] if single else phi
+    return phi
+
+
+def featurize(spec: FeatureSpec, chunk, prefix, t, head=None) -> np.ndarray:
+    """Feature rows sqrt(2/m) cos(<omega_j, z> + b_j); bounded by sqrt(2/m).
+
+    With `head` (m x k) it returns the head output phi @ head instead,
+    holding one row block's features at a time.  A batch of more than one
+    block (_BLOCK_CELLS cells) is computed block by block, each block into
+    its own output rows, on a thread per CPU when every thread gets at least
+    _THREAD_CELLS cells.  A row's features have the same bits in any batch
+    of two or more rows.
+    """
+    z, single = _assemble_inputs(spec, chunk, prefix, t)
+    n = z.shape[0]
+    blocks = _row_blocks(n, spec.m)
+    if len(blocks) == 1:
+        out = _cos_features(spec, z)
+        if head is not None:
+            out = out @ head
+        return out[0] if single else out
+
+    out = np.empty((n, spec.m if head is None else head.shape[1]))
+
+    def run(rows):
+        a, b = rows
+        if head is None:
+            _cos_features(spec, z[a:b], out[a:b])
+        else:
+            np.matmul(_cos_features(spec, z[a:b]), head, out=out[a:b])
+
+    cpus = _cpu_count()
+    if cpus > 1 and n * spec.m >= _THREAD_CELLS * cpus:
+        for _ in _block_pool().map(run, blocks):
+            pass
+    else:
+        for rows in blocks:
+            run(rows)
+    return out
 
 
 @dataclass
@@ -150,8 +243,7 @@ def build_student(
 
 def predict(model: LinearStudent, chunk, prefix, t) -> np.ndarray:
     """Raw head output theta^T phi(chunk, prefix, t)."""
-    phi = featurize(model.features, chunk, prefix, t)
-    return phi @ model.theta
+    return featurize(model.features, chunk, prefix, t, head=model.theta)
 
 
 def predict_x0(model: LinearStudent, chunk, prefix, t) -> np.ndarray:

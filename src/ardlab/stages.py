@@ -188,6 +188,7 @@ def _train_velocity(
             students.replace_member(i, member)
             resid = head_residual(member.theta, phi, target)
             per_chunk[i - 1] = float(np.mean(resid**2))
+            del phi
         trace = np.array([float(np.mean(per_chunk))])
     else:
         per_chunk = None

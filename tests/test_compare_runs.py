@@ -1,0 +1,41 @@
+"""scripts/compare_runs.py: sha256 file comparison with CSV cell changes."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py"
+spec = importlib.util.spec_from_file_location("compare_runs", SCRIPT)
+compare_runs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_runs)
+
+
+def _tree(root: Path, files: dict) -> Path:
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_compare_runs_names_each_differing_file(tmp_path, capsys):
+    same = {"p/config.json": "{}\n", "p/report.txt": "ok\n"}
+    a = _tree(tmp_path / "a", {**same, "p/report.csv": "metric,value\nx,1.0\ny,2.0\n",
+                               "p/only_a.csv": "v\n1\n"})
+    b = _tree(tmp_path / "b", {**same, "p/report.csv": "metric,value\nx,1.0\ny,2.5\n",
+                               "p/only_b.jsonl": "{}\n"})
+    assert compare_runs.main([str(a), str(a)]) == 0
+    capsys.readouterr()
+    assert compare_runs.main([str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        f"p/only_a.csv: only in {a}",
+        f"p/only_b.jsonl: only in {b}",
+        "p/report.csv: differs, largest relative change 0.2 at line 3 column value",
+        "3 of 5 files differ",
+    ]
+
+
+def test_largest_csv_change_reports_shape_and_text(tmp_path):
+    a = _tree(tmp_path, {"a.csv": "k,v\nx,0\n", "b.csv": "k,v\ny,0\n", "c.csv": "k,v\n"})
+    assert compare_runs.largest_csv_change(a / "a.csv", a / "b.csv") == "1 non-numeric cells differ"
+    assert compare_runs.largest_csv_change(a / "a.csv", a / "c.csv") == "shape differs"

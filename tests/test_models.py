@@ -1,9 +1,15 @@
 """Random-feature students: featurization, ridge fits, gradients, model sets."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ardlab
 from ardlab.distributions import SequenceSpec
 from ardlab.errors import SingularCovarianceError
 from ardlab.models import (
@@ -24,6 +30,7 @@ from ardlab.models import (
     time_embedding,
     update_head,
 )
+from ardlab.models import _BLOCK_CELLS, _row_blocks
 
 SPEC = SequenceSpec(n_frames=2, frame_dim=1, chunk_size=1)
 
@@ -95,6 +102,102 @@ def test_featurize_matches_reference_and_is_row_independent(
         assert np.array_equal(
             phi[pick], featurize(spec, chunk[pick], prefix[pick], t[pick])
         )
+
+
+@given(
+    m=st.sampled_from([64, 96, 256, 512]),
+    chunk_dim=st.integers(1, 2),
+    prefix_dim=st.integers(0, 4),
+    blocks=st.integers(0, 10),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_blocked_featurize_and_predict_match_one_batch(
+    m, chunk_dim, prefix_dim, blocks, seed, data
+):
+    # n = whole blocks plus a remainder that is 0-3 rows (so n runs over
+    # every residue mod 4 and hits 1 mod the block size) or any shorter run;
+    # on 2 CPUs, batches from 2**19 cells (8 or 9 blocks) go to the threads.
+    size = _BLOCK_CELLS // m // 4 * 4
+    rem = data.draw(st.one_of(st.integers(0, 3), st.integers(0, size - 1)))
+    n = max(1, blocks * size + rem)
+    spec = FeatureSpec(m=m, chunk_dim=chunk_dim, prefix_dim=prefix_dim, seed=seed)
+    rng = np.random.default_rng(seed)
+    chunk = rng.standard_normal((n, chunk_dim))
+    prefix = rng.standard_normal((n, prefix_dim))
+    t = rng.random(n)
+    theta = 100.0 * rng.standard_normal((m, data.draw(st.integers(1, 3))))
+    model = LinearStudent(features=spec, theta=theta)
+
+    ranges = _row_blocks(n, m)
+    assert ranges[0][0] == 0 and ranges[-1][1] == n
+    assert all(a == prev_b for (_, prev_b), (a, _) in zip(ranges, ranges[1:]))
+    assert all((b - a) % 4 == 0 for a, b in ranges[:-1])
+    assert n == 1 or all(b - a >= 2 for a, b in ranges)
+
+    z = np.concatenate([chunk, prefix, time_embedding(t)], axis=1)
+    want = np.sqrt(2 / m) * np.cos(z @ spec.frequencies + spec.phases)
+    phi = featurize(spec, chunk, prefix, t)
+    assert np.array_equal(phi, want)
+    assert np.array_equal(featurize(spec, chunk, prefix, t), phi)
+    # a dot product of m terms rounds within m * eps * sum |phi_j theta_j|
+    out = predict(model, chunk, prefix, t)
+    assert np.all(np.abs(out - phi @ theta) <= 1e-12 * (np.abs(phi) @ np.abs(theta)))
+    assert np.array_equal(predict(model, chunk, prefix, t), out)
+    row = featurize(spec, chunk[-1], prefix[-1], t[-1])
+    assert row.shape == (m,)
+    assert predict(model, chunk[-1], prefix[-1], t[-1]).shape == (theta.shape[1],)
+
+
+def test_featurize_starts_block_threads_only_for_large_batches():
+    # In a fresh interpreter held to at most two CPUs: importing ardlab and
+    # calls below the threading size start no thread (nor import
+    # concurrent.futures); larger calls start at most one per CPU, reused,
+    # and give the one-batch bits, also in a child forked after them.
+    code = textwrap.dedent(
+        """
+        import os, sys, threading, time
+        import numpy as np
+        import ardlab
+        from ardlab.models import _BLOCK_CELLS, _THREAD_CELLS, FeatureSpec, featurize
+
+        assert threading.active_count() == 1
+        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+        cpus = len(os.sched_getaffinity(0))
+        spec = FeatureSpec(m=64, chunk_dim=1, prefix_dim=0, seed=0)
+        big = _THREAD_CELLS * cpus // 64
+        for n in (1, 2, _BLOCK_CELLS // 64, big - 1):
+            featurize(spec, np.zeros((n, 1)), None, np.zeros(n))
+        assert threading.active_count() == 1
+        assert "concurrent.futures" not in sys.modules
+        x, t = np.random.default_rng(0).random((2, big))
+        z = np.concatenate([x[:, None], ardlab.models.time_embedding(t)], axis=1)
+        want = np.sqrt(2 / 64) * np.cos(z @ spec.frequencies + spec.phases)
+        for _ in range(2):
+            assert np.array_equal(featurize(spec, x[:, None], None, t), want)
+        assert threading.active_count() <= 1 + cpus
+        assert cpus == 1 or threading.active_count() > 1
+        pid = os.fork()  # a child starts its own threads, not wait on ours
+        if pid == 0:
+            os._exit(0 if np.array_equal(featurize(spec, x[:, None], None, t), want) else 1)
+        for _ in range(300):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.1)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            raise AssertionError("forked child hung in featurize")
+        assert status == 0
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ardlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_featurize_rejects_bad_widths():

@@ -249,6 +249,15 @@ def test_ridge_distill_holds_one_chunks_features_at_a_time(monkeypatch):
     assert len(live) == dist.spec.n_chunks
 
 
+def test_ridge_velocity_holds_one_chunks_features_at_a_time(monkeypatch):
+    dist = ar1_sequence(3, 0.5)
+    students = make_chunk_models(dist.spec, role="ar-velocity", m=32, seed=56)
+    live = _watch_featurize(monkeypatch)
+    cfg = TrainConfig(method="ridge", step_count=4, batch_size=32)
+    train_ar_diffusion_tf(dist, students, cfg, seed=57)
+    assert len(live) == dist.spec.n_chunks
+
+
 def _sgd_distill_reference(dataset, students, cfg, seed, prefix_mode):
     """SGD distillation that featurizes every step's picked rows afresh."""
     rng = np.random.default_rng(seed)
