@@ -90,13 +90,10 @@ def _assemble_inputs(spec: FeatureSpec, chunk, prefix, t):
 # threads; those busy-wait on another CPU for ~0.1 s after every threaded
 # call, which would leave the block threads no CPU to run on.
 _BLOCK_CELLS = 1 << 16
-# The blocks go to a thread per CPU only when each thread gets this many
-# cells: d2-init, whose 2,400 calls of 512 x 256 are two blocks each, ran
-# slower with them split over two threads.
+# The blocks are shared among threads, up to one per CPU, so that each
+# thread gets at least this many cells: d2-init, whose 2,400 calls of
+# 512 x 256 are two blocks each, ran slower with them split over two threads.
 _THREAD_CELLS = 1 << 18
-
-_pool = None
-_pool_lock = threading.Lock()
 
 
 def _row_blocks(n: int, m: int) -> list[tuple[int, int]]:
@@ -117,28 +114,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _block_pool():
-    """One thread per CPU this process may use, started on first need."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="featurize")
-        return _pool
-
-
-def _forget_pool():
-    # A forked child inherits the pool object but none of its threads, so
-    # work handed to it would wait forever; the child starts its own.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _cos_features(spec: FeatureSpec, z, out=None) -> np.ndarray:
     # One rows x m buffer: the add, cos and scale are elementwise, so doing
     # them in place gives the same bits as the expression without temporaries.
@@ -153,38 +128,41 @@ def featurize(spec: FeatureSpec, chunk, prefix, t, head=None) -> np.ndarray:
     """Feature rows sqrt(2/m) cos(<omega_j, z> + b_j); bounded by sqrt(2/m).
 
     With `head` (m x k) it returns the head output phi @ head instead,
-    holding one row block's features at a time.  A batch of more than one
-    block (_BLOCK_CELLS cells) is computed block by block, each block into
-    its own output rows, on a thread per CPU when every thread gets at least
-    _THREAD_CELLS cells.  A row's features have the same bits in any batch
-    of two or more rows.
+    holding one row block's features at a time.  The batch is computed in
+    row blocks of about _BLOCK_CELLS cells, each into its own output rows;
+    the calling thread shares them with up to one started thread per further
+    CPU, so that each thread gets at least _THREAD_CELLS cells.  A row's
+    features have the same bits in any batch of two or more rows.
     """
     z, single = _assemble_inputs(spec, chunk, prefix, t)
     n = z.shape[0]
-    blocks = _row_blocks(n, spec.m)
-    if len(blocks) == 1:
-        out = _cos_features(spec, z)
-        if head is not None:
-            out = out @ head
-        return out[0] if single else out
-
     out = np.empty((n, spec.m if head is None else head.shape[1]))
+    errors = []
 
-    def run(rows):
-        a, b = rows
-        if head is None:
-            _cos_features(spec, z[a:b], out[a:b])
-        else:
-            np.matmul(_cos_features(spec, z[a:b]), head, out=out[a:b])
+    def run(blocks):
+        try:
+            for a, b in blocks:
+                if head is None:
+                    _cos_features(spec, z[a:b], out[a:b])
+                else:
+                    np.matmul(_cos_features(spec, z[a:b]), head, out=out[a:b])
+        except BaseException as exc:
+            errors.append(exc)
 
-    cpus = _cpu_count()
-    if cpus > 1 and n * spec.m >= _THREAD_CELLS * cpus:
-        for _ in _block_pool().map(run, blocks):
-            pass
-    else:
-        for rows in blocks:
-            run(rows)
-    return out
+    blocks = _row_blocks(n, spec.m)
+    workers = max(1, min(_cpu_count(), n * spec.m // _THREAD_CELLS))
+    threads = [
+        threading.Thread(target=run, args=(blocks[i::workers],))
+        for i in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    run(blocks[::workers])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return out[0] if single else out
 
 
 @dataclass

@@ -152,16 +152,19 @@ def test_blocked_featurize_and_predict_match_one_batch(
 
 def test_featurize_starts_block_threads_only_for_large_batches():
     # In a fresh interpreter held to at most two CPUs: importing ardlab and
-    # calls below the threading size start no thread (nor import
-    # concurrent.futures); larger calls start at most one per CPU, reused,
-    # and give the one-batch bits, also in a child forked after them.
+    # calls below the threading size start no thread; a larger call starts
+    # at most one per further CPU, joins them all, and gives the one-batch
+    # bits; an error in a started thread reaches the caller.
     code = textwrap.dedent(
         """
-        import os, sys, threading, time
+        import os, threading
         import numpy as np
         import ardlab
         from ardlab.models import _BLOCK_CELLS, _THREAD_CELLS, FeatureSpec, featurize
 
+        started = []
+        start = threading.Thread.start
+        threading.Thread.start = lambda self: (started.append(self), start(self))[1]
         assert threading.active_count() == 1
         os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
         cpus = len(os.sched_getaffinity(0))
@@ -169,28 +172,28 @@ def test_featurize_starts_block_threads_only_for_large_batches():
         big = _THREAD_CELLS * cpus // 64
         for n in (1, 2, _BLOCK_CELLS // 64, big - 1):
             featurize(spec, np.zeros((n, 1)), None, np.zeros(n))
-        assert threading.active_count() == 1
-        assert "concurrent.futures" not in sys.modules
+        assert not started
         x, t = np.random.default_rng(0).random((2, big))
         z = np.concatenate([x[:, None], ardlab.models.time_embedding(t)], axis=1)
         want = np.sqrt(2 / 64) * np.cos(z @ spec.frequencies + spec.phases)
         for _ in range(2):
             assert np.array_equal(featurize(spec, x[:, None], None, t), want)
-        assert threading.active_count() <= 1 + cpus
-        assert cpus == 1 or threading.active_count() > 1
-        pid = os.fork()  # a child starts its own threads, not wait on ours
-        if pid == 0:
-            os._exit(0 if np.array_equal(featurize(spec, x[:, None], None, t), want) else 1)
-        for _ in range(300):
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            time.sleep(0.1)
-        else:
-            os.kill(pid, 9)
-            os.waitpid(pid, 0)
-            raise AssertionError("forked child hung in featurize")
-        assert status == 0
+        assert len(started) == 2 * (cpus - 1)
+        assert threading.active_count() == 1
+        if cpus > 1:
+            cos = np.cos
+            def failing_cos(*args, **kwargs):
+                if threading.current_thread() is started[-1]:
+                    raise MemoryError("cos in a started thread")
+                return cos(*args, **kwargs)
+            np.cos = failing_cos
+            try:
+                featurize(spec, x[:, None], None, t)
+            except MemoryError:
+                pass
+            else:
+                raise AssertionError("error in a started thread was lost")
+            np.cos = cos
         """
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ardlab.__file__)))
