@@ -3,15 +3,17 @@
 Usage: python3 scripts/compare_runs.py DIR_A DIR_B
 
 Compares every file under the two trees by sha256 and prints one line per
-file that differs or exists on one side only.  For a CSV present on both
-sides it also prints the largest relative change of any numeric cell,
-|b - a| / max(|a|, |b|), and where it occurs.  Exit status 0 means the
-trees are identical, 1 that some file differs.
+file that differs or exists on one side only.  For a CSV or a JSON-lines
+file present on both sides it also prints the largest relative change of
+any number, |b - a| / max(|a|, |b|), and where it occurs; JSON lines are
+compared value by value when both files have the same record structure.
+Exit status 0 means the trees are identical, 1 that some file differs.
 """
 
 import argparse
 import csv
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -31,6 +33,26 @@ def _number(cell: str):
         return None
 
 
+def _largest_change(cells) -> str:
+    """Summarize differing cells, given as (where, a, b) with a and b floats,
+    or None for a value that is not a number."""
+    worst, at, text_cells = 0.0, None, 0
+    for where, a, b in cells:
+        if a is None or b is None:
+            text_cells += 1
+            continue
+        scale = max(abs(a), abs(b))
+        change = abs(b - a) / scale if scale else 0.0
+        if change > worst or at is None:
+            worst, at = change, where
+    parts = []
+    if at is not None:
+        parts.append(f"largest relative change {worst:.3g} at {at}")
+    if text_cells:
+        parts.append(f"{text_cells} non-numeric cells differ")
+    return "; ".join(parts) or "cells equal, bytes differ"
+
+
 def largest_csv_change(path_a: Path, path_b: Path) -> str:
     """Largest relative change of a numeric cell, or why there is none."""
     with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
@@ -40,26 +62,55 @@ def largest_csv_change(path_a: Path, path_b: Path) -> str:
     ):
         return "shape differs"
     header = rows_a[0] if rows_a else []
-    worst, where, text_cells = 0.0, None, 0
-    for r, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
-        for c, (cell_a, cell_b) in enumerate(zip(row_a, row_b)):
-            if cell_a == cell_b:
-                continue
-            a, b = _number(cell_a), _number(cell_b)
-            if a is None or b is None:
-                text_cells += 1
-                continue
-            scale = max(abs(a), abs(b))
-            change = abs(b - a) / scale if scale else 0.0
-            if change > worst or where is None:
-                column = header[c] if c < len(header) else str(c)
-                worst, where = change, f"line {r + 1} column {column}"
-    parts = []
-    if where is not None:
-        parts.append(f"largest relative change {worst:.3g} at {where}")
-    if text_cells:
-        parts.append(f"{text_cells} non-numeric cells differ")
-    return "; ".join(parts) or "cells equal, bytes differ"
+    return _largest_change(
+        (f"line {r + 1} column {header[c] if c < len(header) else c}",
+         _number(cell_a), _number(cell_b))
+        for r, (row_a, row_b) in enumerate(zip(rows_a, rows_b))
+        for c, (cell_a, cell_b) in enumerate(zip(row_a, row_b))
+        if cell_a != cell_b
+    )
+
+
+def _leaves(value, path=""):
+    """(path, scalar) for every scalar inside a decoded JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _json_number(value):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return None
+
+
+def largest_jsonl_change(path_a: Path, path_b: Path) -> str:
+    """Largest relative change of a number in JSON lines whose records have
+    the same structure on both sides, or why there is none."""
+    try:
+        with open(path_a) as fa, open(path_b) as fb:
+            lines_a = [list(_leaves(json.loads(line))) for line in fa]
+            lines_b = [list(_leaves(json.loads(line))) for line in fb]
+    except json.JSONDecodeError:
+        return "not JSON lines"
+    if len(lines_a) != len(lines_b) or any(
+        [k for k, _ in a] != [k for k, _ in b] for a, b in zip(lines_a, lines_b)
+    ):
+        return "shape differs"
+    return _largest_change(
+        (f"line {r + 1} {key}", _json_number(a), _json_number(b))
+        for r, (leaves_a, leaves_b) in enumerate(zip(lines_a, lines_b))
+        for (key, a), (_, b) in zip(leaves_a, leaves_b)
+        if a != b
+    )
+
+
+DETAIL = {".csv": largest_csv_change, ".jsonl": largest_jsonl_change}
 
 
 def main(argv=None) -> int:
@@ -80,8 +131,8 @@ def main(argv=None) -> int:
             print(f"{name}: only in {args.dir_b}")
         elif side_a[name] == side_b[name]:
             continue
-        elif name.endswith(".csv"):
-            detail = largest_csv_change(args.dir_a / name, args.dir_b / name)
+        elif Path(name).suffix in DETAIL:
+            detail = DETAIL[Path(name).suffix](args.dir_a / name, args.dir_b / name)
             print(f"{name}: differs, {detail}")
         else:
             print(f"{name}: differs")

@@ -18,6 +18,8 @@ from .errors import SingularCovarianceError
 _SYM_TOL = 1e-12
 _EIG_FLOOR = -1e-12
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# rows per block of the mixture kernels (see _mixture_blocks)
+_KERNEL_ROWS = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -193,64 +195,98 @@ def _check_nonsingular(noisy_lam: np.ndarray, t):
         )
 
 
-def _mixture_stats(log_w, means, eigvecs, eigvals, x, t):
-    """Shared core: responsibilities and per-component eigenbasis residuals.
+def _mixture_blocks(log_w, means, eigvecs, eigvals, x, t):
+    """Shared core: per row block, responsibilities and eigenbasis residuals.
 
     log_w: (K,) or (B, K); means: (K, D) or (B, K, D); x: (B, D).
     t may be a scalar or one time per row.  Noising a component rescales its
     eigenvalues to a^2 lam + s^2 without rotating eigenvectors, so all the
-    Gaussian algebra happens on (B, K, D)-shaped eigencoordinates.
+    Gaussian algebra happens on eigencoordinates.  They are laid out
+    coordinate-major, (K, D, rows), over blocks of _KERNEL_ROWS rows, so
+    every einsum and broadcast runs its inner loop along the rows instead
+    of along D or K (often 1 or 2).  Yields (row slice, log_resp (K, n),
+    y (K, D, n), noisy_lam, a, means (K, D, 1 or n), log_z (n,)).
     """
     t_arr = np.asarray(t, dtype=float)
     per_row = t_arr.ndim == 1
-    if per_row:
-        a = (1.0 - t_arr)[:, None, None]  # (B, 1, 1)
-        noisy_lam = a * a * eigvals[None, :, :] + (t_arr * t_arr)[:, None, None]
-    else:
+    # rounding is monotone, so the smallest noisy eigenvalue of every row
+    # comes from the smallest clean one
+    a_all = 1.0 - t_arr
+    _check_nonsingular(a_all * a_all * np.min(eigvals) + t_arr * t_arr, t)
+    if not per_row:
         a = 1.0 - float(t_arr)
-        noisy_lam = a * a * eigvals[None, :, :] + float(t_arr) ** 2
-    _check_nonsingular(noisy_lam, t)
-    if means.ndim == 2:
-        means = means[None, :, :]
-    diff = x[:, None, :] - a * means  # (B, K, D)
-    y = np.einsum("bkd,kde->bke", diff, eigvecs)  # coordinates in eigenbasis
-    quad = np.einsum("bke,bke->bk", y * y, 1.0 / noisy_lam)
-    log_det = np.sum(np.log(noisy_lam), axis=2)  # (B or 1, K)
-    log_norm = -0.5 * (quad + log_det + eigvals.shape[1] * _LOG_2PI)
-    log_post = (log_w if log_w.ndim == 2 else log_w[None, :]) + log_norm
-    # log-space responsibilities with max subtraction for stability
-    shift = np.max(log_post, axis=1, keepdims=True)
-    log_z = shift + np.log(np.sum(np.exp(log_post - shift), axis=1, keepdims=True))
-    log_resp = log_post - log_z
-    return log_resp, y, noisy_lam, a, means, log_z
+        noisy_lam = a * a * eigvals[:, :, None] + float(t_arr) ** 2
+    shared_w = log_w.ndim == 1
+    if shared_w:
+        log_w = log_w[:, None]
+    shared_means = means.ndim == 2
+    if shared_means:
+        means = means[:, :, None]
+    dim = eigvals.shape[1]
+    for lo in range(0, x.shape[0], _KERNEL_ROWS):
+        rows = slice(lo, lo + _KERNEL_ROWS)
+        xt = np.ascontiguousarray(x[rows].T)  # (D, n)
+        if per_row:
+            a = a_all[None, None, rows]  # (1, 1, n)
+            t_blk = t_arr[rows]
+            noisy_lam = a * a * eigvals[:, :, None] + (t_blk * t_blk)[None, None, :]
+        # per-row means are copied C-contiguous: a strided diff slows the
+        # einsums several times over
+        m = means if shared_means else np.ascontiguousarray(
+            means[rows].transpose(1, 2, 0)
+        )
+        w = log_w if shared_w else log_w[rows].T
+        diff = xt[None, :, :] - a * m  # (K, D, n)
+        y = np.einsum("kdb,kde->keb", diff, eigvecs)  # coordinates in eigenbasis
+        quad = np.einsum("keb,keb->kb", y * y, 1.0 / noisy_lam)
+        log_det = np.sum(np.log(noisy_lam), axis=1)  # (K, 1 or n)
+        log_norm = -0.5 * (quad + log_det + dim * _LOG_2PI)
+        log_post = w + log_norm
+        # log-space responsibilities with max subtraction for stability
+        shift = np.max(log_post, axis=0)
+        log_z = shift + np.log(np.sum(np.exp(log_post - shift), axis=0))
+        yield rows, log_post - log_z, y, noisy_lam, a, m, log_z
+
+
+def _write_rows(out, rows, cols):
+    """out[rows] = cols.T, one coordinate at a time: copying the (D, n) block
+    in one call would run the inner loop along D."""
+    for d, col in enumerate(cols):
+        out[rows, d] = col
 
 
 def _mixture_log_density(log_w, means, eigvecs, eigvals, x, t):
-    _, _, _, _, _, log_z = _mixture_stats(log_w, means, eigvecs, eigvals, x, t)
-    return log_z[:, 0]
+    out = np.empty(x.shape[0])
+    for rows, _, _, _, _, _, log_z in _mixture_blocks(
+        log_w, means, eigvecs, eigvals, x, t
+    ):
+        out[rows] = log_z
+    return out
 
 
 def _mixture_posterior_mean(log_w, means, eigvecs, eigvals, x, t):
     """E[x0 | x_t = x] for the mixture, batched over rows of x."""
-    log_resp, y, noisy_lam, a, means, _ = _mixture_stats(
+    out = np.empty(x.shape)
+    for rows, log_resp, y, noisy_lam, a, m, _ in _mixture_blocks(
         log_w, means, eigvecs, eigvals, x, t
-    )
-    gain = a * eigvals[None, :, :] / noisy_lam  # posterior gain per eigenmode
-    pulled = np.einsum("kde,bke->bkd", eigvecs, gain * y)
-    per_comp = means + pulled  # (B, K, D)
-    resp = np.exp(log_resp)
-    return np.einsum("bk,bkd->bd", resp, per_comp)
+    ):
+        gain = a * eigvals[:, :, None] / noisy_lam  # posterior gain per eigenmode
+        pulled = np.einsum("kde,keb->kdb", eigvecs, gain * y)
+        resp = np.exp(log_resp)
+        _write_rows(out, rows, np.einsum("kb,kdb->db", resp, m + pulled))
+    return out
 
 
 def _mixture_score(log_w, means, eigvecs, eigvals, x, t):
     """Gradient of log p_t at x, batched over rows of x."""
-    log_resp, y, noisy_lam, _, _, _ = _mixture_stats(
+    out = np.empty(x.shape)
+    for rows, log_resp, y, noisy_lam, _, _, _ in _mixture_blocks(
         log_w, means, eigvecs, eigvals, x, t
-    )
-    whitened = y / noisy_lam
-    per_comp = -np.einsum("kde,bke->bkd", eigvecs, whitened)
-    resp = np.exp(log_resp)
-    return np.einsum("bk,bkd->bd", resp, per_comp)
+    ):
+        per_comp = -np.einsum("kde,keb->kdb", eigvecs, y / noisy_lam)
+        resp = np.exp(log_resp)
+        _write_rows(out, rows, np.einsum("kb,kdb->db", resp, per_comp))
+    return out
 
 
 # ---------------------------------------------------------------------------

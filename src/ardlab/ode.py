@@ -76,11 +76,7 @@ def velocity_bi(dist: SequenceDistribution, state: NoisyState) -> np.ndarray:
     if state.time <= 0.0:
         raise ValueError("the velocity field is defined for t > 0 only")
     x = np.asarray(state.values, dtype=float)
-    batch = np.atleast_2d(x)
-    m = _mixture_posterior_mean(
-        dist._log_w, dist._means, dist._eigvecs, dist._eigvals, batch, state.time
-    )
-    v = (batch - m) / state.time
+    v = bi_velocity_field(dist)(np.atleast_2d(x), state.time)
     return v[0] if x.ndim == 1 else v
 
 

@@ -39,3 +39,28 @@ def test_largest_csv_change_reports_shape_and_text(tmp_path):
     a = _tree(tmp_path, {"a.csv": "k,v\nx,0\n", "b.csv": "k,v\ny,0\n", "c.csv": "k,v\n"})
     assert compare_runs.largest_csv_change(a / "a.csv", a / "b.csv") == "1 non-numeric cells differ"
     assert compare_runs.largest_csv_change(a / "a.csv", a / "c.csv") == "shape differs"
+
+
+def test_largest_jsonl_change_compares_records_of_one_structure(tmp_path):
+    a = _tree(tmp_path / "a", {"pairs.jsonl": '{"format":"x","n":2}\n'
+                               '{"seed":7,"endpoint":[1.0,-2.0],"snapshots":{"0.5":[4.0]}}\n'})
+    b = _tree(tmp_path / "b", {
+        "pairs.jsonl": '{"format":"x","n":2}\n'
+                       '{"seed":7,"endpoint":[1.0,-2.5],"snapshots":{"0.5":[4.1]}}\n',
+        "longer.jsonl": '{"format":"x","n":2}\n{"seed":7,"endpoint":[1.0,-2.0,0.0]}\n',
+        "text.jsonl": '{"format":"y","n":2}\n',
+        "bad.jsonl": '{"format":\n',
+    })
+    assert compare_runs.largest_jsonl_change(a / "pairs.jsonl", b / "pairs.jsonl") == (
+        "largest relative change 0.2 at line 2 endpoint[1]"
+    )
+    assert compare_runs.largest_jsonl_change(a / "pairs.jsonl", b / "longer.jsonl") == "shape differs"
+    assert compare_runs.largest_jsonl_change(b / "text.jsonl", b / "text.jsonl") == (
+        "cells equal, bytes differ"
+    )
+    assert compare_runs.largest_jsonl_change(b / "text.jsonl", b / "longer.jsonl") == "shape differs"
+    assert compare_runs.largest_jsonl_change(a / "pairs.jsonl", b / "bad.jsonl") == "not JSON lines"
+    head = _tree(tmp_path / "c", {"t.jsonl": '{"format":"x","n":3}\n'})
+    assert compare_runs.largest_jsonl_change(b / "text.jsonl", head / "t.jsonl") == (
+        "largest relative change 0.333 at line 1 n; 1 non-numeric cells differ"
+    )

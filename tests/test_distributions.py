@@ -1,9 +1,12 @@
 """Exact-law machinery: mixture kernels, conditionals, scores, moments."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ardlab import distributions
 from ardlab.config import ar1_sequence, bivariate_pair, two_mode
 from ardlab.diagnostics import _prefix_regressions
 from ardlab.distributions import (
@@ -12,6 +15,9 @@ from ardlab.distributions import (
     SequenceDistribution,
     SequenceSpec,
     _condition,
+    _mixture_log_density,
+    _mixture_posterior_mean,
+    _mixture_score,
     chunk_second_moment,
     condition_clean_prefix_batch,
     condition_on_coordinates,
@@ -316,3 +322,150 @@ def test_conditioning_singular_observed_block_raises():
         conditional_clean_dist(dist, 2, np.array([0.3]))
     with pytest.raises(SingularCovarianceError):
         condition_clean_prefix_batch(dist, 2, np.array([[0.3], [0.1]]))
+
+
+# ---------------------------------------------------------------------------
+# the mixture posterior-mean, score and log-density kernels
+# ---------------------------------------------------------------------------
+
+
+def kernel_inputs(rng, k, dim, rows, per_row_t, per_row_laws):
+    """Kernel arguments for K random SPD components over `dim` coordinates,
+    plus the covariances; t and the weights and means are per row or shared."""
+    a = rng.standard_normal((k, dim, dim))
+    covs = a @ a.transpose(0, 2, 1) / dim + 0.5 * np.eye(dim)
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    lam, q = np.linalg.eigh(covs)
+    shape = (rows, k) if per_row_laws else (k,)
+    log_w = np.log(rng.dirichlet(np.ones(k), size=shape[:-1] or None))
+    means = rng.standard_normal(shape + (dim,))
+    x = 2.0 * rng.standard_normal((rows, dim))
+    t = rng.uniform(0.05, 1.0, rows) if per_row_t else float(rng.uniform(0.05, 1.0))
+    return (log_w, means, q, np.clip(lam, 0.0, None), x, t), covs
+
+
+def dense_kernels(log_w, means, covs, x, t):
+    """Per-row posterior mean, score and log density by explicit solves of
+    the noisy covariances a^2 S_k + t^2 I."""
+    rows, dim = x.shape
+    post, score, dens = np.empty((rows, dim)), np.empty((rows, dim)), np.empty(rows)
+    for b in range(rows):
+        tb = float(t[b]) if np.ndim(t) else float(t)
+        ab = 1.0 - tb
+        w = log_w[b] if log_w.ndim == 2 else log_w
+        mu = means[b] if means.ndim == 3 else means
+        log_post, pulled, whitened = [], [], []
+        for k, cov in enumerate(covs):
+            noisy = ab * ab * cov + tb * tb * np.eye(dim)
+            r = x[b] - ab * mu[k]
+            solved = np.linalg.solve(noisy, r)
+            log_det = np.linalg.slogdet(noisy)[1]
+            log_post.append(w[k] - 0.5 * (r @ solved + log_det + dim * np.log(2 * np.pi)))
+            pulled.append(mu[k] + ab * cov @ solved)
+            whitened.append(-solved)
+        log_post = np.array(log_post)
+        shift = log_post.max()
+        dens[b] = shift + np.log(np.sum(np.exp(log_post - shift)))
+        resp = np.exp(log_post - dens[b])
+        post[b] = resp @ np.array(pulled)
+        score[b] = resp @ np.array(whitened)
+    return post, score, dens
+
+
+KERNELS = (_mixture_posterior_mean, _mixture_score, _mixture_log_density)
+
+
+def row_args(args, rows):
+    """Kernel arguments restricted to a slice of rows."""
+    log_w, means, eigvecs, eigvals, x, t = args
+    return (
+        log_w[rows] if log_w.ndim == 2 else log_w,
+        means[rows] if means.ndim == 3 else means,
+        eigvecs, eigvals, x[rows],
+        t[rows] if np.ndim(t) else t,
+    )
+
+
+@given(
+    k=st.integers(1, 3),
+    dim=st.integers(1, 6),
+    rows=st.integers(0, 20),
+    per_row_t=st.booleans(),
+    per_row_laws=st.booleans(),
+    block=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_mixture_kernels_match_dense_reference(
+    k, dim, rows, per_row_t, per_row_laws, block, seed
+):
+    rng = np.random.default_rng(seed)
+    args, covs = kernel_inputs(rng, k, dim, rows, per_row_t, per_row_laws)
+    if per_row_t and rows == 0:
+        # an empty batch of per-row times has no smallest noisy eigenvalue
+        with pytest.raises(ValueError):
+            _mixture_posterior_mean(*args)
+        return
+    expected = dense_kernels(args[0], args[1], covs, args[4], args[5])
+    with mock.patch.object(distributions, "_KERNEL_ROWS", block):
+        for kernel, want in zip(KERNELS, expected):
+            got = kernel(*args)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def rowmajor_kernels(log_w, means, eigvecs, eigvals, x, t):
+    """Row-major reference: posterior mean, score and log density on
+    (B, K, D) arrays, all rows in one piece."""
+    t_arr = np.asarray(t, dtype=float)
+    if t_arr.ndim == 1:
+        a = (1.0 - t_arr)[:, None, None]
+        noisy_lam = a * a * eigvals[None, :, :] + (t_arr * t_arr)[:, None, None]
+    else:
+        a = 1.0 - float(t_arr)
+        noisy_lam = a * a * eigvals[None, :, :] + float(t_arr) ** 2
+    if means.ndim == 2:
+        means = means[None, :, :]
+    diff = x[:, None, :] - a * means
+    y = np.einsum("bkd,kde->bke", diff, eigvecs)
+    quad = np.einsum("bke,bke->bk", y * y, 1.0 / noisy_lam)
+    log_det = np.sum(np.log(noisy_lam), axis=2)
+    log_norm = -0.5 * (quad + log_det + eigvals.shape[1] * np.log(2.0 * np.pi))
+    log_post = (log_w if log_w.ndim == 2 else log_w[None, :]) + log_norm
+    shift = np.max(log_post, axis=1, keepdims=True)
+    log_z = shift + np.log(np.sum(np.exp(log_post - shift), axis=1, keepdims=True))
+    resp = np.exp(log_post - log_z)
+    gain = a * eigvals[None, :, :] / noisy_lam
+    pulled = np.einsum("kde,bke->bkd", eigvecs, gain * y)
+    post = np.einsum("bk,bkd->bd", resp, means + pulled)
+    per_comp = -np.einsum("kde,bke->bkd", eigvecs, y / noisy_lam)
+    score = np.einsum("bk,bkd->bd", resp, per_comp)
+    return post, score, log_z[:, 0]
+
+
+@given(
+    k=st.integers(1, 2),
+    dim=st.integers(1, 2),
+    rows=st.integers(1, 20),
+    per_row_t=st.booleans(),
+    per_row_laws=st.booleans(),
+    block=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_mixture_kernels_keep_rowmajor_bits_up_to_two_dims(
+    k, dim, rows, per_row_t, per_row_laws, block, seed
+):
+    # With D <= 2 and K <= 2 every reduction adds at most two terms, so the
+    # coordinate-major blocks do the row-major kernel's arithmetic exactly.
+    # This pins the bytes of the presets with one or two coordinates.
+    rng = np.random.default_rng(seed)
+    args, _ = kernel_inputs(rng, k, dim, rows, per_row_t, per_row_laws)
+    expected = rowmajor_kernels(*args)
+    with mock.patch.object(distributions, "_KERNEL_ROWS", block):
+        for kernel, want in zip(KERNELS, expected):
+            got = kernel(*args)
+            assert np.array_equal(got, want)
+            # a row's bits do not depend on the batch or block it sits in
+            alone = [kernel(*row_args(args, slice(b, b + 1))) for b in range(rows)]
+            assert np.array_equal(np.concatenate(alone), got)
