@@ -3,10 +3,13 @@
 Usage: python3 scripts/compare_runs.py DIR_A DIR_B
 
 Compares every file under the two trees by sha256 and prints one line per
-file that differs or exists on one side only.  For a CSV or a JSON-lines
-file present on both sides it also prints the largest relative change of
-any number, |b - a| / max(|a|, |b|), and where it occurs; JSON lines are
-compared value by value when both files have the same record structure.
+file that differs or exists on one side only.  For a CSV, JSON or
+JSON-lines file present on both sides it also prints the largest relative
+change of any number, |b - a| / max(|a|, |b|), and where it occurs, and for
+a CSV the columns of the non-numeric cells that differ.  JSON lines are
+compared value by value when both files have the same record structure; a
+JSON document also lists the keys found on one side only (side A is DIR_A,
+side B is DIR_B) and compares the values found on both.
 Exit status 0 means the trees are identical, 1 that some file differs.
 """
 
@@ -33,9 +36,10 @@ def _number(cell: str):
         return None
 
 
-def _largest_change(cells) -> str:
+def _largest_change(cells, text_columns=()) -> str:
     """Summarize differing cells, given as (where, a, b) with a and b floats,
-    or None for a value that is not a number."""
+    or None for a value that is not a number; text_columns names the columns
+    the non-numeric ones are in."""
     worst, at, text_cells = 0.0, None, 0
     for where, a, b in cells:
         if a is None or b is None:
@@ -49,7 +53,8 @@ def _largest_change(cells) -> str:
     if at is not None:
         parts.append(f"largest relative change {worst:.3g} at {at}")
     if text_cells:
-        parts.append(f"{text_cells} non-numeric cells differ")
+        columns = f" in column {', '.join(text_columns)}" if text_columns else ""
+        parts.append(f"{text_cells} non-numeric cells differ{columns}")
     return "; ".join(parts) or "cells equal, bytes differ"
 
 
@@ -62,13 +67,17 @@ def largest_csv_change(path_a: Path, path_b: Path) -> str:
     ):
         return "shape differs"
     header = rows_a[0] if rows_a else []
-    return _largest_change(
-        (f"line {r + 1} column {header[c] if c < len(header) else c}",
-         _number(cell_a), _number(cell_b))
-        for r, (row_a, row_b) in enumerate(zip(rows_a, rows_b))
-        for c, (cell_a, cell_b) in enumerate(zip(row_a, row_b))
-        if cell_a != cell_b
-    )
+    cells, text_columns = [], set()
+    for r, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
+        for c, (cell_a, cell_b) in enumerate(zip(row_a, row_b)):
+            if cell_a == cell_b:
+                continue
+            column = header[c] if c < len(header) else str(c)
+            a, b = _number(cell_a), _number(cell_b)
+            cells.append((f"line {r + 1} column {column}", a, b))
+            if a is None or b is None:
+                text_columns.add(column)
+    return _largest_change(cells, sorted(text_columns))
 
 
 def _leaves(value, path=""):
@@ -110,7 +119,35 @@ def largest_jsonl_change(path_a: Path, path_b: Path) -> str:
     )
 
 
-DETAIL = {".csv": largest_csv_change, ".jsonl": largest_jsonl_change}
+def json_change(path_a: Path, path_b: Path) -> str:
+    """Keys of a JSON document found on one side only, and the largest
+    relative change among the values found on both."""
+    try:
+        with open(path_a) as fa, open(path_b) as fb:
+            leaves_a, leaves_b = dict(_leaves(json.load(fa))), dict(_leaves(json.load(fb)))
+    except json.JSONDecodeError:
+        return "not JSON"
+    parts = [
+        f"keys only on side {side}: {', '.join(sorted(keys))}"
+        for side, keys in (("A", leaves_a.keys() - leaves_b.keys()),
+                           ("B", leaves_b.keys() - leaves_a.keys()))
+        if keys
+    ]
+    changed = [
+        (key, _json_number(a), _json_number(leaves_b[key]))
+        for key, a in leaves_a.items()
+        if key in leaves_b and a != leaves_b[key]
+    ]
+    if changed or not parts:
+        parts.append(_largest_change(changed))
+    return "; ".join(parts)
+
+
+DETAIL = {
+    ".csv": largest_csv_change,
+    ".json": json_change,
+    ".jsonl": largest_jsonl_change,
+}
 
 
 def main(argv=None) -> int:

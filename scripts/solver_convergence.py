@@ -33,7 +33,7 @@ def main(argv=None) -> int:
     previous = None
     print(f"{'steps':>6} {'rms error':>12} {'ratio':>7}")
     while steps <= args.max_steps:
-        endpoint, _ = integrate(field, x1, 1.0, 0.0, steps)
+        endpoint = integrate(field, x1, 1.0, 0.0, steps)
         err = float(np.sqrt(np.mean((endpoint - exact) ** 2)))
         ratio = "" if previous is None else f"{previous / err:7.2f}"
         print(f"{steps:>6} {err:>12.3e} {ratio:>7}")

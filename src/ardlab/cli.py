@@ -3,9 +3,10 @@
 Verbs: gen-data, train, distill, dmd, cd, audit, preset, report.  Every
 pipeline verb accepts the same configuration flags (mirroring
 ExperimentConfig fields) plus --config pointing at a JSON document; values
-from the document override flags, which override built-in defaults.  A
-preset fixes its own config, so `preset` takes only --master-seed and
---output-dir.
+from the document override flags, which override built-in defaults.  Which
+arm of a stage runs is no config field: each verb takes only the stage
+toggles it reads (--diffusion, --ode, --cd, --d2-init).  A preset fixes its
+own config, so `preset` takes only --master-seed and --output-dir.
 
 Exit codes: 0 success, 1 failed run-level assertion or diverged training,
 2 usage or configuration error, 3 I/O or file-format error.
@@ -68,10 +69,6 @@ _FIELD_FLAGS = (
     ("chunk_size", "chunk_size"),
     ("grid", "grid"),
     ("solver_steps", "solver_steps"),
-    ("diffusion", "diffusion"),
-    ("ode", "ode"),
-    ("cd", "cd"),
-    ("d2_init", "d2_init"),
     ("feature_count", "feature_count"),
     ("frequency_scale", "frequency_scale"),
     ("dataset_size", "dataset_size"),
@@ -97,16 +94,25 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--grid", metavar="T1,T2,...",
                        help="few-step grid times, comma separated")
     group.add_argument("--solver-steps", type=int, dest="solver_steps")
-    group.add_argument("--diffusion", choices=("tf", "df"))
-    group.add_argument("--ode", choices=("asymmetric-ode", "causal-ode", "none"))
-    group.add_argument("--cd", choices=("causal-cd", "asymmetric-cd", "none"))
-    group.add_argument("--d2-init", action="store_true", default=None,
-                       dest="d2_init")
     group.add_argument("--feature-count", type=int, dest="feature_count")
     group.add_argument("--frequency-scale", type=float, dest="frequency_scale")
     group.add_argument("--dataset-size", type=int, dest="dataset_size")
     group.add_argument("--master-seed", type=int, dest="master_seed")
     group.add_argument("--output-dir", dest="output_dir")
+
+
+#: stage toggles, each a flag of only the verbs that read it
+_TOGGLES = {
+    "diffusion": dict(choices=("tf", "df"), default="tf"),
+    "ode": dict(choices=("asymmetric-ode", "causal-ode", "none"), default="none"),
+    "cd": dict(choices=("causal-cd", "asymmetric-cd", "none"), default="none"),
+    "d2-init": dict(action="store_true"),
+}
+
+
+def _add_toggle_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", **_TOGGLES[name])
 
 
 def _distribution_overrides(args) -> dict:
@@ -183,13 +189,13 @@ def _out_root(config: ExperimentConfig) -> Path:
 
 def _cmd_gen_data(args) -> int:
     config = build_config(args)
-    if config.ode == "none":
+    if args.ode == "none":
         raise ConfigError("gen-data needs an ode stage: asymmetric-ode builds "
                           "jointly-integrated pairs, causal-ode chunk-wise ones")
     dist = config.distribution()
     grid = config.timestep_grid()
     root = _out_root(config)
-    if config.ode == "asymmetric-ode":
+    if args.ode == "asymmetric-ode":
         dataset = make_pairs_bi(dist, grid, count=config.dataset_size,
                                 steps=config.solver_steps,
                                 seed=config.master_seed + 1)
@@ -211,13 +217,13 @@ def _cmd_train(args) -> int:
         config.sequence_spec(), role="ar-velocity", m=config.feature_count,
         seed=config.master_seed + 11, frequency_scale=config.frequency_scale,
     )
-    trainer = train_ar_diffusion_tf if config.diffusion == "tf" else train_ar_diffusion_df
+    trainer = train_ar_diffusion_tf if args.diffusion == "tf" else train_ar_diffusion_df
     result = trainer(dist, models, config.train["diffusion"],
                      seed=config.master_seed + 21)
     root = _out_root(config)
     save_models(models, root / "models_velocity.jsonl")
     save_loss_trace(result.loss_trace, root / "diffusion_trace.csv")
-    print(f"trained {config.diffusion} denoisers; final loss "
+    print(f"trained {args.diffusion} denoisers; final loss "
           f"{result.loss_trace[-1]:.6g}; wrote {root / 'models_velocity.jsonl'}")
     return 0
 
@@ -225,15 +231,15 @@ def _cmd_train(args) -> int:
 def _dataset_path(config: ExperimentConfig, args) -> Path:
     if args.data is not None:
         return Path(args.data)
-    name = ("pairs_bidirectional.jsonl" if config.ode == "asymmetric-ode"
+    name = ("pairs_bidirectional.jsonl" if args.ode == "asymmetric-ode"
             else "pairs_causal.jsonl")
     return Path(config.output_dir) / name
 
 
 def _cmd_distill(args) -> int:
     config = build_config(args)
-    if config.ode == "none":
-        raise ConfigError("distill needs an ode stage toggle to pick its data")
+    if args.ode == "none":
+        raise ConfigError("distill needs --ode to pick its data")
     dataset = load_dataset(_dataset_path(config, args))
     students = make_chunk_models(
         config.sequence_spec(), role="generator", m=config.feature_count,
@@ -245,7 +251,7 @@ def _cmd_distill(args) -> int:
     root = _out_root(config)
     save_models(students, root / "models_generator.jsonl")
     save_loss_trace(result.loss_trace, root / "distill_trace.csv")
-    print(f"distilled {config.ode} generators from "
+    print(f"distilled {args.ode} generators from "
           f"{len(dataset.records)} pairs; wrote {root / 'models_generator.jsonl'}")
     return 0
 
@@ -260,18 +266,18 @@ def _cmd_dmd(args) -> int:
         seed=config.master_seed + 11, frequency_scale=config.frequency_scale,
         parameterization="anchored",
     )
-    if config.d2_init:
+    if args.d2_init:
         velocities = make_chunk_models(
             config.sequence_spec(), role="ar-velocity", m=config.feature_count,
             seed=config.master_seed + 11, frequency_scale=config.frequency_scale,
         )
-        trainer = (train_ar_diffusion_tf if config.diffusion == "tf"
+        trainer = (train_ar_diffusion_tf if args.diffusion == "tf"
                    else train_ar_diffusion_df)
         trainer(dist, velocities, config.train["diffusion"],
                 seed=config.master_seed + 21)
         copy_head(velocities, generators)
         source = "denoiser head"
-    elif config.ode != "none":
+    elif args.ode != "none":
         generators = load_models(root / "models_generator.jsonl")
         source = "distilled checkpoint"
     else:
@@ -293,10 +299,10 @@ def _cmd_dmd(args) -> int:
 
 def _cmd_cd(args) -> int:
     config = build_config(args)
-    if config.cd == "none":
-        raise ConfigError("cd verb requires a causal-cd or asymmetric-cd toggle")
+    if args.cd == "none":
+        raise ConfigError("cd verb requires --cd causal-cd or asymmetric-cd")
     dist = config.distribution()
-    teacher_kind = ("autoregressive" if config.cd == "causal-cd"
+    teacher_kind = ("autoregressive" if args.cd == "causal-cd"
                     else "bidirectional")
     students = make_chunk_models(
         config.sequence_spec(), role="generator", m=config.feature_count,
@@ -409,24 +415,29 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="integrate and store ODE pair datasets")
     _add_config_flags(p)
+    _add_toggle_flags(p, "ode")
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train per-chunk denoisers (tf or df)")
     _add_config_flags(p)
+    _add_toggle_flags(p, "diffusion")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("distill", help="regress few-step generators onto stored pairs")
     _add_config_flags(p)
+    _add_toggle_flags(p, "ode")
     p.add_argument("--data", metavar="PATH",
                    help="pair dataset (default: the gen-data output path)")
     p.set_defaults(func=_cmd_distill)
 
     p = sub.add_parser("dmd", help="distribution-matching generator updates")
     _add_config_flags(p)
+    _add_toggle_flags(p, "d2-init", "diffusion", "ode")
     p.set_defaults(func=_cmd_dmd)
 
     p = sub.add_parser("cd", help="consistency training on a uniform grid")
     _add_config_flags(p)
+    _add_toggle_flags(p, "cd")
     p.add_argument("--cd-cells", type=int, default=12,
                    help="uniform grid cell count (default 12)")
     p.set_defaults(func=_cmd_cd)

@@ -1,11 +1,12 @@
-"""Experiment configuration: lab distributions, stage toggles, digests.
+"""Experiment configuration: lab distributions, digests.
 
 An ExperimentConfig is a single JSON-serializable description of a run: the
 data distribution as explicit mixture tables, the sequence layout, the
-few-step sampling grid, per-stage training settings, which pipeline stages
-run, the master seed, and where outputs go.  Named constructors build the
-stock lab distributions; everything else flows through the numeric tables so
-a config file alone reproduces a run.
+few-step sampling grid, per-stage training settings, the master seed, and
+where outputs go.  Which arm of a stage runs is not part of it: each CLI
+verb takes that as its own flag.  Named constructors build the stock lab
+distributions; everything else flows through the numeric tables so a config
+file alone reproduces a run.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from .distributions import GaussianComponent, SequenceDistribution, SequenceSpec
 from .errors import ConfigError
 from .models import TrainConfig
 from .ode import DATASET_STEPS, DEFAULT_GRID, TimestepGrid
-
-DIFFUSION_MODES = ("tf", "df")
-ODE_MODES = ("asymmetric-ode", "causal-ode", "none")
-CD_MODES = ("causal-cd", "asymmetric-cd", "none")
 
 #: stages that carry their own TrainConfig
 TRAIN_STAGES = ("diffusion", "distill", "dmd", "cd")
@@ -120,8 +117,7 @@ class ExperimentConfig:
     """Everything a pipeline run needs, in JSON-friendly form.
 
     The distribution is stored as explicit mixture tables plus the sequence
-    layout fields; stage toggles select one diffusion flavor and at most one
-    entry from each later family.
+    layout fields.
     """
 
     components: tuple = field(default_factory=_default_tables)
@@ -130,10 +126,6 @@ class ExperimentConfig:
     chunk_size: int = 1
     grid: tuple = DEFAULT_GRID
     solver_steps: int = DATASET_STEPS
-    diffusion: str = "tf"
-    ode: str = "none"
-    cd: str = "none"
-    d2_init: bool = False
     train: dict = field(default_factory=_default_train)
     feature_count: int = 512
     frequency_scale: float = 1.0
@@ -142,12 +134,6 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
-        if self.diffusion not in DIFFUSION_MODES:
-            raise ConfigError(f"diffusion must be one of {DIFFUSION_MODES}")
-        if self.ode not in ODE_MODES:
-            raise ConfigError(f"ode must be one of {ODE_MODES}")
-        if self.cd not in CD_MODES:
-            raise ConfigError(f"cd must be one of {CD_MODES}")
         if self.solver_steps < 1:
             raise ConfigError("solver_steps must be positive")
         if self.feature_count < 1:

@@ -322,7 +322,7 @@ def collapse_gap(
             "which matches the student inputs only for the first chunk"
         )
     spec = dist.spec
-    member = students.member(chunk_index) if hasattr(students, "member") else students
+    member = students.member(chunk_index)
     rng = np.random.default_rng(seed)
     n_rms = n if n_rms is None else min(n_rms, n)
     from .models import predict_x0
@@ -343,7 +343,7 @@ def collapse_gap(
             eps = rng.standard_normal((n, spec.chunk_dim))
             x_t = (1.0 - t) * x0[:, spec.chunk_slice(chunk_index)] + t * eps
             field_fn = chunk_velocity_field(dist, chunk_index, prefix[:n_rms])
-            oracle, _ = integrate(field_fn, x_t[:n_rms], t, 0.0, steps)
+            oracle = integrate(field_fn, x_t[:n_rms], t, 0.0, steps)
         pred = predict_x0(member, x_t, prefix, t)
         sq_gaps.append(np.sum((pred[:n_rms] - oracle) ** 2, axis=1))
         outputs.append(pred)
@@ -389,7 +389,7 @@ def conditional_energy_distance(
     """
     spec = dist.spec
     rng = np.random.default_rng(seed)
-    member = students.member(chunk_index) if hasattr(students, "member") else students
+    member = students.member(chunk_index)
     x0_a = sample_clean_with_rng(dist, count, rng)
     prefixes = x0_a[:, spec.prefix_slice(chunk_index)]
     samples = _sample_chunk_batch(member, prefixes, grid, rng)
@@ -529,7 +529,7 @@ def trained_conditional_kl(
 
     spec = dist.spec
     rng = np.random.default_rng(seed)
-    member = students.member(chunk_index) if hasattr(students, "member") else students
+    member = students.member(chunk_index)
     x0 = sample_clean_with_rng(dist, n_prefix, rng)
     prefix_draws = x0[:, spec.prefix_slice(chunk_index)]
     tiled = np.repeat(prefix_draws, n_samples, axis=0)
@@ -571,10 +571,10 @@ def consistency_rms(
     consistency student should agree with the endpoint everywhere along the
     trajectory, so the average is over both draws and grid times.
     """
-    times = tuple(grid.times) if hasattr(grid, "times") else tuple(grid)
+    times = tuple(grid)
     spec = dist.spec
     rng = np.random.default_rng(seed)
-    member = students.member(chunk_index) if hasattr(students, "member") else students
+    member = students.member(chunk_index)
     x0 = sample_clean_with_rng(dist, count, rng)
     prefix = x0[:, spec.prefix_slice(chunk_index)]
     field_fn = chunk_velocity_field(dist, chunk_index, prefix)

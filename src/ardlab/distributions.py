@@ -204,8 +204,11 @@ def _mixture_blocks(log_w, means, eigvecs, eigvals, x, t):
     Gaussian algebra happens on eigencoordinates.  They are laid out
     coordinate-major, (K, D, rows), over blocks of _KERNEL_ROWS rows, so
     every einsum and broadcast runs its inner loop along the rows instead
-    of along D or K (often 1 or 2).  Yields (row slice, log_resp (K, n),
-    y (K, D, n), noisy_lam, a, means (K, D, 1 or n), log_z (n,)).
+    of along D or K (often 1 or 2).  A 1-row rest joins the block before
+    it: einsum reduces a lone row over D and K in another order, so its
+    last bits could differ from the same row's in a larger block.  Yields
+    (row slice, log_resp (K, n), y (K, D, n), noisy_lam, a,
+    means (K, D, 1 or n), log_z (n,)).
     """
     t_arr = np.asarray(t, dtype=float)
     per_row = t_arr.ndim == 1
@@ -223,8 +226,12 @@ def _mixture_blocks(log_w, means, eigvecs, eigvals, x, t):
     if shared_means:
         means = means[:, :, None]
     dim = eigvals.shape[1]
-    for lo in range(0, x.shape[0], _KERNEL_ROWS):
-        rows = slice(lo, lo + _KERNEL_ROWS)
+    n = x.shape[0]
+    starts = list(range(0, n, _KERNEL_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        rows = slice(lo, hi)
         xt = np.ascontiguousarray(x[rows].T)  # (D, n)
         if per_row:
             a = a_all[None, None, rows]  # (1, 1, n)

@@ -23,8 +23,6 @@ from .distributions import (
 from .errors import DivergenceError, GridError
 from .models import ChunkModelSet, predict
 
-_NODE_TOL = 1e-9
-
 DATASET_STEPS = 256
 ORACLE_STEPS = 1024
 
@@ -144,17 +142,14 @@ def integrate(
     t_to: float,
     steps: int,
     method: str = "heun",
-    snapshot_times=None,
-):
-    """Integrate dx/dt = field(x, t) on a uniform grid from t_from down to t_to.
+) -> np.ndarray:
+    """Integrate dx/dt = field(x, t) on a uniform grid from t_from down to t_to
+    and return the endpoint.
 
-    Snapshot times must coincide with grid nodes (within 1e-9).  When t_to is
-    exactly 0 the final sub-step applies the endpoint rule
+    When t_to is exactly 0 the final sub-step applies the endpoint rule
     x_0 = x - t_min * field(x, t_min), which avoids evaluating the field at
-    the singular time 0 and is exact in the small-step limit.
-
-    Returns (endpoint, snapshots) where snapshots maps each requested time to
-    the state recorded at that node.
+    the singular time 0 and is exact in the small-step limit.  States at
+    intermediate times come from chaining calls (_integrate_segments).
     """
     if method not in ("euler", "heun"):
         raise ValueError(f"unknown method {method!r}")
@@ -163,16 +158,7 @@ def integrate(
     if not (0.0 <= t_to < t_from <= 1.0):
         raise ValueError("need 0 <= t_to < t_from <= 1")
     ts = np.linspace(t_from, t_to, steps + 1)
-    wanted: dict[int, float] = {}
-    for s in snapshot_times or ():
-        k = int(round((t_from - s) / (t_from - t_to) * steps))
-        if not (0 <= k <= steps) or abs(ts[k] - s) > _NODE_TOL:
-            raise GridError(f"snapshot time {s} is not a node of the integration grid")
-        wanted[k] = float(s)
     x = np.array(x_start, dtype=float)
-    snapshots: dict[float, np.ndarray] = {}
-    if 0 in wanted:
-        snapshots[wanted[0]] = x.copy()
     terminal = t_to == 0.0
     for k in range(steps):
         t0 = float(ts[k])
@@ -189,9 +175,7 @@ def integrate(
                 x = x + 0.5 * dt * (v0 + field_fn(pred, t1))
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"non-finite state while stepping to t={t1}")
-        if k + 1 in wanted:
-            snapshots[wanted[k + 1]] = x.copy()
-    return x, snapshots
+    return x
 
 
 def flow_map_bi(
@@ -204,7 +188,7 @@ def flow_map_bi(
     """Transport x_t to its clean endpoint along the joint flow."""
     values = np.asarray(values, dtype=float)
     batch = np.atleast_2d(values)
-    out, _ = integrate(bi_velocity_field(dist), batch, t, 0.0, steps, method)
+    out = integrate(bi_velocity_field(dist), batch, t, 0.0, steps, method)
     return out[0] if values.ndim == 1 else out
 
 
@@ -222,7 +206,7 @@ def flow_map_ar(
     batch = np.atleast_2d(values)
     prefixes = _repeat_prefix(prefix, batch.shape[0])
     field_fn = chunk_velocity_field(teacher, i, prefixes)
-    out, _ = integrate(field_fn, batch, t, 0.0, steps, method)
+    out = integrate(field_fn, batch, t, 0.0, steps, method)
     return out[0] if values.ndim == 1 else out
 
 
@@ -309,7 +293,7 @@ def _integrate_segments(field_fn, x, plan, method):
     """Run the segment chain, recording the state at every boundary."""
     snaps = {plan[0][0]: x.copy()}
     for hi, lo, sub in plan:
-        x, _ = integrate(field_fn, x, hi, lo, sub, method)
+        x = integrate(field_fn, x, hi, lo, sub, method)
         if lo > 0.0:
             snaps[lo] = x.copy()
     return x, snaps

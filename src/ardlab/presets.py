@@ -90,6 +90,18 @@ def _renamed(report: DiagnosticsReport, name: str) -> DiagnosticsReport:
     return dataclasses.replace(report, name=name)
 
 
+def _at_rho(report: DiagnosticsReport, rho: float) -> DiagnosticsReport:
+    """The report with its bivariate correlation in every metric note: lemma1
+    and prop2 run correlations their recorded components do not hold."""
+    metrics = {
+        key: dataclasses.replace(
+            entry, note=f"{entry.note}; rho={rho}" if entry.note else f"rho={rho}"
+        )
+        for key, entry in report.metrics.items()
+    }
+    return dataclasses.replace(report, metrics=metrics)
+
+
 def _generators(config: ExperimentConfig, seed: int):
     return make_chunk_models(
         config.sequence_spec(),
@@ -301,7 +313,7 @@ def _run_lemma1(config: ExperimentConfig):
         oracle = injectivity_variance_oracle(dist, 1, 0.5)
         tag = f"rho{rho:.1f}".replace(".", "p")
         rep.add("oracle_variance", oracle, 0.0, 1, note="closed form, single Gaussian")
-        reports.append(_renamed(rep, f"injectivity_{tag}"))
+        reports.append(_at_rho(_renamed(rep, f"injectivity_{tag}"), rho))
         mean = rep.metrics["mean_variance"].value
         means[rho] = mean
         if rho == 0.0:
@@ -323,20 +335,21 @@ def _run_prop2(config: ExperimentConfig):
     expectation at several times, and exact zero for independent frames."""
     seed = config.master_seed
     dist = config.distribution()
+    rho = float(dist.components[0].covariance[0, 1])
     reports, checks = [], {}
     for t in (0.25, 0.5, 0.75):
         rep = df_mismatch(dist, 2, t, n=1500, seed=seed + 1)
         oracle = df_mismatch_oracle(dist, 2, t)
         rep.add("oracle_kl", oracle, 0.0, 1, note="analytic expectation")
         tag = f"t{t:.2f}".replace(".", "p")
-        reports.append(_renamed(rep, f"df_mismatch_{tag}"))
+        reports.append(_at_rho(_renamed(rep, f"df_mismatch_{tag}"), rho))
         entry = rep.metrics["expected_kl"]
         checks[f"{tag}_matches_oracle_3se"] = (
             abs(entry.value - oracle) <= 3.0 * entry.uncertainty + 1e-9
         )
         checks[f"{tag}_oracle_positive"] = oracle > 0.0
     rep0 = df_mismatch(bivariate_pair(0.0), 2, 0.5, n=500, seed=seed + 2)
-    reports.append(_renamed(rep0, "df_mismatch_independent"))
+    reports.append(_at_rho(_renamed(rep0, "df_mismatch_independent"), 0.0))
     checks["independent_kl_zero"] = rep0.metrics["expected_kl"].value < 1e-12
     return reports, checks, {}, {}
 
@@ -481,7 +494,6 @@ def _base_config(name: str) -> ExperimentConfig:
     if name == "fig3-analog":
         return ExperimentConfig(
             components=biv,
-            ode="causal-ode",
             dataset_size=4096,
             solver_steps=128,
             train=_stage_train(distill=TrainConfig(**_RIDGE)),
@@ -490,7 +502,6 @@ def _base_config(name: str) -> ExperimentConfig:
     if name == "fig4-analog":
         return ExperimentConfig(
             components=biv,
-            diffusion="tf",
             train=_stage_train(
                 diffusion=TrainConfig(step_count=300, batch_size=100, **_RIDGE)
             ),
@@ -501,8 +512,6 @@ def _base_config(name: str) -> ExperimentConfig:
             components=component_tables(ar1_sequence(6, 0.8, 1)),
             n_frames=6,
             chunk_size=1,
-            ode="causal-ode",
-            cd="causal-cd",
             feature_count=512,
             # six scalar frames make up to 6-d model inputs; the smoother
             # kernel is what lets m=512 features cover them
@@ -527,7 +536,6 @@ def _base_config(name: str) -> ExperimentConfig:
         return ExperimentConfig(
             components=component_tables(two_mode(3.0)),
             n_frames=1,
-            d2_init=True,
             feature_count=256,
             train=_stage_train(
                 diffusion=TrainConfig(step_count=300, batch_size=100, **_RIDGE),
@@ -539,7 +547,6 @@ def _base_config(name: str) -> ExperimentConfig:
     if name == "d3-init":
         return ExperimentConfig(
             components=biv,
-            ode="causal-ode",
             dataset_size=4096,
             solver_steps=128,
             train=_stage_train(

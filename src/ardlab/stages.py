@@ -439,7 +439,7 @@ def learned_conditional_endpoints(
     def field_fn(x, t):
         return predict(model, x, prefixes, t)
 
-    out, _ = integrate(field_fn, x1, 1.0, 0.0, steps, method)
+    out = integrate(field_fn, x1, 1.0, 0.0, steps, method)
     return out
 
 

@@ -89,7 +89,7 @@ def test_criterion_2_solver_order():
     field = bi_velocity_field(dist)
     errors = []
     for steps in (16, 32, 64, 128):
-        endpoint, _ = integrate(field, x1, 1.0, 0.0, steps)
+        endpoint = integrate(field, x1, 1.0, 0.0, steps)
         errors.append(float(np.sqrt(np.mean((endpoint - exact) ** 2))))
     ratios = [errors[i] / errors[i + 1] for i in range(3)]
     elapsed = time.perf_counter() - start

@@ -37,7 +37,9 @@ def test_compare_runs_names_each_differing_file(tmp_path, capsys):
 
 def test_largest_csv_change_reports_shape_and_text(tmp_path):
     a = _tree(tmp_path, {"a.csv": "k,v\nx,0\n", "b.csv": "k,v\ny,0\n", "c.csv": "k,v\n"})
-    assert compare_runs.largest_csv_change(a / "a.csv", a / "b.csv") == "1 non-numeric cells differ"
+    assert compare_runs.largest_csv_change(a / "a.csv", a / "b.csv") == (
+        "1 non-numeric cells differ in column k"
+    )
     assert compare_runs.largest_csv_change(a / "a.csv", a / "c.csv") == "shape differs"
 
 
@@ -64,3 +66,20 @@ def test_largest_jsonl_change_compares_records_of_one_structure(tmp_path):
     assert compare_runs.largest_jsonl_change(b / "text.jsonl", head / "t.jsonl") == (
         "largest relative change 0.333 at line 1 n; 1 non-numeric cells differ"
     )
+
+
+def test_json_change_lists_one_sided_keys_and_the_largest_shared_change(tmp_path):
+    a = _tree(tmp_path / "a", {"config.json": '{"ode": "causal-ode", "cd": "none", '
+                                              '"seed": 4, "train": {"lr": 0.1}}\n'})
+    b = _tree(tmp_path / "b", {"config.json": '{"seed": 4, "train": {"lr": 0.2}, "new": 1}\n',
+                               "same.json": '{"seed": 4, "cd": "none", "ode": "causal-ode",'
+                                            ' "train": {"lr": 0.1}}\n',
+                               "bad.json": "{"})
+    assert compare_runs.json_change(a / "config.json", b / "config.json") == (
+        "keys only on side A: cd, ode; keys only on side B: new; "
+        "largest relative change 0.5 at train.lr"
+    )
+    assert compare_runs.json_change(a / "config.json", b / "same.json") == (
+        "cells equal, bytes differ"
+    )
+    assert compare_runs.json_change(a / "config.json", b / "bad.json") == "not JSON"

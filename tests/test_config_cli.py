@@ -49,7 +49,7 @@ def test_component_tables_round_trip():
 
 
 def test_config_dict_round_trip_and_digest():
-    config = ExperimentConfig(ode="causal-ode", master_seed=7)
+    config = ExperimentConfig(dataset_size=64, master_seed=7)
     clone = ExperimentConfig.from_dict(config.to_dict())
     assert clone == config
     assert clone.digest() == config.digest()
@@ -72,6 +72,11 @@ def test_unknown_keys_rejected():
         ExperimentConfig.from_dict({"dmd": "dmd"})
     with pytest.raises(ConfigError, match="unknown config keys"):
         ExperimentConfig.from_dict({"dmd_fresh_init": True})
+    # stage toggles are flags of the verbs that read them
+    for key, value in (("diffusion", "tf"), ("ode", "causal-ode"),
+                       ("cd", "causal-cd"), ("d2_init", True)):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            ExperimentConfig.from_dict({key: value})
     with pytest.raises(ConfigError, match="unknown stage"):
         ExperimentConfig.from_dict({"train": {"warmup": {}}})
     with pytest.raises(ConfigError, match="unknown train keys"):
@@ -79,12 +84,12 @@ def test_unknown_keys_rejected():
 
 
 def test_mode_and_pipeline_validation():
-    with pytest.raises(ConfigError):
-        ExperimentConfig(diffusion="ddpm")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(ode="bidirectional-ode")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(cd="cd")
+    for argv in (["train", "--diffusion", "ddpm"],
+                 ["gen-data", "--ode", "bidirectional-ode"],
+                 ["cd", "--cd", "cd"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     with pytest.raises(GridError):
         ExperimentConfig(grid=(0.9, 0.5))
 
@@ -96,8 +101,7 @@ def test_bad_component_tables():
 
 def test_save_load_config(tmp_path):
     config = ExperimentConfig(
-        components=component_tables(two_mode(2.0)), n_frames=1, ode="none",
-        dataset_size=64,
+        components=component_tables(two_mode(2.0)), n_frames=1, dataset_size=64,
     )
     path = tmp_path / "config.json"
     save_config(config, path)
@@ -173,6 +177,7 @@ def test_cli_distribution_flag(tmp_path, capsys):
 def test_cli_usage_and_config_errors_exit_2(tmp_path, capsys):
     assert main(["distill", "--ode", "none", "--output-dir", str(tmp_path)]) == 2
     assert main(_gen_data_args(tmp_path, 0)[:1] + ["--ode", "none"]) == 2
+    assert main(["cd", "--output-dir", str(tmp_path)]) == 2
     assert main(_gen_data_args(tmp_path, 0) + ["--grid", "1.0,oops"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -184,6 +189,19 @@ def test_cli_usage_and_config_errors_exit_2(tmp_path, capsys):
         main(["preset", "fig9-analog"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_cli_toggles_belong_to_the_verbs_that_read_them(tmp_path, capsys):
+    doc = tmp_path / "config.json"
+    doc.write_text(json.dumps({"ode": "causal-ode"}))
+    assert main(_gen_data_args(tmp_path, 0) + ["--config", str(doc)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+    for argv in (["audit", "--ode", "causal-ode"], ["train", "--cd", "causal-cd"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_io_errors_exit_3(tmp_path, capsys):
@@ -284,6 +302,20 @@ def test_cli_dmd_from_fresh_generators(tmp_path, capsys):
     models = load_models(out / "models_dmd.jsonl")
     assert models.role == "generator"
     assert models.member(1).features.m == 16
+
+
+def test_cli_dmd_from_a_trained_denoiser_head(tmp_path, capsys):
+    out = tmp_path / "dmd"
+    doc = tmp_path / "config.json"
+    doc.write_text(json.dumps({"train": {
+        "diffusion": {"step_count": 3, "batch_size": 16},
+        "dmd": {"step_count": 3, "batch_size": 16},
+    }}))
+    args = ["dmd", "--d2-init", "--diffusion", "df", "--config", str(doc),
+            "--feature-count", "16", "--output-dir", str(out)]
+    assert main(args) == 0
+    assert "from denoiser head" in capsys.readouterr().out
+    assert load_models(out / "models_dmd.jsonl").role == "generator"
 
 
 @pytest.mark.parametrize(

@@ -414,6 +414,28 @@ def test_mixture_kernels_match_dense_reference(
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
+@given(
+    k=st.integers(1, 3),
+    dim=st.integers(3, 6),
+    per_row_t=st.booleans(),
+    per_row_laws=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_mixture_kernels_fold_a_one_row_rest_into_the_block_before(
+    k, dim, per_row_t, per_row_laws, seed
+):
+    # 9 rows in blocks of 4 leave a 1-row rest.  With D >= 3 einsum reduces
+    # a lone row in another order, so the rest must join the block before
+    # it for the last row to get the bits it gets in any block of 2+ rows.
+    rng = np.random.default_rng(seed)
+    args, _ = kernel_inputs(rng, k, dim, 9, per_row_t, per_row_laws)
+    with mock.patch.object(distributions, "_KERNEL_ROWS", 4):
+        for kernel in KERNELS:
+            got = kernel(*args)
+            assert np.array_equal(got[7:], kernel(*row_args(args, slice(7, 9))))
+
+
 def rowmajor_kernels(log_w, means, eigvecs, eigvals, x, t):
     """Row-major reference: posterior mean, score and log density on
     (B, K, D) arrays, all rows in one piece."""

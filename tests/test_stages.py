@@ -592,7 +592,7 @@ def test_learned_teacher_pairs_integrate_its_field(learned_teacher):
         field_fn = chunk_velocity_field(learned_teacher, i, prefixes)
         x = cols.snapshots[:, 0, sl]  # the noise at t = 1
         for k, (hi, lo, sub) in enumerate(_segment_plan(DEFAULT_GRID, steps), start=1):
-            x, _ = integrate(field_fn, x, hi, lo, sub, "heun")
+            x = integrate(field_fn, x, hi, lo, sub, "heun")
             if lo > 0.0:
                 assert np.array_equal(x, cols.snapshots[:, k, sl])
         assert np.array_equal(x, cols.endpoint[:, sl])
