@@ -63,6 +63,7 @@ from .models import (
     copy_head,
     fit_ridge,
     make_chunk_models,
+    normal_equations,
     predict,
     predict_x0,
 )

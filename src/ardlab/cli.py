@@ -5,7 +5,7 @@ pipeline verb accepts the same configuration flags (mirroring
 ExperimentConfig fields) plus --config pointing at a JSON document; values
 from the document override flags, which override built-in defaults.  Which
 arm of a stage runs is no config field: each verb takes only the stage
-toggles it reads (--diffusion, --ode, --cd, --d2-init).  A preset fixes its
+toggles it reads (--diffusion, --ode, --cd, --init).  A preset fixes its
 own config, so `preset` takes only --master-seed and --output-dir.
 
 Exit codes: 0 success, 1 failed run-level assertion or diverged training,
@@ -106,7 +106,7 @@ _TOGGLES = {
     "diffusion": dict(choices=("tf", "df"), default="tf"),
     "ode": dict(choices=("asymmetric-ode", "causal-ode", "none"), default="none"),
     "cd": dict(choices=("causal-cd", "asymmetric-cd", "none"), default="none"),
-    "d2-init": dict(action="store_true"),
+    "init": dict(choices=("fresh", "distilled", "denoiser"), default="fresh"),
 }
 
 
@@ -266,18 +266,20 @@ def _cmd_dmd(args) -> int:
         seed=config.master_seed + 11, frequency_scale=config.frequency_scale,
         parameterization="anchored",
     )
-    if args.d2_init:
+    if args.diffusion is not None and args.init != "denoiser":
+        raise ConfigError("--diffusion picks the denoiser of --init denoiser")
+    if args.init == "denoiser":
         velocities = make_chunk_models(
             config.sequence_spec(), role="ar-velocity", m=config.feature_count,
             seed=config.master_seed + 11, frequency_scale=config.frequency_scale,
         )
-        trainer = (train_ar_diffusion_tf if args.diffusion == "tf"
-                   else train_ar_diffusion_df)
+        trainer = (train_ar_diffusion_df if args.diffusion == "df"
+                   else train_ar_diffusion_tf)
         trainer(dist, velocities, config.train["diffusion"],
                 seed=config.master_seed + 21)
         copy_head(velocities, generators)
         source = "denoiser head"
-    elif args.ode != "none":
+    elif args.init == "distilled":
         generators = load_models(root / "models_generator.jsonl")
         source = "distilled checkpoint"
     else:
@@ -432,7 +434,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dmd", help="distribution-matching generator updates")
     _add_config_flags(p)
-    _add_toggle_flags(p, "d2-init", "diffusion", "ode")
+    _add_toggle_flags(p, "init")
+    # read only by --init denoiser, so it has no default of its own here
+    p.add_argument("--diffusion", choices=_TOGGLES["diffusion"]["choices"])
     p.set_defaults(func=_cmd_dmd)
 
     p = sub.add_parser("cd", help="consistency training on a uniform grid")

@@ -188,7 +188,8 @@ def _as_batch(x: np.ndarray, dim: int):
 
 
 def _check_nonsingular(noisy_lam: np.ndarray, t):
-    if np.min(noisy_lam) <= 0.0:
+    # an empty batch of per-row times has nothing to invert
+    if noisy_lam.size and np.min(noisy_lam) <= 0.0:
         raise SingularCovarianceError(
             f"noisy covariance is singular at t={t}; a degenerate component "
             "cannot be inverted at this time"

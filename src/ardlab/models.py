@@ -96,11 +96,19 @@ _BLOCK_CELLS = 1 << 16
 _THREAD_CELLS = 1 << 18
 
 
-def _row_blocks(n: int, m: int) -> list[tuple[int, int]]:
-    """Row ranges of _BLOCK_CELLS cells rounded down to a multiple of 4 rows,
-    and the rest.  A 1-row rest joins the block before it: a 1-row product
-    goes through a BLAS vector kernel, whose last bits can differ."""
-    size = max(4, _BLOCK_CELLS // m // 4 * 4)
+# normal_equations sums its Gram and cross products over row blocks of this
+# many cells (8 MiB of features at any m).  A block is featurized in the
+# calling thread, and a full one is large enough for featurize to share it
+# among threads.  The Gram products are not put in featurize's threads:
+# OpenBLAS threads them itself, and two threads calling it contend.
+_NORMAL_CELLS = 1 << 20
+
+
+def _row_blocks(n: int, m: int, cells: int = _BLOCK_CELLS) -> list[tuple[int, int]]:
+    """Row ranges of `cells` cells rounded down to a multiple of 4 rows, and
+    the rest.  A 1-row rest joins the block before it: a 1-row product goes
+    through a BLAS vector kernel, whose last bits can differ."""
+    size = max(4, cells // m // 4 * 4)
     starts = list(range(0, n, size))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
@@ -236,30 +244,88 @@ def predict_x0(model: LinearStudent, chunk, prefix, t) -> np.ndarray:
     return out
 
 
-def fit_ridge(
-    features: np.ndarray, targets: np.ndarray, ridge_lambda: float
-) -> np.ndarray:
-    """Closed-form ridge solution (Phi^T Phi + lambda I)^-1 Phi^T Y.
+def normal_equations(spec: FeatureSpec, chunk, prefix, t, target, scale=None):
+    """Sums (G, c, yy) for the least-squares fit of target on the rows of S Phi.
 
-    Raises SingularCovarianceError when the normal matrix is not positive
-    definite, which is how a lambda = 0 fit on a rank-deficient design fails.
+    Phi holds the feature rows of (chunk, prefix, t), one per chunk row, and
+    S scales row r by scale[r] (a scalar scales every row; None scales
+    none).  Returns G = (S Phi)^T (S Phi), c = (S Phi)^T Y and yy = |Y|^2.
+    They are summed in block order over row blocks of about _NORMAL_CELLS
+    cells, each featurized, scaled in place and multiplied out in the
+    calling thread, so no more than one block's features exist at a time
+    and the bits do not depend on the number of CPUs.  t and scale may be
+    scalars or per row, prefix one shared row or one per chunk row.
     """
-    phi = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
+    chunk = np.asarray(chunk, dtype=float)
+    y = np.asarray(target, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    if phi.shape[0] != y.shape[0]:
-        raise ValueError("feature and target row counts differ")
+    if chunk.ndim != 2 or y.ndim != 2 or y.shape[0] != chunk.shape[0]:
+        raise ValueError("chunk and target need one row per design row")
+    t = np.asarray(t, dtype=float)
+    if prefix is not None:
+        prefix = np.asarray(prefix, dtype=float)
+    if scale is not None:
+        scale = np.asarray(scale, dtype=float)
+
+    def rows(values, per_row_ndim, a, b):
+        if values is None or values.ndim != per_row_ndim:
+            return values
+        return values[a:b]
+
+    gram = np.zeros((spec.m, spec.m))
+    cross = np.zeros((spec.m, y.shape[1]))
+    yy = 0.0
+    for a, b in _row_blocks(chunk.shape[0], spec.m, _NORMAL_CELLS):
+        phi = featurize(spec, chunk[a:b], rows(prefix, 2, a, b), rows(t, 1, a, b))
+        s = rows(scale, 1, a, b)
+        if s is not None:
+            phi *= s[:, None] if s.ndim == 1 else s
+        gram += phi.T @ phi
+        cross += phi.T @ y[a:b]
+        yy += float(np.sum(y[a:b] ** 2))
+    return gram, cross, yy
+
+
+def fit_ridge(gram, cross, ridge_lambda: float, readings=None) -> np.ndarray:
+    """Ridge solution (G + lambda I)^-1 c from the normal equations
+    G = Phi^T Phi, c = Phi^T Y (see normal_equations).
+
+    Raises SingularCovarianceError when G + lambda I is not positive
+    definite, which is how a lambda = 0 fit on a rank-deficient design fails.
+    With a dict `readings` it also records the smallest and largest diagonal
+    entry of that matrix's Cholesky factor as chol_diag_min and
+    chol_diag_max: the squares lie between its extreme eigenvalues, so their
+    ratio bounds its condition number from below.
+    """
+    gram = np.asarray(gram, dtype=float)
+    cross = np.asarray(cross, dtype=float)
+    if cross.ndim == 1:
+        cross = cross[:, None]
+    m = gram.shape[0]
+    if gram.shape != (m, m) or cross.shape[0] != m:
+        raise ValueError("need an m x m Gram matrix and m rows of cross products")
     if ridge_lambda < 0.0:
         raise ValueError("ridge_lambda must be nonnegative")
-    gram = phi.T @ phi + ridge_lambda * np.eye(phi.shape[1])
+    normal = gram + ridge_lambda * np.eye(m)
     try:
-        np.linalg.cholesky(gram)
+        factor = np.linalg.cholesky(normal)
     except np.linalg.LinAlgError as exc:
         raise SingularCovarianceError(
             "normal matrix is singular; increase ridge_lambda"
         ) from exc
-    return np.linalg.solve(gram, phi.T @ y)
+    if readings is not None:
+        pivots = np.diagonal(factor)
+        readings["chol_diag_min"] = float(pivots.min())
+        readings["chol_diag_max"] = float(pivots.max())
+    return np.linalg.solve(normal, cross)
+
+
+def residual_sse(theta, normal) -> float:
+    """|S Phi theta - Y|^2 from normal_equations' sums (G, c, yy):
+    sum_k (theta_k^T G theta_k - 2 theta_k^T c_k) + yy."""
+    gram, cross, yy = normal
+    return float(np.sum(theta * (gram @ theta - 2.0 * cross))) + yy
 
 
 def sgd_step(model: LinearStudent, gradient: np.ndarray, learning_rate: float) -> LinearStudent:
@@ -285,10 +351,11 @@ def ema_update(theta_minus: np.ndarray, theta: np.ndarray, rate: float) -> np.nd
 class TrainConfig:
     """Knobs shared by the training stages.
 
-    `method` picks how every head update is made (see update_head): a
-    closed-form ridge fit over a sampled design ("ridge") or one plain
-    minibatch gradient step ("sgd").  The design size of a ridge stage is
-    step_count * batch_size, so budgets stay comparable across methods.
+    `method` picks how every head update is made: a closed-form ridge fit
+    over a sampled design ("ridge", see fit_head) or one plain minibatch
+    gradient step ("sgd", see update_head).  The design size of a ridge
+    stage is step_count * batch_size, so budgets stay comparable across
+    methods.
     """
 
     learning_rate: float = 0.1
@@ -327,24 +394,42 @@ def head_residual(theta, phi, target, anchor=None) -> np.ndarray:
     return out - target
 
 
+RIDGE_READINGS = (
+    "chol_diag_min", "chol_diag_max", "theta_abs_max", "relative_residual"
+)
+
+
+def fit_head(model: LinearStudent, normal, ridge_lambda: float):
+    """Closed-form ridge fit of the head from normal_equations' (G, c, yy).
+
+    For the anchored readout chunk - t * head, the sums are taken with rows
+    scaled by t and target chunk - x0: the same least-squares problem as
+    matching the readout to x0.  Returns the fitted model and its readings:
+    fit_ridge's two Cholesky readings, theta_abs_max = max |theta|, sse =
+    the fit's |S Phi theta - Y|^2 (residual_sse) and relative_residual =
+    sse / yy.
+    """
+    gram, cross, yy = normal
+    readings = {}
+    theta = fit_ridge(gram, cross, ridge_lambda, readings)
+    sse = residual_sse(theta, normal)
+    readings["theta_abs_max"] = float(np.abs(theta).max())
+    readings["sse"] = sse
+    readings["relative_residual"] = sse / yy if yy > 0.0 else 0.0
+    return replace(model, theta=theta), readings
+
+
 def update_head(
     model: LinearStudent, phi, target, cfg: TrainConfig, anchor=None, resid=None
 ) -> LinearStudent:
-    """Fit the head's readout (see head_residual) to target by cfg.method.
+    """One SGD step on mean |residual|^2 of the head's readout (see
+    head_residual) over feature rows phi.
 
-    "ridge" returns the closed-form fit, which for the anchored readout
-    scales the rows by t and regresses onto chunk - target.  "sgd" takes one
-    step on mean |residual|^2, whose gradient is (2/n) Phi^T r, negated and
-    with rows scaled by t for the anchored readout; pass `resid` when the
-    current residual is already at hand.
+    The gradient is (2/n) Phi^T r, negated and with rows scaled by t for the
+    anchored readout; pass `resid` when the current residual is already at
+    hand.  Ridge fits do not come through here: they go through
+    normal_equations and fit_head, which never hold a whole design's rows.
     """
-    if cfg.method == "ridge":
-        if anchor is None:
-            theta = fit_ridge(phi, target, cfg.ridge_lambda)
-        else:
-            chunk, t = anchor
-            theta = fit_ridge(phi * t[:, None], chunk - target, cfg.ridge_lambda)
-        return replace(model, theta=theta)
     if resid is None:
         resid = head_residual(model.theta, phi, target, anchor)
     n = phi.shape[0]

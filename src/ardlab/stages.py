@@ -14,9 +14,13 @@ Four stages are implemented, all sharing TrainConfig and StageResult:
 * cd_train -- consistency training against a one-step teacher solve on a
   uniform time grid, with an EMA target head.
 
-Each stage fits a linear head over fixed features, and every such fit goes
-through models.update_head: a closed-form ridge fit or one SGD step, as
-cfg.method says (the DMD generator step is always SGD).
+Each stage fits a linear head over fixed features, as cfg.method says: a
+closed-form ridge fit (models.normal_equations, then models.fit_head) or one
+SGD step (models.update_head); the DMD generator step is always SGD.  A
+ridge fit sums its normal equations over row blocks, so it never holds a
+design's whole rows x m features, and its loss reading comes from the same
+sums.  Each ridge stage puts its fits' readings in StageResult.info["ridge"]
+(see _ridge_info).
 
 Generators are "anchored": G(x, prefix, t) = x - t * head(x, prefix, t), so
 G at t = 0 is the identity map no matter what the head does.  Ridge fits for
@@ -38,13 +42,17 @@ from .distributions import (
 )
 from .errors import ConfigError, DivergenceError
 from .models import (
+    RIDGE_READINGS,
     ChunkModelSet,
     LinearStudent,
     TrainConfig,
     ema_update,
     featurize,
+    fit_head,
     head_residual,
+    normal_equations,
     predict,
+    residual_sse,
     sgd_step,
     update_head,
 )
@@ -76,6 +84,15 @@ class StageResult:
         if not np.all(np.isfinite(trace)):
             raise DivergenceError("loss trace contains non-finite entries")
         self.loss_trace = trace
+
+
+def _ridge_info(chunks, fits) -> dict:
+    """Readings of a stage's ridge fits, one array entry per fit in fit
+    order: the chunk fitted and fit_head's RIDGE_READINGS."""
+    info = {"chunk": np.asarray(chunks, dtype=np.int64)}
+    for key in RIDGE_READINGS:
+        info[key] = np.array([fit[key] for fit in fits], dtype=float)
+    return info
 
 
 def _uniform_times(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -175,6 +192,7 @@ def _train_velocity(
             dist, n, rng, prefix_mode
         )
         per_chunk = np.empty(spec.n_chunks)
+        fits = []
         for i in range(1, spec.n_chunks + 1):
             rows = chunk_idx == i
             sl = spec.chunk_slice(i)
@@ -183,12 +201,11 @@ def _train_velocity(
             target = eps_chunk[rows] - x0[rows, sl]
             prefix = prefix_source[rows, spec.prefix_slice(i)]
             member = students.member(i)
-            phi = featurize(member.features, noisy, prefix, t_i)
-            member = update_head(member, phi, target, cfg)
+            normal = normal_equations(member.features, noisy, prefix, t_i, target)
+            member, readings = fit_head(member, normal, cfg.ridge_lambda)
             students.replace_member(i, member)
-            resid = head_residual(member.theta, phi, target)
-            per_chunk[i - 1] = float(np.mean(resid**2))
-            del phi
+            per_chunk[i - 1] = readings["sse"] / target.size
+            fits.append(readings)
         trace = np.array([float(np.mean(per_chunk))])
     else:
         per_chunk = None
@@ -213,6 +230,7 @@ def _train_velocity(
     info = {"prefix_mode": prefix_mode, "mode": cfg.method}
     if per_chunk is not None:
         info["per_chunk_loss"] = per_chunk
+        info["ridge"] = _ridge_info(range(1, spec.n_chunks + 1), fits)
     return StageResult(
         models=students,
         loss_trace=trace,
@@ -271,12 +289,13 @@ def ode_distill(
     stored clean prefix for the sibling chunks' snapshots at the same time,
     which only exists for jointly-integrated datasets.
 
-    Either method featurizes each chunk's design once and holds one chunk's
-    rows x m features at a time: "ridge" fits each head on its whole design,
-    "sgd" draws its (chunk, batch_size-row pick) schedule up front, in step
-    order, and then runs each chunk's steps on rows indexed from that chunk's
-    features.  With batch_size and m of 2 or more this gives the same bits
-    as featurizing every pick.
+    "ridge" fits each head on its whole design from normal equations summed
+    over row blocks, so it holds one block's features at a time.  "sgd"
+    featurizes each chunk's design once and holds one chunk's rows x m
+    features at a time: it draws its (chunk, batch_size-row pick) schedule up
+    front, in step order, and then runs each chunk's steps on rows indexed
+    from that chunk's features.  With batch_size and m of 2 or more this
+    gives the same bits as featurizing every pick.
     """
     if prefix_mode not in ("clean", "noisy"):
         raise ConfigError(f"unknown prefix_mode {prefix_mode!r}")
@@ -297,16 +316,21 @@ def ode_distill(
 
     if cfg.method == "ridge":
         per_chunk = np.empty(spec.n_chunks)
+        fits = []
         for i in range(1, spec.n_chunks + 1):
             rows = design[i]
-            anchor = (rows["chunk"], rows["t"]) if anchored else None
+            if anchored:
+                scale, y = rows["t"], rows["chunk"] - rows["target"]
+            else:
+                scale, y = None, rows["target"]
             member = students.member(i)
-            phi = featurize(member.features, rows["chunk"], rows["prefix"], rows["t"])
-            member = update_head(member, phi, rows["target"], cfg, anchor)
+            normal = normal_equations(
+                member.features, rows["chunk"], rows["prefix"], rows["t"], y, scale
+            )
+            member, readings = fit_head(member, normal, cfg.ridge_lambda)
             students.replace_member(i, member)
-            resid = head_residual(member.theta, phi, rows["target"], anchor)
-            per_chunk[i - 1] = float(np.mean(resid**2))
-            del phi  # hold one chunk's features at a time
+            per_chunk[i - 1] = readings["sse"] / y.size
+            fits.append(readings)
         trace = np.array([float(np.mean(per_chunk))])
     else:
         per_chunk = None
@@ -344,6 +368,7 @@ def ode_distill(
     }
     if per_chunk is not None:
         info["per_chunk_loss"] = per_chunk
+        info["ridge"] = _ridge_info(range(1, spec.n_chunks + 1), fits)
     return StageResult(
         models=students,
         loss_trace=trace,
@@ -505,20 +530,27 @@ def _dmd_fake_update(fake_models, generators, dist, i, grid, cfg, rng):
     """Update the chunk-i fake head on fresh generator samples.
 
     Ridge makes one closed-form fit on fake_update_ratio * batch_size rows,
-    which plays the role of that many inner updates; SGD takes
-    fake_update_ratio steps on batch_size rows each.
+    which plays the role of that many inner updates, and returns its
+    readings; SGD takes fake_update_ratio steps on batch_size rows each.
     """
     if cfg.method == "ridge":
-        rounds, n = 1, cfg.fake_update_ratio * cfg.batch_size
-    else:
-        rounds, n = cfg.fake_update_ratio, cfg.batch_size
-    for _ in range(rounds):
+        n = cfg.fake_update_ratio * cfg.batch_size
         prefixes, noisy, t, target = _fake_design(generators, dist, i, n, grid, rng)
+        member = fake_models.member(i)
+        normal = normal_equations(member.features, noisy, prefixes, t, target, t)
+        member, readings = fit_head(member, normal, cfg.ridge_lambda)
+        fake_models.replace_member(i, member)
+        return readings
+    for _ in range(cfg.fake_update_ratio):
+        prefixes, noisy, t, target = _fake_design(
+            generators, dist, i, cfg.batch_size, grid, rng
+        )
         member = fake_models.member(i)
         phi = featurize(member.features, noisy, prefixes, t)
         fake_models.replace_member(
             i, update_head(member, phi * t[:, None], target, cfg)
         )
+    return None
 
 
 def dmd_train(
@@ -555,11 +587,17 @@ def dmd_train(
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     trace = np.empty(cfg.step_count)
+    fit_chunks, fits = [], []
 
     for step in range(cfg.step_count):
         i = int(rng.integers(1, spec.n_chunks + 1))
         if not force_real_fake:
-            _dmd_fake_update(fake_models, generators, dist, i, grid, cfg, rng)
+            readings = _dmd_fake_update(
+                fake_models, generators, dist, i, grid, cfg, rng
+            )
+            if readings is not None:
+                fit_chunks.append(i)
+                fits.append(readings)
         prefixes = _dmd_prefixes(dist, i, cfg.batch_size, rng)
         member = generators.member(i)
         x_tilde, (final_in, t_last) = _sample_chunk_batch(
@@ -583,13 +621,16 @@ def dmd_train(
         grad = dmd_generator_gradient(member, final_in, prefixes, t_last, delta)
         generators.replace_member(i, sgd_step(member, grad, cfg.learning_rate))
 
+    info = {"fake_models": fake_models}
+    if fits:
+        info["ridge"] = _ridge_info(fit_chunks, fits)
     return StageResult(
         models=generators,
         loss_trace=trace,
         config=cfg,
         master_seed=seed,
         wall_seconds=time.perf_counter() - start,
-        info={"fake_models": fake_models},
+        info=info,
     )
 
 
@@ -637,7 +678,8 @@ def cd_train(
     closed form against the frozen targets (fitted iteration); information
     then propagates one grid cell per refit instead of diffusing at SGD
     speed, so a few dozen steps with a large batch replace thousands of
-    gradient updates.
+    gradient updates.  Its trace reading, the residual of the head before
+    the refit, comes from the refit's normal equations.
     """
     if grid_size < 2:
         raise ConfigError("consistency training needs a grid of at least 2 steps")
@@ -667,6 +709,7 @@ def cd_train(
     source = dist if teacher is None else teacher
     joint_field = bi_velocity_field(dist)
     trace = np.empty(cfg.step_count)
+    fit_chunks, fits = [], []
 
     for step in range(cfg.step_count):
         i = int(rng.integers(1, spec.n_chunks + 1))
@@ -687,25 +730,36 @@ def cd_train(
             x_prev_full, t_prev = _one_teacher_step(joint_field, x_t_full, t, dt)
             student_in = x_t_full[:, spec.chunk_slice(i)]
             x_prev = x_prev_full[:, spec.chunk_slice(i)]
-        phi = featurize(member.features, student_in, prefixes, t)
         target_model = LinearStudent(
             member.features, theta_minus[i], "generator", "anchored"
         )
         target = _predict_x0(target_model, x_prev, prefixes, t_prev)
-        diff = head_residual(member.theta, phi, target, (student_in, t))
-        trace[step] = float(np.mean(diff**2))
-        students.replace_member(
-            i, update_head(member, phi, target, cfg, (student_in, t), diff)
-        )
+        if cfg.method == "ridge":
+            normal = normal_equations(
+                member.features, student_in, prefixes, t, student_in - target, t
+            )
+            trace[step] = residual_sse(member.theta, normal) / target.size
+            member, readings = fit_head(member, normal, cfg.ridge_lambda)
+            fit_chunks.append(i)
+            fits.append(readings)
+        else:
+            phi = featurize(member.features, student_in, prefixes, t)
+            diff = head_residual(member.theta, phi, target, (student_in, t))
+            trace[step] = float(np.mean(diff**2))
+            member = update_head(member, phi, target, cfg, (student_in, t), diff)
+        students.replace_member(i, member)
         theta_minus[i] = ema_update(
             theta_minus[i], students.member(i).theta, cfg.ema_rate
         )
 
+    info = {"grid_size": grid_size, "teacher_kind": teacher_kind}
+    if fits:
+        info["ridge"] = _ridge_info(fit_chunks, fits)
     return StageResult(
         models=students,
         loss_trace=trace,
         config=cfg,
         master_seed=seed,
         wall_seconds=time.perf_counter() - start,
-        info={"grid_size": grid_size, "teacher_kind": teacher_kind},
+        info=info,
     )

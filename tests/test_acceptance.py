@@ -376,7 +376,7 @@ def test_criterion_8_ridge_and_jacobians():
 
     phi = rng.standard_normal((400, 32))
     targets = rng.standard_normal((400, 2))
-    theta_star = fit_ridge(phi, targets, 1e-6)
+    theta_star = fit_ridge(phi.T @ phi, phi.T @ targets, 1e-6)
 
     def loss(theta):
         resid = phi @ theta - targets

@@ -1,6 +1,7 @@
 """ExperimentConfig semantics and the command-line interface."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,11 +312,75 @@ def test_cli_dmd_from_a_trained_denoiser_head(tmp_path, capsys):
         "diffusion": {"step_count": 3, "batch_size": 16},
         "dmd": {"step_count": 3, "batch_size": 16},
     }}))
-    args = ["dmd", "--d2-init", "--diffusion", "df", "--config", str(doc),
+    args = ["dmd", "--init", "denoiser", "--diffusion", "df", "--config", str(doc),
             "--feature-count", "16", "--output-dir", str(out)]
     assert main(args) == 0
     assert "from denoiser head" in capsys.readouterr().out
     assert load_models(out / "models_dmd.jsonl").role == "generator"
+
+
+@pytest.mark.parametrize("init", ["fresh", "distilled", "denoiser"])
+def test_cli_dmd_init_picks_the_starting_heads(tmp_path, monkeypatch, init):
+    # fresh: zero heads (the identity map); distilled: the heads stored in
+    # models_generator.jsonl; denoiser: the velocity heads trained first,
+    # by the trainer --diffusion names
+    import ardlab.cli
+
+    out = tmp_path / "dmd"
+    out.mkdir()
+    doc = tmp_path / "config.json"
+    doc.write_text(json.dumps({"train": {
+        "diffusion": {"step_count": 3, "batch_size": 16},
+        "dmd": {"step_count": 2, "batch_size": 16},
+    }}))
+    stored = make_chunk_models(bivariate_pair(0.8).spec, role="generator", m=16,
+                               seed=11, parameterization="anchored")
+    rng = np.random.default_rng(0)
+    for i, member in enumerate(stored.members, start=1):
+        stored.replace_member(i, replace(member, theta=rng.standard_normal((16, 1))))
+    save_models(stored, out / "models_generator.jsonl")
+    started, trained = [], []
+
+    def dmd_train(generators, *args, **kwargs):
+        started.append([member.theta.copy() for member in generators.members])
+        return real_dmd_train(generators, *args, **kwargs)
+
+    def train_df(dist, velocities, *args, **kwargs):
+        result = real_train_df(dist, velocities, *args, **kwargs)
+        trained.append([member.theta.copy() for member in velocities.members])
+        return result
+
+    real_dmd_train, real_train_df = ardlab.cli.dmd_train, ardlab.cli.train_ar_diffusion_df
+    monkeypatch.setattr(ardlab.cli, "dmd_train", dmd_train)
+    monkeypatch.setattr(ardlab.cli, "train_ar_diffusion_df", train_df)
+    extra = ["--diffusion", "df"] if init == "denoiser" else []
+    assert main(["dmd", "--init", init, *extra, "--config", str(doc),
+                 "--feature-count", "16", "--output-dir", str(out)]) == 0
+    (heads,) = started
+    if init == "fresh":
+        want = [np.zeros((16, 1))] * 2
+    elif init == "distilled":
+        want = [member.theta for member in stored.members]
+    else:
+        (want,) = trained
+        assert not np.array_equal(want[0], np.zeros((16, 1)))
+    for got, expected in zip(heads, want, strict=True):
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--d2-init", "--ode", "causal-ode"], ["--d2-init"], ["--ode", "causal-ode"],
+    ["--init", "pretrained"],
+])
+def test_cli_dmd_rejects_the_old_init_flags(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["dmd", *argv, "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def test_cli_dmd_diffusion_needs_the_denoiser_init(tmp_path, capsys):
+    assert main(["dmd", "--diffusion", "df", "--output-dir", str(tmp_path)]) == 2
+    assert "--init denoiser" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -336,7 +401,7 @@ def test_cli_dmd_checkpoint_with_wrong_field_type_exits_3(tmp_path, capsys,
     member[field] = value
     lines[1] = json.dumps(member)
     path.write_text("\n".join(lines) + "\n")
-    assert main(["dmd", "--ode", "causal-ode", "--output-dir", str(out)]) == 3
+    assert main(["dmd", "--init", "distilled", "--output-dir", str(out)]) == 3
     assert "line 2" in capsys.readouterr().err
 
 
@@ -352,7 +417,7 @@ def test_cli_dmd_checkpoint_with_unknown_header_role_exits_3(tmp_path, capsys):
     lines = path.read_text().splitlines()
     lines[0] = json.dumps({**json.loads(lines[0]), "role": 5})
     path.write_text("\n".join(lines) + "\n")
-    assert main(["dmd", "--ode", "causal-ode", "--output-dir", str(out)]) == 3
+    assert main(["dmd", "--init", "distilled", "--output-dir", str(out)]) == 3
     assert "role 5" in capsys.readouterr().err
 
 

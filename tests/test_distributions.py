@@ -401,17 +401,22 @@ def test_mixture_kernels_match_dense_reference(
 ):
     rng = np.random.default_rng(seed)
     args, covs = kernel_inputs(rng, k, dim, rows, per_row_t, per_row_laws)
-    if per_row_t and rows == 0:
-        # an empty batch of per-row times has no smallest noisy eigenvalue
-        with pytest.raises(ValueError):
-            _mixture_posterior_mean(*args)
-        return
+    # an empty batch gives an empty result, with a scalar time or per-row
+    # times alike (the dense reference loops over no rows)
     expected = dense_kernels(args[0], args[1], covs, args[4], args[5])
     with mock.patch.object(distributions, "_KERNEL_ROWS", block):
         for kernel, want in zip(KERNELS, expected):
             got = kernel(*args)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("per_row_t", [True, False])
+def test_mixture_kernels_return_empty_for_an_empty_batch(per_row_t):
+    rng = np.random.default_rng(0)
+    args, _ = kernel_inputs(rng, 2, 3, 0, per_row_t, per_row_laws=False)
+    for kernel, shape in zip(KERNELS, [(0, 3), (0, 3), (0,)]):
+        assert kernel(*args).shape == shape
 
 
 @given(

@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ardlab
+from ardlab import models
 from ardlab.distributions import SequenceSpec
 from ardlab.errors import SingularCovarianceError
 from ardlab.models import (
@@ -20,12 +22,15 @@ from ardlab.models import (
     copy_head,
     ema_update,
     featurize,
+    fit_head,
     fit_ridge,
     head_residual,
     make_chunk_models,
     member_seed,
+    normal_equations,
     predict,
     predict_x0,
+    residual_sse,
     sgd_step,
     time_embedding,
     update_head,
@@ -215,7 +220,7 @@ def test_fit_ridge_recovers_planted_head():
     rng = np.random.default_rng(0)
     phi = rng.standard_normal((400, 20))
     theta_true = rng.standard_normal((20, 2))
-    theta = fit_ridge(phi, phi @ theta_true, ridge_lambda=1e-10)
+    theta = fit_ridge(phi.T @ phi, phi.T @ (phi @ theta_true), ridge_lambda=1e-10)
     assert np.allclose(theta, theta_true, atol=1e-6)
 
 
@@ -223,9 +228,109 @@ def test_fit_ridge_rankdeficient_raises_without_lambda():
     rng = np.random.default_rng(1)
     phi = rng.standard_normal((5, 12))  # fewer rows than features
     with pytest.raises(SingularCovarianceError):
-        fit_ridge(phi, np.zeros(5), ridge_lambda=0.0)
-    theta = fit_ridge(phi, np.zeros(5), ridge_lambda=1e-6)
+        fit_ridge(phi.T @ phi, phi.T @ np.zeros(5), ridge_lambda=0.0)
+    theta = fit_ridge(phi.T @ phi, phi.T @ np.zeros(5), ridge_lambda=1e-6)
     assert np.allclose(theta, 0.0)
+
+
+def _brute_normal_equations(spec, chunk, prefix, t, y, scale):
+    rows = featurize(spec, chunk, prefix, t)
+    if scale is not None:
+        rows = rows * (scale[:, None] if np.ndim(scale) else scale)
+    return rows.T @ rows, rows.T @ y, float(np.sum(y**2))
+
+
+def _assert_relative(got, want, tol):
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+@given(
+    m=st.integers(2, 40),
+    chunk_dim=st.integers(1, 2),
+    prefix_dim=st.integers(0, 3),
+    blocks=st.integers(0, 4),
+    extra=st.sampled_from([1, 2, 3, 5]),
+    per_row_t=st.booleans(),
+    shared_prefix=st.booleans(),
+    scale_kind=st.sampled_from(["none", "scalar", "per-row"]),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_normal_equations_match_brute_force(
+    m, chunk_dim, prefix_dim, blocks, extra, per_row_t, shared_prefix,
+    scale_kind, k, seed,
+):
+    # blocks of 8 rows; n = blocks * 8 + extra covers a 1-row rest (extra 1)
+    spec = FeatureSpec(m=m, chunk_dim=chunk_dim, prefix_dim=prefix_dim, seed=seed)
+    rng = np.random.default_rng(seed)
+    n = blocks * 8 + extra
+    chunk = rng.standard_normal((n, chunk_dim))
+    prefix = rng.standard_normal(prefix_dim if shared_prefix else (n, prefix_dim))
+    t = rng.uniform(0.05, 1.0, n) if per_row_t else float(rng.uniform(0.05, 1.0))
+    y = rng.standard_normal((n, k))
+    scale = {"none": None, "scalar": 0.7, "per-row": rng.uniform(0.05, 1.0, n)}[
+        scale_kind
+    ]
+    with mock.patch.object(models, "_NORMAL_CELLS", 8 * m):
+        gram, cross, yy = normal_equations(spec, chunk, prefix, t, y, scale)
+    want = _brute_normal_equations(spec, chunk, prefix, t, y, scale)
+    _assert_relative(gram, want[0], 1e-12)
+    _assert_relative(cross, want[1], 1e-12)
+    assert yy == pytest.approx(want[2], rel=1e-12)
+    assert np.array_equal(gram, gram.T)
+
+
+def test_normal_equations_bits_do_not_depend_on_the_cpu_count():
+    # two full blocks plus one row, each block large enough for featurize to
+    # share among two threads
+    spec = FeatureSpec(m=256, chunk_dim=1, prefix_dim=2, seed=3)
+    size = models._NORMAL_CELLS // spec.m
+    n = 2 * size + 1
+    rng = np.random.default_rng(3)
+    chunk = rng.standard_normal((n, 1))
+    prefix = rng.standard_normal((n, 2))
+    t = rng.uniform(0.05, 1.0, n)
+    y = rng.standard_normal((n, 1))
+    assert _row_blocks(n, spec.m, models._NORMAL_CELLS) == [(0, size), (size, n)]
+    runs = []
+    for cpus in (1, 2):
+        with mock.patch.object(models, "_cpu_count", lambda: cpus):
+            runs.append(normal_equations(spec, chunk, prefix, t, y, t))
+    for one, two in zip(*runs):
+        assert np.array_equal(one, two)
+    want = _brute_normal_equations(spec, chunk, prefix, t, y, t)
+    _assert_relative(runs[0][0], want[0], 1e-12)
+    _assert_relative(runs[0][1], want[1], 1e-12)
+
+
+def test_residual_from_sums_matches_the_explicit_residual():
+    # a design with more rows than features and a noise target: the fit
+    # does not interpolate, and its residual is a sizeable share of |y|^2
+    spec = FeatureSpec(m=64, chunk_dim=1, prefix_dim=1, seed=5)
+    rng = np.random.default_rng(5)
+    n = 3000
+    chunk = rng.standard_normal((n, 1))
+    prefix = rng.standard_normal((n, 1))
+    t = rng.uniform(0.05, 1.0, n)
+    y = np.sin(3.0 * chunk) + 0.3 * rng.standard_normal((n, 1))
+    rows = featurize(spec, chunk, prefix, t) * t[:, None]
+    model = build_student(m=64, chunk_dim=1, prefix_dim=1, role="generator", seed=5)
+    normal = normal_equations(spec, chunk, prefix, t, y, t)
+    fitted, readings = fit_head(model, normal, 1e-6)
+    sse = float(np.sum((rows @ fitted.theta - y) ** 2))
+    assert 0.01 < sse / np.sum(y**2) < 0.99
+    assert readings["sse"] == pytest.approx(sse, rel=1e-9)
+    assert readings["relative_residual"] == pytest.approx(sse / np.sum(y**2), rel=1e-9)
+    assert readings["theta_abs_max"] == np.abs(fitted.theta).max()
+    # the squared Cholesky pivots lie between the extreme eigenvalues
+    eig = np.linalg.eigvalsh(normal[0] + 1e-6 * np.eye(64))
+    lo, hi = readings["chol_diag_min"] ** 2, readings["chol_diag_max"] ** 2
+    assert eig[0] * (1 - 1e-9) <= lo <= hi <= eig[-1] * (1 + 1e-9)
+    # the same sums give the residual of any other head, as for cd's trace
+    other = rng.standard_normal(fitted.theta.shape)
+    explicit = float(np.sum((rows @ other - y) ** 2))
+    assert residual_sse(other, normal) == pytest.approx(explicit, rel=1e-9)
 
 
 def test_ridge_solution_is_strict_local_minimum():
@@ -233,7 +338,7 @@ def test_ridge_solution_is_strict_local_minimum():
     phi = rng.standard_normal((200, 16))
     y = rng.standard_normal((200, 2))
     lam = 1e-3
-    theta_hat = fit_ridge(phi, y, lam)
+    theta_hat = fit_ridge(phi.T @ phi, phi.T @ y, lam)
 
     def loss(theta):
         return float(np.sum((phi @ theta - y) ** 2) + lam * np.sum(theta**2))
@@ -337,9 +442,13 @@ def test_update_head_readouts_and_gradient(seed, anchored, n, m, d):
     assert np.array_equal(given.theta, stepped.theta)
 
     # the ridge fit at lambda 0 on a full-rank design (n > m) is where that
-    # gradient vanishes; it keeps the model's role and readout
-    ridge = TrainConfig(method="ridge", ridge_lambda=0.0)
-    fitted = update_head(model, phi, target, ridge, anchor)
+    # gradient vanishes; it keeps the model's role and readout.  The anchored
+    # fit regresses chunk - target on rows scaled by t.
+    if anchored:
+        rows, y = phi * t[:, None], chunk - target
+    else:
+        rows, y = phi, target
+    fitted, _ = fit_head(model, (rows.T @ rows, rows.T @ y, float(np.sum(y**2))), 0.0)
     assert (fitted.role, fitted.parameterization) == (
         model.role, model.parameterization)
     step = fitted.theta - update_head(fitted, phi, target, sgd, anchor).theta

@@ -18,11 +18,14 @@ from ardlab.distributions import (
 )
 from ardlab.errors import ConfigError, DivergenceError
 from ardlab.models import (
+    RIDGE_READINGS,
     TrainConfig,
+    _row_blocks,
     build_student,
     featurize,
     head_residual,
     make_chunk_models,
+    normal_equations,
     predict,
     predict_x0,
     update_head,
@@ -238,24 +241,80 @@ def _watch_featurize(monkeypatch):
     return live
 
 
-def test_ridge_distill_holds_one_chunks_features_at_a_time(monkeypatch):
+def _run_ridge_stage(stage, m):
+    """Run one stage with method "ridge" on designs of more than 16 rows."""
     dist = ar1_sequence(3, 0.5)
-    pairs = make_pairs_causal(dist, DEFAULT_GRID, count=24, steps=8, seed=53)
-    students = make_chunk_models(
-        dist.spec, role="generator", m=32, seed=54, parameterization="anchored"
+    cfg = TrainConfig(
+        method="ridge", step_count=4, batch_size=32, fake_update_ratio=2
     )
-    live = _watch_featurize(monkeypatch)
-    ode_distill(pairs, students, TrainConfig(method="ridge"), seed=55)
-    assert len(live) == dist.spec.n_chunks
+    if stage == "velocity":
+        students = make_chunk_models(dist.spec, role="ar-velocity", m=m, seed=56)
+        return train_ar_diffusion_tf(dist, students, cfg, seed=57)
+    students = make_chunk_models(
+        dist.spec, role="generator", m=m, seed=54, parameterization="anchored"
+    )
+    if stage == "distill":
+        pairs = make_pairs_causal(dist, DEFAULT_GRID, count=24, steps=8, seed=53)
+        return ode_distill(pairs, students, cfg, seed=55)
+    if stage == "dmd":
+        fakes = make_chunk_models(
+            dist.spec, role="fake-score", m=m, seed=58, parameterization="anchored"
+        )
+        return dmd_train(students, fakes, dist, DEFAULT_GRID, cfg, seed=59)
+    return cd_train(dist, students, cfg, seed=60, grid_size=4)
 
 
-def test_ridge_velocity_holds_one_chunks_features_at_a_time(monkeypatch):
-    dist = ar1_sequence(3, 0.5)
-    students = make_chunk_models(dist.spec, role="ar-velocity", m=32, seed=56)
-    live = _watch_featurize(monkeypatch)
-    cfg = TrainConfig(method="ridge", step_count=4, batch_size=32)
-    train_ar_diffusion_tf(dist, students, cfg, seed=57)
-    assert len(live) == dist.spec.n_chunks
+@pytest.mark.parametrize("stage", ["velocity", "distill", "dmd", "cd"])
+def test_ridge_stage_featurizes_one_block_at_a_time(monkeypatch, stage):
+    # Blocks of 16 rows at m = 32.  Every ridge fit featurizes its design in
+    # exactly _row_blocks' partition, one block per featurize call, and the
+    # stage itself featurizes nothing but the DMD generator's SGD batches.
+    m = 32
+    cells = 16 * m
+    monkeypatch.setattr(ardlab.models, "_NORMAL_CELLS", cells)
+    fits = []  # per ridge fit, the rows of each featurize call it made
+    inside = []
+
+    def watched_featurize(*args, **kwargs):
+        out = featurize(*args, **kwargs)
+        if inside and kwargs.get("head") is None:
+            fits[-1].append(out.shape[0])
+        return out
+
+    def watched_normal_equations(spec, chunk, *args):
+        fits.append([])
+        inside.append(True)
+        try:
+            return normal_equations(spec, chunk, *args)
+        finally:
+            inside.pop()
+            blocks = _row_blocks(len(chunk), spec.m, cells)
+            assert fits[-1] == [b - a for a, b in blocks]
+
+    stage_rows = []
+
+    def stage_featurize(*args, **kwargs):
+        stage_rows.append(len(args[1]))
+        return featurize(*args, **kwargs)
+
+    monkeypatch.setattr(ardlab.models, "featurize", watched_featurize)
+    monkeypatch.setattr(ardlab.stages, "normal_equations", watched_normal_equations)
+    monkeypatch.setattr(ardlab.stages, "featurize", stage_featurize)
+    result = _run_ridge_stage(stage, m)
+
+    assert fits and max(sum(rows) for rows in fits) > 16
+    assert max(max(rows) for rows in fits) <= 16 + 1  # a 1-row rest joins
+    if stage == "dmd":
+        assert stage_rows == [32] * 4  # the generator's gradient batches
+    else:
+        assert stage_rows == []
+    readings = result.info["ridge"]
+    assert readings["chunk"].shape == (len(fits),)
+    for key in RIDGE_READINGS:
+        assert readings[key].shape == (len(fits),)
+        assert np.all(np.isfinite(readings[key])) and np.all(readings[key] >= 0.0)
+    assert np.all(readings["chol_diag_min"] > 0.0)
+    assert np.all(readings["chol_diag_min"] <= readings["chol_diag_max"])
 
 
 def _sgd_distill_reference(dataset, students, cfg, seed, prefix_mode):
