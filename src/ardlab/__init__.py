@@ -72,14 +72,11 @@ from .ode import (
     PairColumns,
     PairDataset,
     TimestepGrid,
-    flow_map_ar,
     flow_map_bi,
     gaussian_flow_map,
     integrate,
     make_pairs_bi,
     make_pairs_causal,
-    velocity_ar,
-    velocity_bi,
 )
 from .presets import (
     PRESET_NAMES,

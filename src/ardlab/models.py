@@ -9,6 +9,7 @@ initialization whenever the feature banks match.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from dataclasses import dataclass, field, replace
@@ -84,23 +85,25 @@ def _assemble_inputs(spec: FeatureSpec, chunk, prefix, t):
     return np.concatenate([chunk, pref, emb], axis=1), single
 
 
-# featurize works in row blocks of about this many cells (rows x m).  Both
-# BLAS products of such a block, z @ omega and phi @ head, stay below the
-# size at which OpenBLAS (measured on 0.3.31) hands a product to its own
-# threads; those busy-wait on another CPU for ~0.1 s after every threaded
-# call, which would leave the block threads no CPU to run on.
+# featurize works in row blocks of about this many cells (rows x m): 512 KiB
+# of features, the unit its threads share out, and with a head all that it
+# holds of a batch's features at a time.  Each block's BLAS products run on
+# one thread (_pin_blas_threads), so the block threads are the only
+# parallelism.
 _BLOCK_CELLS = 1 << 16
 # The blocks are shared among threads, up to one per CPU, so that each
-# thread gets at least this many cells: d2-init, whose 2,400 calls of
-# 512 x 256 are two blocks each, ran slower with them split over two threads.
+# thread gets at least this many cells; a smaller call runs in the calling
+# thread alone.  Splitting trades CPU for wall time: d2-init's 2,400 calls
+# of 512 x 256, two blocks each, took 2.3 ms of wall and 3.9 ms of CPU per
+# call split over two CPUs, against 3.1 ms of both on one.
 _THREAD_CELLS = 1 << 18
 
 
 # normal_equations sums its Gram and cross products over row blocks of this
-# many cells (8 MiB of features at any m).  A block is featurized in the
-# calling thread, and a full one is large enough for featurize to share it
-# among threads.  The Gram products are not put in featurize's threads:
-# OpenBLAS threads them itself, and two threads calling it contend.
+# many cells (8 MiB of features at any m).  A full block is large enough for
+# featurize to share among threads; its products are then taken in the
+# calling thread, so the sums are added in block order whatever the CPU
+# count.
 _NORMAL_CELLS = 1 << 20
 
 
@@ -122,6 +125,53 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+_OPENBLAS_SIGNATURES = {
+    "set_num_threads": ([ctypes.c_int], None),
+    "get_num_threads": ([], ctypes.c_int),
+}
+
+
+def _openblas_function(name: str):
+    """OpenBLAS's openblas_<name> (a key of _OPENBLAS_SIGNATURES) in the copy
+    numpy already loaded, or None where numpy's BLAS is not OpenBLAS.
+
+    The lookup goes through numpy's LAPACK extension, opened with
+    RTLD_NOLOAD so that no library is loaded anew, and so reaches whatever
+    OpenBLAS it links: numpy's wheels export scipy_openblas_<name>64_.
+    """
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__, mode=os.RTLD_NOLOAD)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, prefix + name + suffix, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = _OPENBLAS_SIGNATURES[name]
+                return fn
+    return None
+
+
+def _pin_blas_threads() -> None:
+    """Hold numpy's OpenBLAS to one thread, so that featurize's row-block
+    threads are the only parallelism in the package.
+
+    A call that OpenBLAS splits over its own threads leaves them spinning on
+    the other CPUs for about 0.1 s, taking the CPU featurize's threads and
+    the next small fit would use, and where it splits depends on the CPU
+    count, which moves the last bits of the ridge fits.  Other BLAS builds
+    (MKL, Accelerate) are left as they are.
+    """
+    setter = _openblas_function("set_num_threads")
+    if setter is not None:
+        setter(1)
+
+
+_pin_blas_threads()
+
+
 def _cos_features(spec: FeatureSpec, z, out=None) -> np.ndarray:
     # One rows x m buffer: the add, cos and scale are elementwise, so doing
     # them in place gives the same bits as the expression without temporaries.
@@ -139,8 +189,10 @@ def featurize(spec: FeatureSpec, chunk, prefix, t, head=None) -> np.ndarray:
     holding one row block's features at a time.  The batch is computed in
     row blocks of about _BLOCK_CELLS cells, each into its own output rows;
     the calling thread shares them with up to one started thread per further
-    CPU, so that each thread gets at least _THREAD_CELLS cells.  A row's
-    features have the same bits in any batch of two or more rows.
+    CPU, so that each thread gets at least _THREAD_CELLS cells.  These
+    threads are the only parallelism: numpy's OpenBLAS runs each block's
+    products on one thread (_pin_blas_threads).  A row's features have the
+    same bits in any batch of two or more rows.
     """
     z, single = _assemble_inputs(spec, chunk, prefix, t)
     n = z.shape[0]
@@ -252,9 +304,10 @@ def normal_equations(spec: FeatureSpec, chunk, prefix, t, target, scale=None):
     none).  Returns G = (S Phi)^T (S Phi), c = (S Phi)^T Y and yy = |Y|^2.
     They are summed in block order over row blocks of about _NORMAL_CELLS
     cells, each featurized, scaled in place and multiplied out in the
-    calling thread, so no more than one block's features exist at a time
-    and the bits do not depend on the number of CPUs.  t and scale may be
-    scalars or per row, prefix one shared row or one per chunk row.
+    calling thread, so no more than one block's features exist at a time.
+    The products run on one BLAS thread (_pin_blas_threads), so the bits do
+    not depend on the number of CPUs.  t and scale may be scalars or per
+    row, prefix one shared row or one per chunk row.
     """
     chunk = np.asarray(chunk, dtype=float)
     y = np.asarray(target, dtype=float)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
-    NoisyState,
     SequenceDistribution,
     SequenceSpec,
     _mixture_posterior_mean,
@@ -69,15 +68,6 @@ DEFAULT_GRID = TimestepGrid((1.0, 0.9375, 0.8333, 0.625))
 # ---------------------------------------------------------------------------
 
 
-def velocity_bi(dist: SequenceDistribution, state: NoisyState) -> np.ndarray:
-    """Joint-field velocity (x_t - E[x0 | x_t]) / t at the given state."""
-    if state.time <= 0.0:
-        raise ValueError("the velocity field is defined for t > 0 only")
-    x = np.asarray(state.values, dtype=float)
-    v = bi_velocity_field(dist)(np.atleast_2d(x), state.time)
-    return v[0] if x.ndim == 1 else v
-
-
 def _div_time(num: np.ndarray, t) -> np.ndarray:
     """Divide rows by a scalar time or by one time per row."""
     t_arr = np.asarray(t, dtype=float)
@@ -110,24 +100,6 @@ def chunk_velocity_field(source, i: int, prefixes: np.ndarray):
         return lambda x, t: predict(member, x, prefixes, t)
     cond = condition_clean_prefix_batch(source, i, prefixes)
     return lambda x, t: _div_time(x - cond.posterior_mean(x, t), t)
-
-
-def _repeat_prefix(prefix, rows: int) -> np.ndarray:
-    """One prefix as `rows` identical prefix rows (a read-only view)."""
-    prefix = np.asarray(prefix, dtype=float).reshape(1, -1)
-    return np.broadcast_to(prefix, (rows, prefix.shape[1]))
-
-
-def velocity_ar(teacher, i: int, prefix: np.ndarray, x, t: float) -> np.ndarray:
-    """Chunk-i conditional velocity given one clean prefix, from the exact
-    oracle or a trained velocity model set (see chunk_velocity_field)."""
-    if t <= 0.0:
-        raise ValueError("the velocity field is defined for t > 0 only")
-    x = np.asarray(x, dtype=float)
-    batch = np.atleast_2d(x)
-    prefixes = _repeat_prefix(prefix, batch.shape[0])
-    v = chunk_velocity_field(teacher, i, prefixes)(batch, t)
-    return v[0] if x.ndim == 1 else v
 
 
 # ---------------------------------------------------------------------------
@@ -189,24 +161,6 @@ def flow_map_bi(
     values = np.asarray(values, dtype=float)
     batch = np.atleast_2d(values)
     out = integrate(bi_velocity_field(dist), batch, t, 0.0, steps, method)
-    return out[0] if values.ndim == 1 else out
-
-
-def flow_map_ar(
-    teacher,
-    i: int,
-    prefix: np.ndarray,
-    values: np.ndarray,
-    t: float,
-    steps: int = ORACLE_STEPS,
-    method: str = "heun",
-) -> np.ndarray:
-    """Transport chunk-i values to the conditional flow endpoint given a prefix."""
-    values = np.asarray(values, dtype=float)
-    batch = np.atleast_2d(values)
-    prefixes = _repeat_prefix(prefix, batch.shape[0])
-    field_fn = chunk_velocity_field(teacher, i, prefixes)
-    out = integrate(field_fn, batch, t, 0.0, steps, method)
     return out[0] if values.ndim == 1 else out
 
 

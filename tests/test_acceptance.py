@@ -23,7 +23,7 @@ from ardlab.diagnostics import (
     injectivity_variance_oracle,
     trained_conditional_kl,
 )
-from ardlab.distributions import NoisyState, sample_clean
+from ardlab.distributions import sample_clean
 from ardlab.models import (
     LinearStudent,
     TrainConfig,
@@ -40,7 +40,6 @@ from ardlab.ode import (
     integrate,
     make_pairs_bi,
     make_pairs_causal,
-    velocity_bi,
 )
 from ardlab.presets import PRESET_NAMES, run_all_presets, run_preset
 from ardlab.stages import (
@@ -69,7 +68,7 @@ def test_criterion_1_velocity_oracle():
     points = np.array([(a, b) for a in axis for b in axis])
     worst = 0.0
     for t in np.arange(1, 10) / 10.0:
-        v = velocity_bi(dist, NoisyState(values=points, time=float(t)))
+        v = bi_velocity_field(dist)(points, float(t))
         closed_form = (2.0 * t - 1.0) / (2.0 * t * t - 2.0 * t + 1.0) * points
         worst = max(worst, float(np.max(np.abs(v - closed_form))))
     elapsed = time.perf_counter() - start

@@ -208,6 +208,51 @@ def test_featurize_starts_block_threads_only_for_large_batches():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_holds_openblas_to_one_thread():
+    # Whatever OPENBLAS_NUM_THREADS says, importing ardlab leaves numpy's
+    # OpenBLAS one thread, so a ridge head whose Gram product OpenBLAS would
+    # otherwise split over two threads gets the same bits.
+    if models._openblas_function("get_num_threads") is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    code = textwrap.dedent(
+        """
+        import hashlib
+        import numpy as np
+        import ardlab
+        from ardlab.models import (
+            FeatureSpec, _openblas_function, fit_ridge, normal_equations,
+        )
+
+        spec = FeatureSpec(m=256, chunk_dim=1, prefix_dim=2, seed=7)
+        rng = np.random.default_rng(7)
+        n = 4096
+        chunk = rng.standard_normal((n, 1))
+        prefix = rng.standard_normal((n, 2))
+        t = rng.uniform(0.05, 1.0, n)
+        y = rng.standard_normal((n, 1))
+        gram, cross, _ = normal_equations(spec, chunk, prefix, t, y)
+        theta = fit_ridge(gram, cross, 1e-6)
+        print(_openblas_function("get_num_threads")())
+        print(hashlib.sha256(theta.tobytes()).hexdigest())
+        """
+    )
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.path.dirname(os.path.dirname(ardlab.__file__)),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout.split())
+    assert [run[0] for run in runs] == ["1", "1"]
+    assert runs[0][1] == runs[1][1]
+
+
 def test_featurize_rejects_bad_widths():
     spec = FeatureSpec(m=8, chunk_dim=2, prefix_dim=1, seed=0)
     with pytest.raises(ValueError):

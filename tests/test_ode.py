@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ardlab.config import ar1_sequence, bivariate_pair
 from ardlab.distributions import (
     GaussianComponent,
-    NoisyState,
     SequenceDistribution,
     SequenceSpec,
     forward_noise,
@@ -18,15 +17,13 @@ from ardlab.models import make_chunk_models, predict
 from ardlab.ode import (
     DEFAULT_GRID,
     TimestepGrid,
+    bi_velocity_field,
     chunk_velocity_field,
-    flow_map_ar,
     flow_map_bi,
     gaussian_flow_map,
     integrate,
     make_pairs_bi,
     make_pairs_causal,
-    velocity_ar,
-    velocity_bi,
 )
 
 RHO = 0.8
@@ -69,14 +66,9 @@ def test_standard_normal_velocity_closed_form():
     dist = standard_normal_dist(2)
     for t in (0.1, 0.4, 0.9):
         x = np.array([[1.5, -0.5], [0.0, 2.0]])
-        v = velocity_bi(dist, NoisyState(values=x, time=t))
+        v = bi_velocity_field(dist)(x, t)
         coef = (2.0 * t - 1.0) / (2.0 * t**2 - 2.0 * t + 1.0)
         assert np.allclose(v, coef * x, atol=1e-12)
-
-
-def test_velocity_rejects_time_zero():
-    with pytest.raises(ValueError):
-        velocity_bi(DIST, NoisyState(values=np.zeros(2), time=0.0))
 
 
 def test_integrate_linear_field():
@@ -117,14 +109,15 @@ def test_conditional_flow_map_at_t1_is_affine():
     # to x -> rho y + sqrt(1 - rho^2) x
     y = 1.0
     x = np.array([[-1.0], [0.0], [2.0]])
-    out = flow_map_ar(DIST, 2, np.array([y]), x, 1.0, steps=2048)
+    field_fn = chunk_velocity_field(DIST, 2, np.full((3, 1), y))
+    out = integrate(field_fn, x, 1.0, 0.0, steps=2048)
     expected = RHO * y + np.sqrt(1.0 - RHO**2) * x
     assert np.max(np.abs(out - expected)) < 1e-6
 
 
-def test_velocity_ar_oracle_vs_model_interface():
-    v = velocity_ar(DIST, 2, np.array([0.5]), np.array([0.3]), 0.6)
-    assert v.shape == (1,)
+def test_chunk_velocity_field_oracle_gives_one_row_per_prefix():
+    v = chunk_velocity_field(DIST, 2, np.array([[0.5]]))(np.array([[0.3]]), 0.6)
+    assert v.shape == (1, 1)
     assert np.isfinite(v).all()
 
 
@@ -153,8 +146,9 @@ def test_chunk_field_from_models_matches_predict_per_row(i, rows, seed):
     dist = ar1_sequence(6, 0.7, 2)
     oracle = chunk_velocity_field(dist, i, prefixes)(x, t)
     for b in range(rows):
-        one = velocity_ar(dist, i, prefixes[b], x[b], float(t[b]))
-        assert np.allclose(oracle[b], one, rtol=0.0, atol=1e-12)
+        field_b = chunk_velocity_field(dist, i, prefixes[b : b + 1])
+        one = field_b(x[b : b + 1], float(t[b]))
+        assert np.allclose(oracle[b], one[0], rtol=0.0, atol=1e-12)
 
 
 @given(t=st.floats(0.05, 1.0))

@@ -33,12 +33,12 @@ from ardlab.models import (
 from ardlab.ode import (
     DEFAULT_GRID,
     _segment_plan,
+    bi_velocity_field,
     chunk_velocity_field,
     gaussian_flow_map,
     integrate,
     make_pairs_bi,
     make_pairs_causal,
-    velocity_bi,
 )
 from ardlab.stages import (
     StageResult,
@@ -76,7 +76,7 @@ def standard_normal_dist(dim):
 def test_score_from_velocity_matches_exact_score():
     t = 0.45
     x = np.array([[0.2, -0.7], [1.1, 0.4]])
-    v = velocity_bi(DIST, NoisyState(values=x, time=t))
+    v = bi_velocity_field(DIST)(x, t)
     s = score_from_velocity(x, v, t)
     assert np.allclose(s, exact_score(DIST, NoisyState(values=x, time=t)), atol=1e-10)
 
