@@ -88,8 +88,8 @@ def _assemble_inputs(spec: FeatureSpec, chunk, prefix, t):
 # featurize works in row blocks of about this many cells (rows x m): 512 KiB
 # of features, the unit its threads share out, and with a head all that it
 # holds of a batch's features at a time.  Each block's BLAS products run on
-# one thread (_pin_blas_threads), so the block threads are the only
-# parallelism.
+# one thread (_pin_blas_threads), so the block threads and d2-init's two DMD
+# arms (presets._run_arms) are the only parallelism.
 _BLOCK_CELLS = 1 << 16
 # The blocks are shared among threads, up to one per CPU, so that each
 # thread gets at least this many cells; a smaller call runs in the calling
@@ -156,7 +156,8 @@ def _openblas_function(name: str):
 
 def _pin_blas_threads() -> None:
     """Hold numpy's OpenBLAS to one thread, so that featurize's row-block
-    threads are the only parallelism in the package.
+    threads and d2-init's two DMD arms (presets._run_arms) are the only
+    parallelism in the package.
 
     A call that OpenBLAS splits over its own threads leaves them spinning on
     the other CPUs for about 0.1 s, taking the CPU featurize's threads and
@@ -189,10 +190,11 @@ def featurize(spec: FeatureSpec, chunk, prefix, t, head=None) -> np.ndarray:
     holding one row block's features at a time.  The batch is computed in
     row blocks of about _BLOCK_CELLS cells, each into its own output rows;
     the calling thread shares them with up to one started thread per further
-    CPU, so that each thread gets at least _THREAD_CELLS cells.  These
-    threads are the only parallelism: numpy's OpenBLAS runs each block's
-    products on one thread (_pin_blas_threads).  A row's features have the
-    same bits in any batch of two or more rows.
+    CPU, so that each thread gets at least _THREAD_CELLS cells.  Besides
+    d2-init's two DMD arms (presets._run_arms), whose calls are too small to
+    start any, these threads are the only parallelism: numpy's OpenBLAS
+    runs each block's products on one thread (_pin_blas_threads).  A row's
+    features have the same bits in any batch of two or more rows.
     """
     z, single = _assemble_inputs(spec, chunk, prefix, t)
     n = z.shape[0]
@@ -284,9 +286,27 @@ def predict(model: LinearStudent, chunk, prefix, t) -> np.ndarray:
     return featurize(model.features, chunk, prefix, t, head=model.theta)
 
 
-def predict_x0(model: LinearStudent, chunk, prefix, t) -> np.ndarray:
-    """Clean-chunk readout under the model's parameterization."""
-    out = predict(model, chunk, prefix, t)
+def _blocked_head_output(phi: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """phi @ head taken over featurize's row blocks, so that it has the bits
+    of featurize(..., head=head) on the same rows: one product over the
+    whole batch can round differently."""
+    out = np.empty((phi.shape[0], head.shape[1]))
+    for a, b in _row_blocks(phi.shape[0], phi.shape[1]):
+        np.matmul(phi[a:b], head, out=out[a:b])
+    return out
+
+
+def predict_x0(model: LinearStudent, chunk, prefix, t, phi=None) -> np.ndarray:
+    """Clean-chunk readout under the model's parameterization.
+
+    Pass `phi`, the feature rows of a batch (chunk, prefix, t), when they
+    are already at hand: the readout then has the same bits without
+    featurizing again.
+    """
+    if phi is None:
+        out = predict(model, chunk, prefix, t)
+    else:
+        out = _blocked_head_output(phi, model.theta)
     if model.parameterization == "anchored":
         chunk = np.asarray(chunk, dtype=float)
         t_arr = np.asarray(t, dtype=float)

@@ -10,11 +10,13 @@ write byte-identical files; no artifact carries wall-clock state.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import models
 from .config import (
     TRAIN_STAGES,
     ExperimentConfig,
@@ -84,6 +86,40 @@ def _stage_train(**overrides) -> dict:
     table = {name: TrainConfig() for name in TRAIN_STAGES}
     table.update(overrides)
     return table
+
+
+def _run_arms(arms: list) -> list:
+    """Call each zero-argument arm and return the results in arm order.
+
+    Up to models._cpu_count() arms run at once.  With w = min(CPUs, arms),
+    the calling thread runs arms 0, w, 2w, ... and started thread j runs
+    arms j, j + w, ..., so on one CPU every arm runs in turn in the calling
+    thread.  Arms must share nothing they write.  The started threads are
+    joined even when the calling thread's arm raises; then the first
+    failing arm's exception, in arm order, is raised.
+    """
+    workers = max(1, min(models._cpu_count(), len(arms)))
+    results, errors = [None] * len(arms), [None] * len(arms)
+
+    def run(first):
+        for i in range(first, len(arms), workers):
+            try:
+                results[i] = arms[i]()
+            except Exception as exc:
+                errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _renamed(report: DiagnosticsReport, name: str) -> DiagnosticsReport:
@@ -362,6 +398,12 @@ def _run_d2(config: ExperimentConfig):
     wrapper turns a trained denoiser head into the posterior-mean map, which
     already lands near the right mode, so distribution matching starts far
     closer and still improves from there.
+
+    The fresh and warm arms own their generators, fake models and DMD seed
+    stream, so their two dmd_train runs go through _run_arms, at once where
+    there are two CPUs, with the same bits as in turn.  Their energy
+    distances are taken before and after, one at a time, so the 2,000 x
+    2,000 distance temporaries are never held twice.
     """
     dist = config.distribution()
     grid = config.timestep_grid()
@@ -371,28 +413,25 @@ def _run_d2(config: ExperimentConfig):
     res_vel = train_ar_diffusion_tf(dist, vel, config.train["diffusion"],
                                     seed=seed + 21)
 
-    def dmd_arm(init_from_velocity: bool):
-        gens = _generators(config, seed + 11)
-        if init_from_velocity:
-            copy_head(vel, gens)
-        ed0 = energy_distance(
-            rollout(gens, grid, seed=seed + 41, count=2000),
-            sample_clean(dist, 2000, seed + 42),
-        )
+    data = sample_clean(dist, 2000, seed + 42)
+
+    def energy(gens):
+        return energy_distance(rollout(gens, grid, seed=seed + 41, count=2000), data)
+
+    fresh, warm = _generators(config, seed + 11), _generators(config, seed + 11)
+    copy_head(vel, warm)
+    ed0_fresh, ed0_warm = energy(fresh), energy(warm)
+
+    def dmd_arm(gens):
         fakes = make_chunk_models(
             config.sequence_spec(), role="fake-score", m=128,
             seed=seed + 13, parameterization="anchored",
         )
-        res = dmd_train(gens, fakes, dist, grid, config.train["dmd"],
-                        seed=seed + 31)
-        ed1 = energy_distance(
-            rollout(gens, grid, seed=seed + 41, count=2000),
-            sample_clean(dist, 2000, seed + 42),
-        )
-        return ed0, ed1, res.loss_trace
+        return lambda: dmd_train(gens, fakes, dist, grid, config.train["dmd"],
+                                 seed=seed + 31)
 
-    ed0_fresh, ed1_fresh, trace_fresh = dmd_arm(init_from_velocity=False)
-    ed0_warm, ed1_warm, trace_warm = dmd_arm(init_from_velocity=True)
+    res_fresh, res_warm = _run_arms([dmd_arm(fresh), dmd_arm(warm)])
+    ed1_fresh, ed1_warm = energy(fresh), energy(warm)
     reports = [
         _scalar_report(
             "dmd_energy",
@@ -412,8 +451,8 @@ def _run_d2(config: ExperimentConfig):
     }
     traces = {
         "diffusion_tf_trace.csv": res_vel.loss_trace,
-        "dmd_fresh_trace.csv": trace_fresh,
-        "dmd_warm_trace.csv": trace_warm,
+        "dmd_fresh_trace.csv": res_fresh.loss_trace,
+        "dmd_warm_trace.csv": res_warm.loss_trace,
     }
     return reports, checks, {}, traces
 

@@ -389,22 +389,22 @@ def _sample_chunk_batch(model, prefixes, grid, rng, capture=False):
 
     Start from pure noise at t = 1, alternate clean prediction with forward
     re-noising at the next grid time, and return the final clean prediction.
-    With capture=True also return the model input and time of the final
-    prediction, which is all a head-gradient needs.
+    With capture=True also return the feature rows and time of the final
+    prediction, which are all a head-gradient needs.
     """
     n = prefixes.shape[0]
     x = rng.standard_normal((n, model.features.chunk_dim))
-    final_inputs = None
+    last = len(grid) - 1
     for k, t in enumerate(grid):
-        if k == len(grid) - 1 and capture:
-            final_inputs = (x.copy(), float(t))
-        x0_hat = _predict_x0(model, x, prefixes, float(t))
-        if k < len(grid) - 1:
+        t = float(t)
+        phi = featurize(model.features, x, prefixes, t) if k == last and capture else None
+        x0_hat = _predict_x0(model, x, prefixes, t, phi=phi)
+        if k < last:
             t_next = float(grid[k + 1])
             eps = rng.standard_normal((n, model.features.chunk_dim))
             x = (1.0 - t_next) * x0_hat + t_next * eps
     if capture:
-        return x0_hat, final_inputs
+        return x0_hat, (phi, t)
     return x0_hat
 
 
@@ -475,19 +475,18 @@ def learned_conditional_endpoints(
 
 def dmd_generator_gradient(
     model: LinearStudent,
-    final_chunk_in: np.ndarray,
-    prefixes: np.ndarray,
+    phi: np.ndarray,
     t_last: float,
     delta: np.ndarray,
 ) -> np.ndarray:
     """Head gradient -mean_b delta_b (d sample_b / d theta).
 
-    Gradients flow only through the sampler's final prediction.  For the
-    anchored readout x - t * head the sample's sensitivity to head column k
-    is -t_last * phi, so the estimate is (t_last / B) Phi^T delta; the direct
-    readout drops the -t_last factor.
+    Gradients flow only through the sampler's final prediction, whose
+    feature rows phi (B x m, as _sample_chunk_batch captures them) are all
+    the estimate needs.  For the anchored readout x - t * head the sample's
+    sensitivity to head column k is -t_last * phi, so the estimate is
+    (t_last / B) Phi^T delta; the direct readout drops the -t_last factor.
     """
-    phi = featurize(model.features, final_chunk_in, prefixes, t_last)
     n = phi.shape[0]
     if model.parameterization == "anchored":
         return (t_last / n) * phi.T @ delta
@@ -600,7 +599,7 @@ def dmd_train(
                 fits.append(readings)
         prefixes = _dmd_prefixes(dist, i, cfg.batch_size, rng)
         member = generators.member(i)
-        x_tilde, (final_in, t_last) = _sample_chunk_batch(
+        x_tilde, (final_phi, t_last) = _sample_chunk_batch(
             member, prefixes, grid, rng, capture=True
         )
         t = _uniform_times(rng, cfg.batch_size)
@@ -618,7 +617,7 @@ def dmd_train(
             raise DivergenceError(
                 f"score difference blew up at step {step}: {trace[step]:.3e}"
             )
-        grad = dmd_generator_gradient(member, final_in, prefixes, t_last, delta)
+        grad = dmd_generator_gradient(member, final_phi, t_last, delta)
         generators.replace_member(i, sgd_step(member, grad, cfg.learning_rate))
 
     info = {"fake_models": fake_models}

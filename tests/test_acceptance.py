@@ -250,7 +250,8 @@ def test_criterion_6_distribution_matching():
     prefixes = np.empty((64, 0))
     delta = rng.standard_normal((64, 1))
     t_last = grid.times[-1]
-    analytic = dmd_generator_gradient(probe, final_in, prefixes, t_last, delta)
+    phi = featurize(probe.features, final_in, prefixes, t_last)
+    analytic = dmd_generator_gradient(probe, phi, t_last, delta)
 
     def surrogate(theta):
         model = replace(probe, theta=theta)

@@ -155,6 +155,27 @@ def test_blocked_featurize_and_predict_match_one_batch(
     assert predict(model, chunk[-1], prefix[-1], t[-1]).shape == (theta.shape[1],)
 
 
+def test_readout_from_feature_rows_has_the_bits_of_predict():
+    # predict_x0 given a batch's feature rows takes phi @ theta over
+    # featurize's row blocks, as predict does.  At this shape (32 blocks,
+    # shared among threads on two or more CPUs, k = 3) one product over the
+    # whole batch does not round like predict's on every BLAS build.
+    spec = FeatureSpec(m=512, chunk_dim=1, prefix_dim=2, seed=13)
+    rng = np.random.default_rng(13)
+    n = 4096
+    chunk = rng.standard_normal((n, 1))
+    prefix = rng.standard_normal((n, 2))
+    theta = rng.standard_normal((spec.m, 3))
+    for t in (0.625, rng.uniform(0.05, 1.0, n)):
+        phi = featurize(spec, chunk, prefix, t)
+        for parameterization in ("direct", "anchored"):
+            model = LinearStudent(spec, theta, parameterization=parameterization)
+            assert np.array_equal(
+                predict_x0(model, chunk, prefix, t, phi=phi),
+                predict_x0(model, chunk, prefix, t),
+            )
+
+
 def test_featurize_starts_block_threads_only_for_large_batches():
     # In a fresh interpreter held to at most two CPUs: importing ardlab and
     # calls below the threading size start no thread; a larger call starts

@@ -433,7 +433,8 @@ def test_dmd_generator_gradient_matches_surrogate_fd():
     final_in = rng.standard_normal((n, 1))
     prefixes = rng.standard_normal((n, 1))
     delta = rng.standard_normal((n, 1))
-    grad = dmd_generator_gradient(model, final_in, prefixes, t_last, delta)
+    phi = featurize(model.features, final_in, prefixes, t_last)
+    grad = dmd_generator_gradient(model, phi, t_last, delta)
 
     def surrogate(theta):
         from ardlab.models import LinearStudent
