@@ -492,26 +492,37 @@ def fit_head(model: LinearStudent, normal, ridge_lambda: float):
     return replace(model, theta=theta), readings
 
 
+def sgd_step_matrix(phi, t=None) -> np.ndarray:
+    """The m x n matrix M whose product M @ r with a residual r is the
+    gradient of mean |residual|^2 over feature rows phi: (2/n) Phi^T, or
+    -(2/n) (t Phi)^T with rows scaled by t (one time per row) for the
+    anchored readout.  It does not depend on the head, so heads stepped on
+    the same rows can share it."""
+    n = phi.shape[0]
+    # The scale goes onto Phi^T before the product with r, not onto the
+    # product.  This order is kept for the bits: unless n is a power of two,
+    # scaling the product instead rounds differently.
+    if t is None:
+        return (2.0 / n) * phi.T
+    return -(2.0 / n) * (phi * t[:, None]).T
+
+
 def update_head(
     model: LinearStudent, phi, target, cfg: TrainConfig, anchor=None, resid=None
 ) -> LinearStudent:
     """One SGD step on mean |residual|^2 of the head's readout (see
     head_residual) over feature rows phi.
 
-    The gradient is (2/n) Phi^T r, negated and with rows scaled by t for the
-    anchored readout; pass `resid` when the current residual is already at
-    hand.  Ridge fits do not come through here: they go through
+    The gradient is sgd_step_matrix(phi, t) @ r: the scaled transpose
+    (2/n) Phi^T, negated and with rows scaled by t for the anchored readout,
+    times the residual r.  Pass `resid` when the current residual is already
+    at hand.  Ridge fits do not come through here: they go through
     normal_equations and fit_head, which never hold a whole design's rows.
     """
     if resid is None:
         resid = head_residual(model.theta, phi, target, anchor)
-    n = phi.shape[0]
-    if anchor is None:
-        grad = (2.0 / n) * phi.T @ resid
-    else:
-        t = anchor[1]
-        grad = -(2.0 / n) * (phi * t[:, None]).T @ resid
-    return sgd_step(model, grad, cfg.learning_rate)
+    t = None if anchor is None else anchor[1]
+    return sgd_step(model, sgd_step_matrix(phi, t) @ resid, cfg.learning_rate)
 
 
 @dataclass

@@ -480,16 +480,27 @@ def _run_d3(config: ExperimentConfig):
                                     seed=seed + 22)
 
     # warm starts are fine-tuned, not refit: an SGD pass on the chunk-wise
-    # data, identical for both arms, so initialization is the only variable
+    # data, identical for both arms, so initialization is the only variable.
+    # Both arms step in lockstep over one featurized design.
     sgd_cfg = TrainConfig(method="sgd", learning_rate=0.5,
                           step_count=1500, batch_size=256)
-    arms, starts, traces = {}, {}, {}
-    for label, source in (("joint_init", baseline), ("denoiser_init", vel)):
+    labels = ("joint_init", "denoiser_init")
+    students = []
+    for source in (baseline, vel):
         student = _generators(config, seed + 11)
         copy_head(source, student)
-        starts[label] = conditional_energy_distance(student, dist, grid, 2,
-                                                    count=1500, seed=seed + 41)
-        res_arm = ode_distill(ds_causal, student, sgd_cfg, seed=seed + 23)
+        students.append(student)
+    # the joint-init student is the baseline's feature banks and head, so
+    # its starting distance is ed_baseline
+    starts = {
+        "joint_init": ed_baseline,
+        "denoiser_init": conditional_energy_distance(
+            students[1], dist, grid, 2, count=1500, seed=seed + 41
+        ),
+    }
+    results = ode_distill(ds_causal, students, sgd_cfg, seed=seed + 23)
+    arms, traces = {}, {}
+    for label, student, res_arm in zip(labels, students, results):
         traces[f"finetune_{label}_trace.csv"] = res_arm.loss_trace
         arms[label] = conditional_energy_distance(student, dist, grid, 2,
                                                   count=1500, seed=seed + 41)

@@ -16,7 +16,9 @@ Four stages are implemented, all sharing TrainConfig and StageResult:
 
 Each stage fits a linear head over fixed features, as cfg.method says: a
 closed-form ridge fit (models.normal_equations, then models.fit_head) or one
-SGD step (models.update_head); the DMD generator step is always SGD.  A
+SGD step (models.update_head; ode_distill, which steps several heads on one
+pick, applies its models.sgd_step_matrix directly); the DMD generator step
+is always SGD.  A
 ridge fit sums its normal equations over row blocks, so it never holds a
 design's whole rows x m features, and its loss reading comes from the same
 sums.  Each ridge stage puts its fits' readings in StageResult.info["ridge"]
@@ -54,6 +56,7 @@ from .models import (
     predict,
     residual_sse,
     sgd_step,
+    sgd_step_matrix,
     update_head,
 )
 from .models import predict_x0 as _predict_x0
@@ -275,13 +278,33 @@ def _distill_design(dataset: PairDataset, prefix_mode: str):
     return design
 
 
+def _check_shared_design(sets) -> None:
+    """Student sets stepped in lockstep share one featurized design, so they
+    must agree on role, layout, readout and every chunk's feature bank."""
+    if not sets:
+        raise ConfigError("ode_distill needs at least one student set")
+    first = sets[0]
+    banks = [member.features for member in first.members]
+    for models in sets[1:]:
+        if (
+            models.role != first.role
+            or models.seq_spec != first.seq_spec
+            or models.parameterization != first.parameterization
+            or [member.features for member in models.members] != banks
+        ):
+            raise ConfigError(
+                "student sets distilled together must share role, sequence "
+                "layout, parameterization and feature banks"
+            )
+
+
 def ode_distill(
     dataset: PairDataset,
-    students: ChunkModelSet,
+    students: ChunkModelSet | list[ChunkModelSet],
     cfg: TrainConfig,
     seed: int = 0,
     prefix_mode: str = "clean",
-) -> StageResult:
+) -> StageResult | list[StageResult]:
     """Regress few-step generators onto recorded flow endpoints.
 
     Every record contributes one row per grid time: predict the record's
@@ -289,14 +312,25 @@ def ode_distill(
     stored clean prefix for the sibling chunks' snapshots at the same time,
     which only exists for jointly-integrated datasets.
 
+    `students` is one ChunkModelSet, or a list of sets that share their
+    feature banks, parameterization, role and layout and differ only in
+    their heads; a list returns one StageResult per set, in order, each with
+    its own loss trace.  Each set gets the same fit it would get alone, and
+    the design is built once for all of them.
+
     "ridge" fits each head on its whole design from normal equations summed
-    over row blocks, so it holds one block's features at a time.  "sgd"
-    featurizes each chunk's design once and holds one chunk's rows x m
-    features at a time: it draws its (chunk, batch_size-row pick) schedule up
-    front, in step order, and then runs each chunk's steps on rows indexed
-    from that chunk's features.  With batch_size and m of 2 or more this
-    gives the same bits as featurizing every pick.
+    over row blocks, so it holds one block's features at a time; each
+    chunk's sums are taken once and every set's head is fitted from them.
+    "sgd" featurizes each chunk's design once and holds one chunk's rows x m
+    features at a time, whatever the number of sets: it draws its (chunk,
+    batch_size-row pick) schedule up front, in step order, and then runs
+    each chunk's steps on rows indexed from that chunk's features.  A step
+    gathers its pick and builds its sgd_step_matrix once, then steps each
+    set's head in turn.  With batch_size and m of 2 or more this gives the
+    same bits as featurizing every pick for each set alone.
     """
+    sets = students if isinstance(students, list) else [students]
+    _check_shared_design(sets)
     if prefix_mode not in ("clean", "noisy"):
         raise ConfigError(f"unknown prefix_mode {prefix_mode!r}")
     if prefix_mode == "noisy" and dataset.provenance != "bidirectional":
@@ -304,34 +338,35 @@ def ode_distill(
             "noisy-prefix distillation needs a jointly-integrated dataset; "
             f"got provenance {dataset.provenance!r}"
         )
-    if students.role != "generator":
+    if sets[0].role != "generator":
         raise ConfigError("ode_distill expects generator students")
-    if students.seq_spec != dataset.spec:
+    if sets[0].seq_spec != dataset.spec:
         raise ConfigError("student and dataset sequence layouts differ")
-    spec = students.seq_spec
-    anchored = students.parameterization == "anchored"
+    spec = dataset.spec
+    anchored = sets[0].parameterization == "anchored"
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     design = _distill_design(dataset, prefix_mode)
 
     if cfg.method == "ridge":
-        per_chunk = np.empty(spec.n_chunks)
-        fits = []
+        per_chunk = np.empty((len(sets), spec.n_chunks))
+        fits = [[] for _ in sets]
         for i in range(1, spec.n_chunks + 1):
             rows = design[i]
             if anchored:
                 scale, y = rows["t"], rows["chunk"] - rows["target"]
             else:
                 scale, y = None, rows["target"]
-            member = students.member(i)
             normal = normal_equations(
-                member.features, rows["chunk"], rows["prefix"], rows["t"], y, scale
+                sets[0].member(i).features, rows["chunk"], rows["prefix"], rows["t"],
+                y, scale,
             )
-            member, readings = fit_head(member, normal, cfg.ridge_lambda)
-            students.replace_member(i, member)
-            per_chunk[i - 1] = readings["sse"] / y.size
-            fits.append(readings)
-        trace = np.array([float(np.mean(per_chunk))])
+            for k, models in enumerate(sets):
+                member, readings = fit_head(models.member(i), normal, cfg.ridge_lambda)
+                models.replace_member(i, member)
+                per_chunk[k, i - 1] = readings["sse"] / y.size
+                fits[k].append(readings)
+        traces = [np.array([float(np.mean(losses))]) for losses in per_chunk]
     else:
         per_chunk = None
         # The schedule does not depend on the heads, so draw it up front in
@@ -342,41 +377,52 @@ def ode_distill(
             i = int(rng.integers(1, spec.n_chunks + 1))
             step_chunk[step] = i
             picks[step] = rng.integers(0, design[i]["t"].size, size=cfg.batch_size)
-        trace = np.empty(cfg.step_count)
+        traces = [np.empty(cfg.step_count) for _ in sets]
         for i in range(1, spec.n_chunks + 1):
             steps = np.flatnonzero(step_chunk == i)
             if steps.size == 0:
                 continue
             rows = design[i]
-            member = students.member(i)
-            phi_all = featurize(member.features, rows["chunk"], rows["prefix"], rows["t"])
+            members = [models.member(i) for models in sets]
+            phi_all = featurize(
+                members[0].features, rows["chunk"], rows["prefix"], rows["t"]
+            )
             for step in steps:
                 pick = picks[step]
                 phi = phi_all[pick]
                 target = rows["target"][pick]
-                anchor = (rows["chunk"][pick], rows["t"][pick]) if anchored else None
-                resid = head_residual(member.theta, phi, target, anchor)
-                member = update_head(member, phi, target, cfg, anchor, resid)
-                trace[step] = float(np.mean(resid**2))
-            students.replace_member(i, member)
+                t = rows["t"][pick] if anchored else None
+                anchor = (rows["chunk"][pick], t) if anchored else None
+                step_matrix = sgd_step_matrix(phi, t)
+                for k, member in enumerate(members):
+                    resid = head_residual(member.theta, phi, target, anchor)
+                    grad = step_matrix @ resid
+                    members[k] = sgd_step(member, grad, cfg.learning_rate)
+                    traces[k][step] = float(np.mean(resid**2))
+            for models, member in zip(sets, members):
+                models.replace_member(i, member)
             del phi_all  # hold one chunk's features at a time
 
-    info = {
-        "prefix_mode": prefix_mode,
-        "mode": cfg.method,
-        "rows_per_chunk": {i: design[i]["t"].size for i in design},
-    }
-    if per_chunk is not None:
-        info["per_chunk_loss"] = per_chunk
-        info["ridge"] = _ridge_info(range(1, spec.n_chunks + 1), fits)
-    return StageResult(
-        models=students,
-        loss_trace=trace,
-        config=cfg,
-        master_seed=seed,
-        wall_seconds=time.perf_counter() - start,
-        info=info,
-    )
+    wall_seconds = time.perf_counter() - start
+    results = []
+    for k, models in enumerate(sets):
+        info = {
+            "prefix_mode": prefix_mode,
+            "mode": cfg.method,
+            "rows_per_chunk": {i: design[i]["t"].size for i in design},
+        }
+        if per_chunk is not None:
+            info["per_chunk_loss"] = per_chunk[k]
+            info["ridge"] = _ridge_info(range(1, spec.n_chunks + 1), fits[k])
+        results.append(StageResult(
+            models=models,
+            loss_trace=traces[k],
+            config=cfg,
+            master_seed=seed,
+            wall_seconds=wall_seconds,
+            info=info,
+        ))
+    return results if isinstance(students, list) else results[0]
 
 
 # ---------------------------------------------------------------------------

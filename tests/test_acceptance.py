@@ -445,3 +445,13 @@ def test_criterion_10_suite_budget(preset_suite):
     assert names == PRESET_NAMES
     assert checks_pass
     assert elapsed < 600.0
+
+
+def test_d3_joint_init_starts_at_the_joint_data_baseline(preset_suite):
+    # The joint-init student has the baseline's feature banks and head, so
+    # d3 reports its starting distance without rolling it out again.
+    results, _, _ = preset_suite
+    d3 = next(result for result in results if result.name == "d3-init")
+    energy = next(rep for rep in d3.reports if rep.name == "conditional_energy")
+    assert energy["joint_init_before"].value == energy["joint_data_baseline"].value
+    assert energy["joint_init_before"].value > 0.0

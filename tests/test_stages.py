@@ -2,6 +2,7 @@
 
 import json
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -362,6 +363,100 @@ def test_sgd_distill_matches_per_step_featurize_reference(
     assert np.array_equal(result.loss_trace, want_trace)
     for member, want in zip(got.members, expected.members):
         assert np.array_equal(member.theta, want.theta)
+
+
+def _random_heads(models, seed):
+    """Give every member of a set its own random head."""
+    rng = np.random.default_rng(seed)
+    for i, member in enumerate(models.members, start=1):
+        models.replace_member(
+            i, replace(member, theta=0.3 * rng.standard_normal(member.theta.shape))
+        )
+    return models
+
+
+@pytest.mark.parametrize("prefix_mode", ["clean", "noisy"])
+@pytest.mark.parametrize("readout", ["anchored", "direct"])
+@pytest.mark.parametrize("dist", [DIST, ar1_sequence(3, 0.5)], ids=["bivariate", "ar1-3"])
+def test_lockstep_sgd_distill_matches_each_set_alone(
+    monkeypatch, dist, readout, prefix_mode
+):
+    build = make_pairs_bi if prefix_mode == "noisy" else make_pairs_causal
+    pairs = build(dist, DEFAULT_GRID, count=24, steps=8, seed=50)
+    # 12 rows: with a power-of-two batch the 2/n scale is exact, and the
+    # order of scale and product could not show in the bits
+    cfg = TrainConfig(method="sgd", learning_rate=0.3, step_count=80, batch_size=12)
+
+    def students(head_seed):
+        models = make_chunk_models(
+            dist.spec, role="generator", m=32, seed=51, parameterization=readout
+        )
+        return models if head_seed is None else _random_heads(models, head_seed)
+
+    head_seeds = (None, 53)
+    expected = [students(s) for s in head_seeds]
+    want_traces = [
+        _sgd_distill_reference(pairs, models, cfg, 52, prefix_mode)
+        for models in expected
+    ]
+    live = _watch_featurize(monkeypatch)
+    got = [students(s) for s in head_seeds]
+    results = ode_distill(pairs, got, cfg, seed=52, prefix_mode=prefix_mode)
+    assert len(live) <= dist.spec.n_chunks  # one design for both sets
+    assert all(result.models is models for result, models in zip(results, got))
+    assert not np.array_equal(want_traces[0], want_traces[1])
+    for result, models, want_models, want_trace in zip(
+        results, got, expected, want_traces
+    ):
+        assert np.array_equal(result.loss_trace, want_trace)
+        for member, want in zip(models.members, want_models.members):
+            assert np.array_equal(member.theta, want.theta)
+
+
+def test_lockstep_distill_rejects_sets_that_do_not_share_a_design():
+    pairs = make_pairs_causal(DIST, DEFAULT_GRID, count=8, steps=8, seed=54)
+    cfg = TrainConfig(method="sgd", step_count=4, batch_size=4)
+
+    def students(**kw):
+        args = dict(role="generator", m=16, seed=55, parameterization="anchored")
+        return make_chunk_models(kw.pop("spec", SPEC), **{**args, **kw})
+
+    others = [
+        students(seed=56),  # another feature bank
+        students(parameterization="direct"),
+        students(role="fake-score"),
+        students(spec=SequenceSpec(n_frames=4, frame_dim=1, chunk_size=2)),
+    ]
+    for other in others:
+        with pytest.raises(ConfigError, match="must share"):
+            ode_distill(pairs, [students(), other], cfg, seed=0)
+    with pytest.raises(ConfigError, match="at least one"):
+        ode_distill(pairs, [], cfg, seed=0)
+
+
+@pytest.mark.parametrize("readout", ["anchored", "direct"])
+def test_lockstep_ridge_distill_gives_each_set_its_single_fit(readout):
+    dist = ar1_sequence(3, 0.5)
+    pairs = make_pairs_causal(dist, DEFAULT_GRID, count=24, steps=8, seed=57)
+    cfg = TrainConfig(method="ridge")
+
+    def students(head_seed):
+        models = make_chunk_models(
+            dist.spec, role="generator", m=32, seed=58, parameterization=readout
+        )
+        return models if head_seed is None else _random_heads(models, head_seed)
+
+    head_seeds = (None, 59)
+    alone = [ode_distill(pairs, students(s), cfg, seed=60) for s in head_seeds]
+    together = ode_distill(pairs, [students(s) for s in head_seeds], cfg, seed=60)
+    assert len(together) == len(alone)
+    for got, want in zip(together, alone):
+        assert np.array_equal(got.loss_trace, want.loss_trace)
+        assert np.array_equal(got.info["per_chunk_loss"], want.info["per_chunk_loss"])
+        for key, value in want.info["ridge"].items():
+            assert np.array_equal(got.info["ridge"][key], value)
+        for member, want_member in zip(got.models.members, want.models.members):
+            assert np.array_equal(member.theta, want_member.theta)
 
 
 def test_distill_rejects_an_empty_dataset(tmp_path):
