@@ -34,6 +34,7 @@ from .distributions import (
     sample_clean_with_rng,
 )
 from .errors import ConfigError, SingularCovarianceError
+from .models import _row_blocks, _share
 from .ode import (
     _integrate_segments,
     _segment_plan,
@@ -95,12 +96,40 @@ def mean_with_se(values: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+# energy_distance takes its pair distances in row blocks of about this many
+# cells (rows of a x rows of b): 2 MiB of float64 per block, the unit its
+# threads share out.  The blocks do not depend on the CPU count.
+_ENERGY_CELLS = 1 << 18
+
+
 def _mean_cross_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean Euclidean distance over all pairs, via the Gram expansion."""
+    """Mean Euclidean distance over all pairs, via the Gram expansion.
+
+    Each row block of `a` fills one buffer with its squared distances to
+    every row of `b`, takes their square roots in place and stores its row
+    sums; the blocks are shared among threads by models._share, so memory
+    is O(len(a) + block) and the bits do not depend on the CPU count.
+    """
+    n_a, n_b = a.shape[0], b.shape[0]
     sq_a = np.sum(a * a, axis=1)
     sq_b = np.sum(b * b, axis=1)
-    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T)
-    return float(np.mean(np.sqrt(np.maximum(d2, 0.0))))
+    # a copy, so that a @ a.T is never taken as a symmetric (syrk) product,
+    # whose last bits can differ from those of a @ a.copy().T
+    b_t = np.array(b.T, order="C")
+    row_sums = np.empty(n_a)
+
+    def block(rows):
+        lo, hi = rows
+        d = a[lo:hi] @ b_t
+        d *= -2.0
+        d += sq_a[lo:hi, None]
+        d += sq_b
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        np.sum(d, axis=1, out=row_sums[lo:hi])
+
+    _share(block, _row_blocks(n_a, n_b, _ENERGY_CELLS), cells=n_a * n_b)
+    return float(np.sum(row_sums) / (n_a * n_b))
 
 
 def energy_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:

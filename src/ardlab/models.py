@@ -88,14 +88,14 @@ def _assemble_inputs(spec: FeatureSpec, chunk, prefix, t):
 # featurize works in row blocks of about this many cells (rows x m): 512 KiB
 # of features, the unit its threads share out, and with a head all that it
 # holds of a batch's features at a time.  Each block's BLAS products run on
-# one thread (_pin_blas_threads), so the block threads and d2-init's two DMD
-# arms (presets._run_arms) are the only parallelism.
+# one thread (_pin_blas_threads), so the threads of _share are the only
+# parallelism.
 _BLOCK_CELLS = 1 << 16
-# The blocks are shared among threads, up to one per CPU, so that each
-# thread gets at least this many cells; a smaller call runs in the calling
-# thread alone.  Splitting trades CPU for wall time: d2-init's 2,400 calls
-# of 512 x 256, two blocks each, took 2.3 ms of wall and 3.9 ms of CPU per
-# call split over two CPUs, against 3.1 ms of both on one.
+# _share gives each thread at least this many cells of a blocked call; a
+# smaller call runs in the calling thread alone.  Splitting trades CPU for
+# wall time: d2-init's 2,400 featurize calls of 512 x 256, two blocks each,
+# took 2.3 ms of wall and 3.9 ms of CPU per call split over two CPUs,
+# against 3.1 ms of both on one.
 _THREAD_CELLS = 1 << 18
 
 
@@ -123,6 +123,49 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _share(fn, items, cells=None) -> list:
+    """[fn(item) for item in items], the items shared among up to one thread
+    per CPU.
+
+    With w threads, the calling thread takes items 0, w, 2w, ... and
+    started thread j items j, j + w, ...; so with w = 1 no thread is
+    started.  w is at most _cpu_count() and the item count, and for a call
+    of `cells` cells at most one per _THREAD_CELLS of them, so a small call
+    starts none: each featurize call inside d2-init's two DMD arms is one.
+    Each thread stops at its first failing item.  Every started thread is
+    joined, also when the calling thread's items raise; then the first
+    failing item's exception, in item order, is raised.  Items must share
+    nothing they write.
+    """
+    workers = max(1, min(_cpu_count(), len(items)))
+    if cells is not None:
+        workers = max(1, min(workers, cells // _THREAD_CELLS))
+    results, errors = [None] * len(items), [None] * len(items)
+
+    def run(first):
+        for i in range(first, len(items), workers):
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                errors[i] = exc
+                return
+
+    started = []
+    try:
+        for j in range(1, workers):
+            thread = threading.Thread(target=run, args=(j,))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 _OPENBLAS_SIGNATURES = {
@@ -155,9 +198,9 @@ def _openblas_function(name: str):
 
 
 def _pin_blas_threads() -> None:
-    """Hold numpy's OpenBLAS to one thread, so that featurize's row-block
-    threads and d2-init's two DMD arms (presets._run_arms) are the only
-    parallelism in the package.
+    """Hold numpy's OpenBLAS to one thread, so that the threads of _share
+    (featurize's and energy_distance's row blocks, d2-init's two DMD arms)
+    are the only parallelism in the package.
 
     A call that OpenBLAS splits over its own threads leaves them spinning on
     the other CPUs for about 0.1 s, taking the CPU featurize's threads and
@@ -188,42 +231,22 @@ def featurize(spec: FeatureSpec, chunk, prefix, t, head=None) -> np.ndarray:
 
     With `head` (m x k) it returns the head output phi @ head instead,
     holding one row block's features at a time.  The batch is computed in
-    row blocks of about _BLOCK_CELLS cells, each into its own output rows;
-    the calling thread shares them with up to one started thread per further
-    CPU, so that each thread gets at least _THREAD_CELLS cells.  Besides
-    d2-init's two DMD arms (presets._run_arms), whose calls are too small to
-    start any, these threads are the only parallelism: numpy's OpenBLAS
-    runs each block's products on one thread (_pin_blas_threads).  A row's
-    features have the same bits in any batch of two or more rows.
+    row blocks of about _BLOCK_CELLS cells, each into its own output rows,
+    shared among threads by _share.  A row's features have the same bits in
+    any batch of two or more rows.
     """
     z, single = _assemble_inputs(spec, chunk, prefix, t)
     n = z.shape[0]
     out = np.empty((n, spec.m if head is None else head.shape[1]))
-    errors = []
 
-    def run(blocks):
-        try:
-            for a, b in blocks:
-                if head is None:
-                    _cos_features(spec, z[a:b], out[a:b])
-                else:
-                    np.matmul(_cos_features(spec, z[a:b]), head, out=out[a:b])
-        except BaseException as exc:
-            errors.append(exc)
+    def block(rows):
+        a, b = rows
+        if head is None:
+            _cos_features(spec, z[a:b], out[a:b])
+        else:
+            np.matmul(_cos_features(spec, z[a:b]), head, out=out[a:b])
 
-    blocks = _row_blocks(n, spec.m)
-    workers = max(1, min(_cpu_count(), n * spec.m // _THREAD_CELLS))
-    threads = [
-        threading.Thread(target=run, args=(blocks[i::workers],))
-        for i in range(1, workers)
-    ]
-    for thread in threads:
-        thread.start()
-    run(blocks[::workers])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    _share(block, _row_blocks(n, spec.m), cells=n * spec.m)
     return out[0] if single else out
 
 

@@ -10,7 +10,6 @@ write byte-identical files; no artifact carries wall-clock state.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,40 +85,6 @@ def _stage_train(**overrides) -> dict:
     table = {name: TrainConfig() for name in TRAIN_STAGES}
     table.update(overrides)
     return table
-
-
-def _run_arms(arms: list) -> list:
-    """Call each zero-argument arm and return the results in arm order.
-
-    Up to models._cpu_count() arms run at once.  With w = min(CPUs, arms),
-    the calling thread runs arms 0, w, 2w, ... and started thread j runs
-    arms j, j + w, ..., so on one CPU every arm runs in turn in the calling
-    thread.  Arms must share nothing they write.  The started threads are
-    joined even when the calling thread's arm raises; then the first
-    failing arm's exception, in arm order, is raised.
-    """
-    workers = max(1, min(models._cpu_count(), len(arms)))
-    results, errors = [None] * len(arms), [None] * len(arms)
-
-    def run(first):
-        for i in range(first, len(arms), workers):
-            try:
-                results[i] = arms[i]()
-            except Exception as exc:
-                errors[i] = exc
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
 
 
 def _renamed(report: DiagnosticsReport, name: str) -> DiagnosticsReport:
@@ -400,10 +365,10 @@ def _run_d2(config: ExperimentConfig):
     closer and still improves from there.
 
     The fresh and warm arms own their generators, fake models and DMD seed
-    stream, so their two dmd_train runs go through _run_arms, at once where
-    there are two CPUs, with the same bits as in turn.  Their energy
-    distances are taken before and after, one at a time, so the 2,000 x
-    2,000 distance temporaries are never held twice.
+    stream, so their two dmd_train runs are shared out by models._share, at
+    once where there are two CPUs, with the same bits as in turn.  Their
+    energy distances are taken before and after, outside the arms, so that
+    each shares its own row blocks among the CPUs.
     """
     dist = config.distribution()
     grid = config.timestep_grid()
@@ -427,10 +392,9 @@ def _run_d2(config: ExperimentConfig):
             config.sequence_spec(), role="fake-score", m=128,
             seed=seed + 13, parameterization="anchored",
         )
-        return lambda: dmd_train(gens, fakes, dist, grid, config.train["dmd"],
-                                 seed=seed + 31)
+        return dmd_train(gens, fakes, dist, grid, config.train["dmd"], seed=seed + 31)
 
-    res_fresh, res_warm = _run_arms([dmd_arm(fresh), dmd_arm(warm)])
+    res_fresh, res_warm = models._share(dmd_arm, [fresh, warm])
     ed1_fresh, ed1_warm = energy(fresh), energy(warm)
     reports = [
         _scalar_report(

@@ -1,10 +1,14 @@
 """Oracle-backed estimators and distributional metrics."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ardlab import diagnostics, models
 from ardlab.config import ar1_sequence, bivariate_pair, two_mode
 from ardlab.diagnostics import (
     DiagnosticsReport,
@@ -21,8 +25,9 @@ from ardlab.diagnostics import (
     motion_variability,
     trained_conditional_kl,
 )
+from ardlab.diagnostics import _mean_cross_norm
 from ardlab.errors import ConfigError
-from ardlab.models import make_chunk_models
+from ardlab.models import _THREAD_CELLS, _row_blocks, make_chunk_models
 from ardlab.ode import DEFAULT_GRID
 
 RHO = 0.8
@@ -50,9 +55,76 @@ def test_report_and_entry_validation():
 def test_energy_distance_zero_on_identical_sets():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((50, 2))
-    assert energy_distance(a, a.copy()) == pytest.approx(0.0, abs=1e-12)
+    assert energy_distance(a, a.copy()) == 0.0
     with pytest.raises(ValueError):
         energy_distance(a, rng.standard_normal((10, 3)))
+
+
+def _gram_mean_norm(a, b):
+    """The unblocked Gram expansion, over one n_a x n_b array."""
+    sq_a = np.sum(a * a, axis=1)
+    sq_b = np.sum(b * b, axis=1)
+    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T)
+    return float(np.mean(np.sqrt(np.maximum(d2, 0.0))))
+
+
+@given(
+    n_a=st.integers(1, 80),
+    n_b=st.integers(1, 80),
+    dim=st.integers(1, 3),
+    cells=st.sampled_from([16, 64, 300, diagnostics._ENERGY_CELLS]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**16),
+)
+@example(n_a=1, n_b=37, dim=1, cells=64, scale=1.0, seed=0)
+@example(n_a=45, n_b=1, dim=3, cells=16, scale=1.0, seed=1)
+@example(n_a=58, n_b=13, dim=2, cells=64, scale=1.0, seed=2)
+@settings(max_examples=60, deadline=None)
+def test_blocked_mean_cross_norm_matches_the_unblocked_kernel(
+    n_a, n_b, dim, cells, scale, seed
+):
+    # b sits one unit or more from a along the first coordinate, so no pair
+    # distance is small enough for the Gram expansion to lose more than
+    # about 1e-14 of it to cancellation.  With cells under 8 n_b the blocks
+    # are 4 rows, so the last block of 58 rows is ragged.
+    rng = np.random.default_rng(seed)
+    a = scale * rng.uniform(-1.0, 1.0, (n_a, dim))
+    b = scale * rng.uniform(-1.0, 1.0, (n_b, dim))
+    b[:, 0] += 3.0 * scale
+    with mock.patch.object(diagnostics, "_ENERGY_CELLS", cells):
+        got = _mean_cross_norm(a, b)
+    assert got == pytest.approx(_gram_mean_norm(a, b), rel=1e-12)
+    brute = np.mean(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
+    assert got == pytest.approx(brute, rel=1e-8)
+
+
+def test_energy_distance_bits_do_not_depend_on_the_cpu_count():
+    # 5 row blocks of a against b (the last one ragged), 6 of a against a
+    # and 4 of b against b, each call with cells enough for two threads
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((1200, 2))
+    b = 0.5 + rng.standard_normal((900, 2))
+    assert len(_row_blocks(1200, 900, diagnostics._ENERGY_CELLS)) == 5
+    assert 900 * 900 >= 2 * _THREAD_CELLS
+    runs = []
+    for cpus in (1, 2):
+        with mock.patch.object(models, "_cpu_count", lambda: cpus):
+            runs.append(energy_distance(a, b))
+    assert runs[0] == runs[1]
+
+
+def test_energy_distance_memory_stays_bounded():
+    # one 6,000 x 6,000 array of float64 alone would be 275 MiB
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((6000, 2))
+    b = 0.1 + rng.standard_normal((6000, 2))
+    tracemalloc.start()
+    try:
+        energy_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_energy_distance_matches_folded_normal_closed_form():

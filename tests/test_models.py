@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -227,6 +229,85 @@ def test_featurize_starts_block_threads_only_for_large_batches():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_first_failing_item_in_item_order_is_raised():
+    def fail(exc):
+        def item():
+            raise exc
+        return item
+
+    with mock.patch.object(models, "_cpu_count", lambda: 2):
+        with pytest.raises(KeyError):
+            models._share(lambda item: item(), [fail(KeyError()), fail(ValueError())])
+        with pytest.raises(ValueError):
+            models._share(
+                lambda item: item(), [lambda: 0, fail(ValueError()), fail(KeyError())]
+            )
+        assert models._share(lambda x: 2 * x, range(5)) == [0, 2, 4, 6, 8]
+
+
+def test_started_threads_are_joined_when_the_calling_threads_item_raises():
+    started = threading.Event()
+    finished = []
+
+    def fail():
+        started.wait(5.0)
+        raise RuntimeError("calling thread's item")
+
+    def slow():
+        started.set()
+        time.sleep(0.2)
+        finished.append(threading.current_thread() is not threading.main_thread())
+
+    with mock.patch.object(models, "_cpu_count", lambda: 2):
+        with pytest.raises(RuntimeError, match="calling thread's item"):
+            models._share(lambda item: item(), [fail, slow])
+    assert finished == [True]
+
+
+def test_share_starts_no_thread_below_the_threading_size():
+    def thread_of(item):
+        return threading.current_thread()
+
+    main = threading.current_thread()
+    with mock.patch.object(models, "_cpu_count", lambda: 2):
+        below = models._share(thread_of, range(4), cells=2 * models._THREAD_CELLS - 1)
+        at = models._share(thread_of, range(4), cells=2 * models._THREAD_CELLS)
+    assert below == [main] * 4
+    assert at[0] is at[2] is main
+    assert at[1] is at[3] is not main
+
+
+@pytest.mark.parametrize("failing", [(1, 2), (2, 3)])
+def test_featurize_raises_the_first_failing_blocks_error(failing):
+    # 8 row blocks shared by two threads: the calling thread takes blocks
+    # 0, 2, 4, 6 and the started one 1, 3, 5, 7.  The first failing block
+    # in block order fails last in time, yet its error is the one raised,
+    # and no started thread outlives the call.
+    spec = FeatureSpec(m=64, chunk_dim=1, prefix_dim=0, seed=0)
+    size = _BLOCK_CELLS // spec.m
+    n = 8 * size
+    chunk = np.arange(n, dtype=float)[:, None]  # a block's first row number
+    cos_features = models._cos_features
+    threads = set()
+
+    def failing_cos_features(spec, z, out=None):
+        threads.add(threading.current_thread())
+        block = int(z[0, 0]) // size
+        if block in failing:
+            if block == failing[0]:
+                time.sleep(0.2)
+            raise ValueError(block)
+        return cos_features(spec, z, out)
+
+    with mock.patch.object(models, "_cpu_count", lambda: 2), \
+            mock.patch.object(models, "_cos_features", failing_cos_features):
+        with pytest.raises(ValueError) as info:
+            featurize(spec, chunk, None, np.zeros(n))
+    assert info.value.args == (failing[0],)
+    assert len(threads) == 2
+    assert not any(thread.is_alive() for thread in threads - {threading.current_thread()})
 
 
 def test_import_holds_openblas_to_one_thread():
