@@ -34,15 +34,10 @@ from .diagnostics import (
 )
 from .distributions import (
     GaussianComponent,
-    NoisyState,
     SequenceDistribution,
     SequenceSpec,
     condition_on_coordinates,
-    conditional_clean_dist,
     df_conditional_dist,
-    exact_score,
-    forward_noise,
-    joint_posterior_mean,
     noisy_marginal,
     sample_clean,
 )
@@ -72,7 +67,6 @@ from .ode import (
     PairColumns,
     PairDataset,
     TimestepGrid,
-    flow_map_bi,
     gaussian_flow_map,
     integrate,
     make_pairs_bi,
@@ -91,11 +85,8 @@ from .stages import (
     dmd_generator_gradient,
     dmd_train,
     fake_score,
-    few_step_sample,
-    implied_posterior_mean,
     ode_distill,
     rollout,
-    score_from_velocity,
     train_ar_diffusion_df,
     train_ar_diffusion_tf,
 )

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .distributions import (
-    NoisyState,
     SequenceDistribution,
     chunk_second_moment,
     condition_clean_prefix_batch,
@@ -38,8 +37,8 @@ from .models import _row_blocks, _share
 from .ode import (
     _integrate_segments,
     _segment_plan,
+    bi_velocity_field,
     chunk_velocity_field,
-    flow_map_bi,
     integrate,
 )
 from .stages import _sample_chunk_batch
@@ -135,11 +134,15 @@ def _mean_cross_norm(a: np.ndarray, b: np.ndarray) -> float:
 def energy_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
     """2 E|A - B| - E|A - A'| - E|B - B'| over all sample pairs.
 
-    Within-set terms include every ordered pair, which keeps the statistic
-    nonnegative and exactly zero on identical sample sets.
+    Both sets are rows (n, d): a 1-D vector is refused, since it could be
+    n scalar draws or one n-dimensional point.  Within-set terms include
+    every ordered pair, which keeps the statistic nonnegative and exactly
+    zero on identical sample sets.
     """
-    a = np.atleast_2d(np.asarray(samples_a, dtype=float))
-    b = np.atleast_2d(np.asarray(samples_b, dtype=float))
+    a = np.asarray(samples_a, dtype=float)
+    b = np.asarray(samples_b, dtype=float)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError("energy distance needs 2-d (n, d) sample arrays")
     if a.size == 0 or b.size == 0:
         raise ValueError("energy distance needs nonempty sample sets")
     if a.shape[1] != b.shape[1]:
@@ -253,7 +256,7 @@ def injectivity_variance(
     anchors = ((1.0 - t) * x0 + t * eps)[:, sl]
 
     full = _resample_complement(dist, chunk_index, anchors, t, n_resample, rng)
-    endpoints = flow_map_bi(dist, full, t, steps=steps)
+    endpoints = integrate(bi_velocity_field(dist), full, t, 0.0, steps)
     chunk_ends = endpoints[:, sl].reshape(n_anchor, n_resample, -1)
 
     per_anchor_var = chunk_ends.var(axis=1, ddof=1).sum(axis=1)
@@ -312,7 +315,7 @@ def injectivity_variance_oracle(dist: SequenceDistribution, chunk_index: int, t:
 def _conditional_mean_oracle(dist, chunk_index, anchors, t, n_inner, steps, rng):
     """Brute-force E[endpoint chunk | noisy chunk] under the joint flow."""
     full = _resample_complement(dist, chunk_index, anchors, t, n_inner, rng)
-    endpoints = flow_map_bi(dist, full, t, steps=steps)
+    endpoints = integrate(bi_velocity_field(dist), full, t, 0.0, steps)
     sl = dist.spec.chunk_slice(chunk_index)
     return endpoints[:, sl].reshape(anchors.shape[0], n_inner, -1).mean(axis=1)
 
@@ -467,9 +470,7 @@ def df_mismatch(
     spec = dist.spec
     x0 = sample_clean_with_rng(dist, n, rng)
     prefixes = x0[:, spec.prefix_slice(chunk_index)]
-    noisy_cond = df_conditional_dist(
-        dist, chunk_index, NoisyState(values=prefixes, time=t)
-    )
+    noisy_cond = df_conditional_dist(dist, chunk_index, prefixes, t)
     clean_cond = condition_clean_prefix_batch(dist, chunk_index, prefixes)
     kls = gaussian_kl(
         _single_gaussian_rows(noisy_cond), _single_gaussian_rows(clean_cond)
@@ -608,9 +609,7 @@ def consistency_rms(
     prefix = x0[:, spec.prefix_slice(chunk_index)]
     field_fn = chunk_velocity_field(dist, chunk_index, prefix)
     x = rng.standard_normal((count, spec.chunk_dim))
-    endpoint, snaps = _integrate_segments(
-        field_fn, x, _segment_plan(times, steps), "heun"
-    )
+    endpoint, snaps = _integrate_segments(field_fn, x, _segment_plan(times, steps))
 
     from .models import predict_x0
 

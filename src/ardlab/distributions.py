@@ -152,39 +152,17 @@ class SequenceDistribution:
         return np.exp(self._log_w)
 
 
-@dataclass(frozen=True)
-class NoisyState:
-    """A point of the noised process: values plus its noise time in [0, 1]."""
-
-    values: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("noisy state contains non-finite values")
-        if not (0.0 <= self.time <= 1.0):
-            raise ValueError("time must lie in [0, 1]")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "time", float(self.time))
-
-
 # ---------------------------------------------------------------------------
 # vectorized mixture kernels (shared by exact ops and batched conditionals)
 # ---------------------------------------------------------------------------
 
 
-def _as_batch(x: np.ndarray, dim: int):
+def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
+    """x as float rows (B, dim); anything else raises ValueError."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        if x.size != dim:
-            raise ValueError(f"expected a vector of length {dim}, got {x.size}")
-        return x[None, :], True
-    if x.ndim == 2:
-        if x.shape[1] != dim:
-            raise ValueError(f"expected rows of length {dim}, got {x.shape[1]}")
-        return x, False
-    raise ValueError("expected a 1-d or 2-d array")
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ValueError(f"expected rows (B, {dim}), got shape {x.shape}")
+    return x
 
 
 def _check_nonsingular(noisy_lam: np.ndarray, t):
@@ -209,7 +187,7 @@ def _mixture_blocks(log_w, means, eigvecs, eigvals, x, t):
     it: einsum reduces a lone row over D and K in another order, so its
     last bits could differ from the same row's in a larger block.  Yields
     (row slice, log_resp (K, n), y (K, D, n), noisy_lam, a,
-    means (K, D, 1 or n), log_z (n,)).
+    means (K, D, 1 or n)).
     """
     t_arr = np.asarray(t, dtype=float)
     per_row = t_arr.ndim == 1
@@ -253,7 +231,7 @@ def _mixture_blocks(log_w, means, eigvecs, eigvals, x, t):
         # log-space responsibilities with max subtraction for stability
         shift = np.max(log_post, axis=0)
         log_z = shift + np.log(np.sum(np.exp(log_post - shift), axis=0))
-        yield rows, log_post - log_z, y, noisy_lam, a, m, log_z
+        yield rows, log_post - log_z, y, noisy_lam, a, m
 
 
 def _write_rows(out, rows, cols):
@@ -263,19 +241,10 @@ def _write_rows(out, rows, cols):
         out[rows, d] = col
 
 
-def _mixture_log_density(log_w, means, eigvecs, eigvals, x, t):
-    out = np.empty(x.shape[0])
-    for rows, _, _, _, _, _, log_z in _mixture_blocks(
-        log_w, means, eigvecs, eigvals, x, t
-    ):
-        out[rows] = log_z
-    return out
-
-
 def _mixture_posterior_mean(log_w, means, eigvecs, eigvals, x, t):
     """E[x0 | x_t = x] for the mixture, batched over rows of x."""
     out = np.empty(x.shape)
-    for rows, log_resp, y, noisy_lam, a, m, _ in _mixture_blocks(
+    for rows, log_resp, y, noisy_lam, a, m in _mixture_blocks(
         log_w, means, eigvecs, eigvals, x, t
     ):
         gain = a * eigvals[:, :, None] / noisy_lam  # posterior gain per eigenmode
@@ -288,7 +257,7 @@ def _mixture_posterior_mean(log_w, means, eigvecs, eigvals, x, t):
 def _mixture_score(log_w, means, eigvecs, eigvals, x, t):
     """Gradient of log p_t at x, batched over rows of x."""
     out = np.empty(x.shape)
-    for rows, log_resp, y, noisy_lam, _, _, _ in _mixture_blocks(
+    for rows, log_resp, y, noisy_lam, _, _ in _mixture_blocks(
         log_w, means, eigvecs, eigvals, x, t
     ):
         per_comp = -np.einsum("kde,keb->kdb", eigvecs, y / noisy_lam)
@@ -329,43 +298,6 @@ def _sample_mixture(weights, means, eigvecs, eigvals, count, rng):
         root = eigvecs[k] * np.sqrt(eigvals[k])[None, :]
         out[mask] = means[k][None, :] + eps[mask] @ root.T
     return out
-
-
-def forward_noise(x0: np.ndarray, t: float, eps: np.ndarray) -> NoisyState:
-    """Interpolate clean data toward noise: x_t = (1 - t) x0 + t eps."""
-    x0 = np.asarray(x0, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    if x0.shape != eps.shape:
-        raise ValueError("x0 and eps must have identical shapes")
-    values = (1.0 - t) * x0 + t * eps
-    return NoisyState(values=values, time=t)
-
-
-def joint_posterior_mean(dist: SequenceDistribution, state: NoisyState) -> np.ndarray:
-    """Exact posterior mean E[x0 | x_t] of the mixture at the state's time."""
-    x, single = _as_batch(state.values, dist.dim)
-    m = _mixture_posterior_mean(
-        dist._log_w, dist._means, dist._eigvecs, dist._eigvals, x, state.time
-    )
-    return m[0] if single else m
-
-
-def exact_score(dist: SequenceDistribution, state: NoisyState) -> np.ndarray:
-    """Gradient of log p_t at the state, where p_t is the noised mixture."""
-    x, single = _as_batch(state.values, dist.dim)
-    s = _mixture_score(
-        dist._log_w, dist._means, dist._eigvecs, dist._eigvals, x, state.time
-    )
-    return s[0] if single else s
-
-
-def noisy_log_density(dist: SequenceDistribution, state: NoisyState) -> np.ndarray:
-    """log p_t of the noised mixture at the state."""
-    x, single = _as_batch(state.values, dist.dim)
-    v = _mixture_log_density(
-        dist._log_w, dist._means, dist._eigvecs, dist._eigvals, x, state.time
-    )
-    return float(v[0]) if single else v
 
 
 def _noised_law(dist: SequenceDistribution, t: float, noised):
@@ -446,15 +378,6 @@ class BatchedConditional:
             count, rng,
         )
 
-    def row(self, b: int, spec: SequenceSpec) -> SequenceDistribution:
-        """Materialize row b as an ordinary SequenceDistribution."""
-        w = np.exp(self.log_w[b])
-        comps = tuple(
-            GaussianComponent(weight=float(w[k]), mean=self.means[b, k], covariance=c)
-            for k, c in enumerate(self.covariances)
-        )
-        return SequenceDistribution(spec=spec, components=comps)
-
 
 def _condition(log_w, means, covs, observed, kept, values) -> BatchedConditional:
     """Condition every mixture component on coordinates `observed` = values.
@@ -506,40 +429,22 @@ def _condition(log_w, means, covs, observed, kept, values) -> BatchedConditional
 
 
 def condition_on_coordinates(
-    dist: SequenceDistribution,
-    observed_idx,
-    values,
-    spec: SequenceSpec | None = None,
-):
-    """Exact mixture conditional on an arbitrary coordinate subset.
+    dist: SequenceDistribution, observed_idx, values: np.ndarray
+) -> BatchedConditional:
+    """Exact mixture conditional on an arbitrary coordinate subset, one row
+    of values (B, len(observed_idx)) per conditional.
 
     Weights are reweighted by each component's marginal density of the
-    observation, accumulated in log space.  A vector of values gives a
-    SequenceDistribution over the remaining coordinates; rows of values
-    (B, len(observed_idx)) give the BatchedConditional of all rows.
+    observation, accumulated in log space.  Every unobserved coordinate is
+    kept.
     """
     observed_idx = np.asarray(observed_idx, dtype=int)
-    values, single = _as_batch(values, observed_idx.size)
+    values = _as_batch(values, observed_idx.size)
     rest_idx = np.setdiff1d(np.arange(dist.dim), observed_idx)
     if rest_idx.size == 0:
         raise ValueError("cannot condition on every coordinate")
-    cond = _condition(
+    return _condition(
         dist._log_w, dist._means, dist._covs, observed_idx, rest_idx, values
-    )
-    if not single:
-        return cond
-    if spec is None:
-        d = dist.spec.frame_dim
-        if rest_idx.size % d == 0:
-            spec = SequenceSpec(n_frames=rest_idx.size // d, frame_dim=d, chunk_size=1)
-        else:
-            spec = SequenceSpec(n_frames=rest_idx.size, frame_dim=1, chunk_size=1)
-    return cond.row(0, spec)
-
-
-def _chunk_spec(spec: SequenceSpec) -> SequenceSpec:
-    return SequenceSpec(
-        n_frames=spec.chunk_size, frame_dim=spec.frame_dim, chunk_size=spec.chunk_size
     )
 
 
@@ -555,46 +460,32 @@ def condition_clean_prefix_batch(
     Chunks after i are marginalized out, never conditioned on.
     """
     spec = dist.spec
-    chunk_idx = _coordinates(spec.chunk_slice(i))
-    prefixes = np.atleast_2d(np.asarray(prefixes, dtype=float))
-    if prefixes.shape[1] != spec.prefix_dim(i):
-        raise ValueError(
-            f"prefix rows for chunk {i} must have {spec.prefix_dim(i)} coordinates"
-        )
+    prefixes = _as_batch(prefixes, spec.prefix_dim(i))
     return _condition(
         dist._log_w, dist._means, dist._covs,
-        _coordinates(spec.prefix_slice(i)), chunk_idx, prefixes,
+        _coordinates(spec.prefix_slice(i)), _coordinates(spec.chunk_slice(i)),
+        prefixes,
     )
 
 
-def conditional_clean_dist(
-    dist: SequenceDistribution, i: int, prefix: np.ndarray
-) -> SequenceDistribution:
-    """Law of clean chunk i given the clean chunks before it, as a mixture
-    over the chunk's coordinates only."""
-    prefix = np.asarray(prefix, dtype=float).reshape(1, -1)
-    cond = condition_clean_prefix_batch(dist, i, prefix)
-    return cond.row(0, _chunk_spec(dist.spec))
-
-
-def df_conditional_dist(dist: SequenceDistribution, i: int, noisy_prefix: NoisyState):
-    """Law of clean chunk i given a noisy prefix x_t^{<i} = z at time t.
+def df_conditional_dist(
+    dist: SequenceDistribution, i: int, prefixes: np.ndarray, t: float
+) -> BatchedConditional:
+    """Law of clean chunk i given each row of noisy prefixes x_t^{<i} = z
+    (B, prefix_dim) at time t.
 
     Per component, (x_t^{<i}, x0^i) is jointly Gaussian with
     Cov(x_t^{<i}) = a^2 S_PP + s^2 I and Cov(x0^i, x_t^{<i}) = a S_CP, so
     the conditional is the same Gaussian conditioning applied to that law.
-    A prefix vector gives a SequenceDistribution; rows of prefixes
-    (B, prefix_dim) give the BatchedConditional of all rows.
     """
     spec = dist.spec
     chunk_idx = _coordinates(spec.chunk_slice(i))
     prefix_idx = _coordinates(spec.prefix_slice(i))
     if prefix_idx.size == 0:
         raise ValueError("chunk 1 has no prefix to condition on")
-    z, single = _as_batch(noisy_prefix.values, prefix_idx.size)
-    means, covs = _noised_law(dist, noisy_prefix.time, prefix_idx)
-    cond = _condition(dist._log_w, means, covs, prefix_idx, chunk_idx, z)
-    return cond.row(0, _chunk_spec(spec)) if single else cond
+    z = _as_batch(prefixes, prefix_idx.size)
+    means, covs = _noised_law(dist, t, prefix_idx)
+    return _condition(dist._log_w, means, covs, prefix_idx, chunk_idx, z)
 
 
 # ---------------------------------------------------------------------------
@@ -602,20 +493,13 @@ def df_conditional_dist(dist: SequenceDistribution, i: int, noisy_prefix: NoisyS
 # ---------------------------------------------------------------------------
 
 
-def mixture_moments(dist: SequenceDistribution):
-    """Mean vector and covariance matrix of the mixture."""
+def chunk_second_moment(dist: SequenceDistribution, i: int) -> float:
+    """E ||x0^i||^2 for chunk i, in closed form."""
+    idx = _coordinates(dist.spec.chunk_slice(i))
     w = dist.weights
     mean = np.einsum("k,kd->d", w, dist._means)
     cov = np.zeros((dist.dim, dist.dim))
     for k, comp in enumerate(dist.components):
         diff = comp.mean - mean
         cov += w[k] * (comp.covariance + np.outer(diff, diff))
-    return mean, 0.5 * (cov + cov.T)
-
-
-def chunk_second_moment(dist: SequenceDistribution, i: int) -> float:
-    """E ||x0^i||^2 for chunk i, in closed form."""
-    mean, cov = mixture_moments(dist)
-    sl = dist.spec.chunk_slice(i)
-    idx = np.arange(sl.start, sl.stop)
     return float(np.trace(cov[np.ix_(idx, idx)]) + mean[idx] @ mean[idx])

@@ -23,7 +23,6 @@ from .errors import DivergenceError, GridError
 from .models import ChunkModelSet, predict
 
 DATASET_STEPS = 256
-ORACLE_STEPS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +114,18 @@ def integrate(
     steps: int,
     method: str = "heun",
 ) -> np.ndarray:
-    """Integrate dx/dt = field(x, t) on a uniform grid from t_from down to t_to
-    and return the endpoint.
+    """Integrate dx/dt = field(x, t) over rows x on a uniform grid from t_from
+    down to t_to with Heun steps and return the endpoint rows.
 
     When t_to is exactly 0 the final sub-step applies the endpoint rule
     x_0 = x - t_min * field(x, t_min), which avoids evaluating the field at
     the singular time 0 and is exact in the small-step limit.  States at
     intermediate times come from chaining calls (_integrate_segments).
+    Heun is the only solver; `method` is accepted only as "heun", so callers
+    that name it keep working (perfbench's tracer self-test does).
     """
-    if method not in ("euler", "heun"):
-        raise ValueError(f"unknown method {method!r}")
+    if method != "heun":
+        raise ValueError(f"unknown method {method!r}; only 'heun' is implemented")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not (0.0 <= t_to < t_from <= 1.0):
@@ -140,28 +141,11 @@ def integrate(
         else:
             dt = t1 - t0
             v0 = field_fn(x, t0)
-            if method == "euler":
-                x = x + dt * v0
-            else:
-                pred = x + dt * v0
-                x = x + 0.5 * dt * (v0 + field_fn(pred, t1))
+            pred = x + dt * v0
+            x = x + 0.5 * dt * (v0 + field_fn(pred, t1))
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"non-finite state while stepping to t={t1}")
     return x
-
-
-def flow_map_bi(
-    dist: SequenceDistribution,
-    values: np.ndarray,
-    t: float,
-    steps: int = ORACLE_STEPS,
-    method: str = "heun",
-) -> np.ndarray:
-    """Transport x_t to its clean endpoint along the joint flow."""
-    values = np.asarray(values, dtype=float)
-    batch = np.atleast_2d(values)
-    out = integrate(bi_velocity_field(dist), batch, t, 0.0, steps, method)
-    return out[0] if values.ndim == 1 else out
 
 
 def gaussian_flow_map(mean: np.ndarray, cov: np.ndarray, t: float):
@@ -243,11 +227,11 @@ def _segment_plan(times, steps: int):
     return plan
 
 
-def _integrate_segments(field_fn, x, plan, method):
+def _integrate_segments(field_fn, x, plan):
     """Run the segment chain, recording the state at every boundary."""
     snaps = {plan[0][0]: x.copy()}
     for hi, lo, sub in plan:
-        x = integrate(field_fn, x, hi, lo, sub, method)
+        x = integrate(field_fn, x, hi, lo, sub)
         if lo > 0.0:
             snaps[lo] = x.copy()
     return x, snaps
@@ -264,7 +248,6 @@ def make_pairs_bi(
     count: int = 1000,
     steps: int = DATASET_STEPS,
     seed: int = 0,
-    method: str = "heun",
 ) -> PairDataset:
     """Integrate the joint flow from fresh noise and emit per-chunk records.
 
@@ -277,7 +260,7 @@ def make_pairs_bi(
     for r, s in enumerate(seeds):
         x1[r] = np.random.default_rng(int(s)).standard_normal(spec.total_dim)
     plan = _segment_plan(grid, steps)
-    endpoint, snaps = _integrate_segments(bi_velocity_field(dist), x1, plan, method)
+    endpoint, snaps = _integrate_segments(bi_velocity_field(dist), x1, plan)
     records = PairColumns(
         seed=seeds,
         prefix=endpoint[:, spec.prefix_slice(spec.n_chunks)].copy(),
@@ -291,7 +274,7 @@ def make_pairs_bi(
         records=records,
         metadata={
             "teacher": "oracle-bidirectional",
-            "solver": method,
+            "solver": "heun",
             "steps": steps,
             "master_seed": seed,
         },
@@ -304,7 +287,6 @@ def make_pairs_causal(
     count: int = 1000,
     steps: int = DATASET_STEPS,
     seed: int = 0,
-    method: str = "heun",
     teacher=None,
 ) -> PairDataset:
     """Per-chunk conditional flows from fresh noise, prefixed by ground truth.
@@ -331,9 +313,7 @@ def make_pairs_causal(
     for i in range(1, spec.n_chunks + 1):
         sl = spec.chunk_slice(i)
         field_fn = chunk_velocity_field(source, i, gt[:, spec.prefix_slice(i)])
-        endpoint[:, sl], snaps = _integrate_segments(
-            field_fn, eps[:, i - 1], plan, method
-        )
+        endpoint[:, sl], snaps = _integrate_segments(field_fn, eps[:, i - 1], plan)
         snapshots[:, :, sl] = _grid_columns(snaps, grid)
     records = PairColumns(
         seed=seeds,
@@ -348,7 +328,7 @@ def make_pairs_causal(
         records=records,
         metadata={
             "teacher": "oracle-autoregressive" if teacher is None else "learned-autoregressive",
-            "solver": method,
+            "solver": "heun",
             "steps": steps,
             "master_seed": seed,
         },

@@ -108,21 +108,6 @@ def _as_time_column(t) -> np.ndarray:
     return t_arr[:, None] if t_arr.ndim == 1 else t_arr
 
 
-def score_from_velocity(x: np.ndarray, v: np.ndarray, t) -> np.ndarray:
-    """Score implied by a velocity field: s(x, t) = -(x + (1 - t) v) / t."""
-    t_col = _as_time_column(t)
-    return -(x + (1.0 - t_col) * v) / t_col
-
-
-def implied_posterior_mean(model: LinearStudent, chunk, prefix, t) -> np.ndarray:
-    """Posterior-mean readout x - t * v implied by a velocity model."""
-    v = predict(model, chunk, prefix, t)
-    chunk = np.asarray(chunk, dtype=float)
-    if v.ndim == 2:
-        return chunk - _as_time_column(t) * v
-    return chunk - float(t) * v
-
-
 # ---------------------------------------------------------------------------
 # stage 1: autoregressive denoising regression
 # ---------------------------------------------------------------------------
@@ -454,24 +439,12 @@ def _sample_chunk_batch(model, prefixes, grid, rng, capture=False):
     return x0_hat
 
 
-def few_step_sample_batch(
-    model: LinearStudent, grid: TimestepGrid, prefixes: np.ndarray, seed: int = 0
+def rollout(
+    models: ChunkModelSet, grid: TimestepGrid, seed: int = 0, count: int = 1
 ) -> np.ndarray:
-    """Draw one chunk per prefix row with the few-step sampler."""
+    """Sample `count` full sequences (count, total_dim) chunk by chunk, each
+    conditioned on its own past."""
     rng = np.random.default_rng(seed)
-    prefixes = np.atleast_2d(np.asarray(prefixes, dtype=float))
-    return _sample_chunk_batch(model, prefixes, grid, rng)
-
-
-def few_step_sample(
-    model: LinearStudent, grid: TimestepGrid, prefix, seed: int = 0
-) -> np.ndarray:
-    """Single-draw convenience wrapper around few_step_sample_batch."""
-    prefix = np.asarray(prefix, dtype=float).reshape(1, -1)
-    return few_step_sample_batch(model, grid, prefix, seed)[0]
-
-
-def _rollout_batch(models: ChunkModelSet, grid, count, rng) -> np.ndarray:
     spec = models.seq_spec
     out = np.empty((count, spec.total_dim))
     for i in range(1, spec.n_chunks + 1):
@@ -482,21 +455,11 @@ def _rollout_batch(models: ChunkModelSet, grid, count, rng) -> np.ndarray:
     return out
 
 
-def rollout(
-    models: ChunkModelSet, grid: TimestepGrid, seed: int = 0, count: int = 1
-) -> np.ndarray:
-    """Sample full sequences chunk by chunk, each conditioned on its own past."""
-    rng = np.random.default_rng(seed)
-    out = _rollout_batch(models, grid, count, rng)
-    return out[0] if count == 1 else out
-
-
 def learned_conditional_endpoints(
     model: LinearStudent,
     prefixes: np.ndarray,
     seed: int = 0,
     steps: int = 256,
-    method: str = "heun",
 ) -> np.ndarray:
     """Integrate a trained velocity model from fresh noise to t = 0.
 
@@ -510,8 +473,7 @@ def learned_conditional_endpoints(
     def field_fn(x, t):
         return predict(model, x, prefixes, t)
 
-    out = integrate(field_fn, x1, 1.0, 0.0, steps, method)
-    return out
+    return integrate(field_fn, x1, 1.0, 0.0, steps)
 
 
 # ---------------------------------------------------------------------------

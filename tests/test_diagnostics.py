@@ -58,6 +58,14 @@ def test_energy_distance_zero_on_identical_sets():
     assert energy_distance(a, a.copy()) == 0.0
     with pytest.raises(ValueError):
         energy_distance(a, rng.standard_normal((10, 3)))
+    # a vector of n scalar draws is not read as one n-dimensional point:
+    # for N(0, 1) against N(3, 1) at n = 2,000 that reading gives about 293,
+    # while the (n, 1) rows give about the closed form 3.78
+    x, y = rng.standard_normal(2000), rng.standard_normal(2000) + 3.0
+    for pair in ((x, y), (x, y[:, None]), (x[:, None], y)):
+        with pytest.raises(ValueError):
+            energy_distance(*pair)
+    assert energy_distance(x[:, None], y[:, None]) == pytest.approx(3.78, rel=0.05)
 
 
 def _gram_mean_norm(a, b):

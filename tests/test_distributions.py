@@ -11,23 +11,15 @@ from ardlab.config import ar1_sequence, bivariate_pair, two_mode
 from ardlab.diagnostics import _prefix_regressions
 from ardlab.distributions import (
     GaussianComponent,
-    NoisyState,
     SequenceDistribution,
     SequenceSpec,
     _condition,
-    _mixture_log_density,
     _mixture_posterior_mean,
     _mixture_score,
     chunk_second_moment,
     condition_clean_prefix_batch,
     condition_on_coordinates,
-    conditional_clean_dist,
     df_conditional_dist,
-    exact_score,
-    forward_noise,
-    joint_posterior_mean,
-    mixture_moments,
-    noisy_log_density,
     noisy_marginal,
     sample_clean,
 )
@@ -65,10 +57,26 @@ def test_component_validation():
         )
 
 
+def mean_and_covariance(dist):
+    """Mean vector and covariance matrix of the mixture, from its components."""
+    w = dist.weights
+    mean = w @ dist._means
+    cov = sum(
+        wk * (c.covariance + np.outer(c.mean - mean, c.mean - mean))
+        for wk, c in zip(w, dist.components)
+    )
+    return mean, cov
+
+
+def exact_kernel(kernel, dist, x, t):
+    """A mixture kernel of the whole law `dist` on rows x at time t."""
+    return kernel(dist._log_w, dist._means, dist._eigvecs, dist._eigvals, x, t)
+
+
 def test_sampling_matches_mixture_moments():
     dist = two_mode(3.0)
     draws = sample_clean(dist, 60_000, seed=3)
-    mean, cov = mixture_moments(dist)
+    mean, cov = mean_and_covariance(dist)
     assert np.allclose(draws.mean(axis=0), mean, atol=0.05)
     assert np.allclose(np.cov(draws, rowvar=False), cov, atol=0.2)
 
@@ -77,16 +85,6 @@ def test_sampling_is_deterministic():
     a = sample_clean(DIST, 100, seed=11)
     b = sample_clean(DIST, 100, seed=11)
     assert np.array_equal(a, b)
-
-
-@given(t=st.floats(0.0, 1.0))
-@settings(max_examples=30, deadline=None)
-def test_forward_noise_interpolates(t):
-    x0 = np.array([[1.0, -2.0], [0.5, 0.25]])
-    eps = np.array([[0.3, 0.7], [-1.1, 0.2]])
-    state = forward_noise(x0, t, eps)
-    assert state.time == t
-    assert np.allclose(state.values, (1.0 - t) * x0 + t * eps)
 
 
 def test_noisy_marginal_covariance():
@@ -102,13 +100,13 @@ def test_score_matches_log_density_gradient():
     dist = two_mode(2.0)
     t = 0.5
     h = 1e-6
+    covs = dist._covs
     for x in (-2.5, -0.3, 0.0, 1.7):
-        state = NoisyState(values=np.array([x]), time=t)
-        score = exact_score(dist, state)
-        up = noisy_log_density(dist, NoisyState(values=np.array([x + h]), time=t))
-        dn = noisy_log_density(dist, NoisyState(values=np.array([x - h]), time=t))
-        fd = (up - dn) / (2.0 * h)
-        assert abs(score[0] - fd) < 1e-5
+        score = exact_kernel(_mixture_score, dist, np.array([[x]]), t)
+        _, _, up = dense_kernels(dist._log_w, dist._means, covs, np.array([[x + h]]), t)
+        _, _, dn = dense_kernels(dist._log_w, dist._means, covs, np.array([[x - h]]), t)
+        fd = (up[0] - dn[0]) / (2.0 * h)
+        assert abs(score[0, 0] - fd) < 1e-5
 
 
 def test_posterior_mean_matches_tweedie():
@@ -116,38 +114,34 @@ def test_posterior_mean_matches_tweedie():
     dist = two_mode(3.0)
     t = 0.6
     x = np.array([[0.8], [-1.5], [2.2]])
-    state = NoisyState(values=x, time=t)
-    post = joint_posterior_mean(dist, state)
-    score = exact_score(dist, state)
+    post = exact_kernel(_mixture_posterior_mean, dist, x, t)
+    score = exact_kernel(_mixture_score, dist, x, t)
     assert np.allclose((1.0 - t) * post, x + t**2 * score, atol=1e-10)
 
 
 def test_two_mode_posterior_mean_symmetry():
     dist = two_mode(3.0)
-    state = NoisyState(values=np.array([0.0]), time=0.5)
-    assert abs(joint_posterior_mean(dist, state)[0]) < 1e-12
-    pos = joint_posterior_mean(dist, NoisyState(values=np.array([1.0]), time=0.5))
-    assert pos[0] > 0.0
+    post = exact_kernel(_mixture_posterior_mean, dist, np.array([[0.0], [1.0]]), 0.5)
+    assert abs(post[0, 0]) < 1e-12
+    assert post[1, 0] > 0.0
 
 
 def test_condition_on_coordinates_schur():
     cov = DIST.components[0].covariance
     marg = noisy_marginal(DIST, 0.5)
     noisy_cov = marg.components[0].covariance
-    cond = condition_on_coordinates(marg, np.array([0]), np.array([1.2]))
+    cond = condition_on_coordinates(marg, np.array([0]), np.array([[1.2]]))
     expected_mean = noisy_cov[1, 0] / noisy_cov[0, 0] * 1.2
     expected_var = noisy_cov[1, 1] - noisy_cov[1, 0] ** 2 / noisy_cov[0, 0]
-    comp = cond.components[0]
-    assert np.allclose(comp.mean, [expected_mean], atol=1e-12)
-    assert np.allclose(comp.covariance, [[expected_var]], atol=1e-12)
+    assert np.allclose(cond.means[0, 0], [expected_mean], atol=1e-12)
+    assert np.allclose(cond.covariances[0], [[expected_var]], atol=1e-12)
     assert cov is DIST.components[0].covariance  # untouched
 
 
 def test_conditional_clean_dist_bivariate():
-    cond = conditional_clean_dist(DIST, 2, np.array([0.7]))
-    comp = cond.components[0]
-    assert np.allclose(comp.mean, [RHO * 0.7], atol=1e-12)
-    assert np.allclose(comp.covariance, [[1.0 - RHO**2]], atol=1e-12)
+    cond = condition_clean_prefix_batch(DIST, 2, np.array([[0.7]]))
+    assert np.allclose(cond.means[0, 0], [RHO * 0.7], atol=1e-12)
+    assert np.allclose(cond.covariances[0], [[1.0 - RHO**2]], atol=1e-12)
 
 
 def test_df_conditional_noisy_prefix_moments():
@@ -156,12 +150,45 @@ def test_df_conditional_noisy_prefix_moments():
     t = 0.3
     z = 0.9
     a = 1.0 - t
-    cond = df_conditional_dist(DIST, 2, NoisyState(values=np.array([z]), time=t))
-    comp = cond.components[0]
+    cond = df_conditional_dist(DIST, 2, np.array([[z]]), t)
     coef = a * RHO / (a**2 + t**2)
     var = 1.0 - a * RHO * coef
-    assert np.allclose(comp.mean, [coef * z], atol=1e-12)
-    assert np.allclose(comp.covariance, [[var]], atol=1e-12)
+    assert np.allclose(cond.means[0, 0], [coef * z], atol=1e-12)
+    assert np.allclose(cond.covariances[0], [[var]], atol=1e-12)
+
+
+@given(
+    k=st.integers(1, 3),
+    n_chunks=st.integers(2, 3),
+    frame_dim=st.integers(1, 2),
+    rows=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_noisy_prefix_conditional_at_time_zero_is_the_clean_one(
+    k, n_chunks, frame_dim, rows, seed
+):
+    # at t = 0 the noisy prefix is the clean prefix
+    rng = np.random.default_rng(seed)
+    dist = random_mixture(rng, k, n_chunks, frame_dim)
+    i = int(rng.integers(2, n_chunks + 1))
+    z = rng.standard_normal((rows, dist.spec.prefix_dim(i)))
+    noisy = df_conditional_dist(dist, i, z, 0.0)
+    clean = condition_clean_prefix_batch(dist, i, z)
+    for field in ("log_w", "means", "covariances"):
+        np.testing.assert_allclose(
+            getattr(noisy, field), getattr(clean, field), rtol=0.0, atol=1e-12
+        )
+
+
+def test_exact_law_functions_refuse_anything_but_rows():
+    for bad in (np.array([0.7]), np.zeros((1, 2)), np.zeros((1, 1, 1))):
+        with pytest.raises(ValueError):
+            condition_clean_prefix_batch(DIST, 2, bad)
+        with pytest.raises(ValueError):
+            df_conditional_dist(DIST, 2, bad, 0.5)
+        with pytest.raises(ValueError):
+            condition_on_coordinates(DIST, np.array([0]), bad)
 
 
 def test_batched_conditional_matches_scalar_closed_form():
@@ -201,13 +228,6 @@ def test_ar1_covariance_structure():
     cov = dist.components[0].covariance
     assert cov[0, 3] == pytest.approx(0.5**3)
     assert np.allclose(np.diag(cov), 1.0)
-
-
-def test_noisy_state_validation():
-    with pytest.raises(ValueError):
-        NoisyState(values=np.array([np.nan]), time=0.5)
-    with pytest.raises(ValueError):
-        NoisyState(values=np.array([0.0]), time=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +293,12 @@ def test_condition_kernel_matches_dense_reference(k, dim, rows, seed):
         assert np.allclose(np.exp(cond.log_w[b]), w, rtol=0.0, atol=1e-9)
         assert np.allclose(cond.means[b], means, rtol=0.0, atol=1e-9)
         assert np.allclose(cond.covariances, covs, rtol=0.0, atol=1e-9)
-    # the public wrapper keeps every unobserved coordinate, row by row or at once
+    # the public wrapper keeps every unobserved coordinate
     batched = condition_on_coordinates(dist, observed, values)
-    single = condition_on_coordinates(dist, observed, values[0])
     w, means, covs = dense_conditional(dist, observed, np.sort(rest), values[0])
+    assert np.allclose(np.exp(batched.log_w[0]), w, rtol=0.0, atol=1e-9)
     assert np.allclose(batched.means[0], means, rtol=0.0, atol=1e-9)
-    assert np.allclose(single.weights, w, rtol=0.0, atol=1e-9)
-    for comp, m, c in zip(single.components, means, covs):
-        assert np.allclose(comp.mean, m, rtol=0.0, atol=1e-9)
-        assert np.allclose(comp.covariance, c, rtol=0.0, atol=1e-9)
+    assert np.allclose(batched.covariances, covs, rtol=0.0, atol=1e-9)
 
 
 @given(
@@ -303,12 +320,10 @@ def test_noisy_prefix_conditional_matches_oracle_regression(
     mu_p, mu_c = mean[spec.prefix_slice(i)], mean[spec.chunk_slice(i)]
     z = rng.standard_normal((rows, spec.prefix_dim(i)))
     k_clean, v_clean, k_noisy, v_noisy = _prefix_regressions(dist, i, t)
-    noisy = df_conditional_dist(dist, i, NoisyState(values=z, time=t))
+    noisy = df_conditional_dist(dist, i, z, t)
     expected = mu_c + (z - (1.0 - t) * mu_p) @ k_noisy.T
     assert np.allclose(noisy.means[:, 0], expected, rtol=0.0, atol=1e-9)
     assert np.allclose(noisy.covariances[0], v_noisy, rtol=0.0, atol=1e-9)
-    single = df_conditional_dist(dist, i, NoisyState(values=z[0], time=t))
-    assert np.allclose(single.components[0].mean, expected[0], rtol=0.0, atol=1e-9)
     clean = condition_clean_prefix_batch(dist, i, z)
     assert np.allclose(clean.means[:, 0], mu_c + (z - mu_p) @ k_clean.T, rtol=0.0, atol=1e-9)
     assert np.allclose(clean.covariances[0], v_clean, rtol=0.0, atol=1e-9)
@@ -319,13 +334,13 @@ def test_conditioning_singular_observed_block_raises():
     flat = np.array([[0.0, 0.0], [0.0, 1.0]])
     dist = SequenceDistribution(spec, (GaussianComponent(1.0, np.zeros(2), flat),))
     with pytest.raises(SingularCovarianceError):
-        conditional_clean_dist(dist, 2, np.array([0.3]))
+        condition_clean_prefix_batch(dist, 2, np.array([[0.3]]))
     with pytest.raises(SingularCovarianceError):
         condition_clean_prefix_batch(dist, 2, np.array([[0.3], [0.1]]))
 
 
 # ---------------------------------------------------------------------------
-# the mixture posterior-mean, score and log-density kernels
+# the mixture posterior-mean and score kernels
 # ---------------------------------------------------------------------------
 
 
@@ -372,7 +387,7 @@ def dense_kernels(log_w, means, covs, x, t):
     return post, score, dens
 
 
-KERNELS = (_mixture_posterior_mean, _mixture_score, _mixture_log_density)
+KERNELS = (_mixture_posterior_mean, _mixture_score)
 
 
 def row_args(args, rows):
@@ -415,8 +430,8 @@ def test_mixture_kernels_match_dense_reference(
 def test_mixture_kernels_return_empty_for_an_empty_batch(per_row_t):
     rng = np.random.default_rng(0)
     args, _ = kernel_inputs(rng, 2, 3, 0, per_row_t, per_row_laws=False)
-    for kernel, shape in zip(KERNELS, [(0, 3), (0, 3), (0,)]):
-        assert kernel(*args).shape == shape
+    for kernel in KERNELS:
+        assert kernel(*args).shape == (0, 3)
 
 
 @given(
@@ -442,8 +457,8 @@ def test_mixture_kernels_fold_a_one_row_rest_into_the_block_before(
 
 
 def rowmajor_kernels(log_w, means, eigvecs, eigvals, x, t):
-    """Row-major reference: posterior mean, score and log density on
-    (B, K, D) arrays, all rows in one piece."""
+    """Row-major reference: posterior mean and score on (B, K, D) arrays,
+    all rows in one piece."""
     t_arr = np.asarray(t, dtype=float)
     if t_arr.ndim == 1:
         a = (1.0 - t_arr)[:, None, None]
@@ -467,7 +482,7 @@ def rowmajor_kernels(log_w, means, eigvecs, eigvals, x, t):
     post = np.einsum("bk,bkd->bd", resp, means + pulled)
     per_comp = -np.einsum("kde,bke->bkd", eigvecs, y / noisy_lam)
     score = np.einsum("bk,bkd->bd", resp, per_comp)
-    return post, score, log_z[:, 0]
+    return post, score
 
 
 @given(

@@ -9,7 +9,6 @@ from ardlab.distributions import (
     GaussianComponent,
     SequenceDistribution,
     SequenceSpec,
-    forward_noise,
     sample_clean_with_rng,
 )
 from ardlab.errors import GridError
@@ -19,7 +18,6 @@ from ardlab.ode import (
     TimestepGrid,
     bi_velocity_field,
     chunk_velocity_field,
-    flow_map_bi,
     gaussian_flow_map,
     integrate,
     make_pairs_bi,
@@ -77,6 +75,12 @@ def test_integrate_linear_field():
     assert end[0, 0] == pytest.approx(2.0 * np.exp(0.3 - 0.9), rel=1e-6)
 
 
+def test_integrate_is_heun_only():
+    with pytest.raises(ValueError):
+        integrate(lambda x, t: x, np.array([[2.0]]), 0.9, 0.3, 4, method="euler")
+    assert make_pairs_bi(DIST, count=2, steps=4).metadata["solver"] == "heun"
+
+
 def test_gaussian_flow_map_matches_integrated_flow():
     comp = DIST.components[0]
     t = 0.7
@@ -84,7 +88,7 @@ def test_gaussian_flow_map_matches_integrated_flow():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((32, 2))
     closed = x @ m.T + b
-    numeric = flow_map_bi(DIST, x, t, steps=4096)
+    numeric = integrate(bi_velocity_field(DIST), x, t, 0.0, steps=4096)
     assert np.max(np.abs(numeric - closed)) < 1e-6
 
 
@@ -99,7 +103,7 @@ def test_gaussian_flow_map_frozen_entry():
 def test_flow_map_transports_noise_to_data_moments():
     rng = np.random.default_rng(1)
     eps = rng.standard_normal((4000, 2))
-    x0 = flow_map_bi(DIST, eps, 1.0, steps=128)
+    x0 = integrate(bi_velocity_field(DIST), eps, 1.0, 0.0, steps=128)
     cov = np.cov(x0, rowvar=False)
     assert np.allclose(cov, DIST.components[0].covariance, atol=0.08)
 

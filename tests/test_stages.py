@@ -11,10 +11,9 @@ import ardlab.stages
 from ardlab.config import ar1_sequence, bivariate_pair, two_mode
 from ardlab.distributions import (
     GaussianComponent,
-    NoisyState,
     SequenceDistribution,
     SequenceSpec,
-    exact_score,
+    _mixture_score,
     sample_clean,
 )
 from ardlab.errors import ConfigError, DivergenceError
@@ -47,11 +46,8 @@ from ardlab.stages import (
     dmd_generator_gradient,
     dmd_train,
     fake_score,
-    few_step_sample_batch,
-    implied_posterior_mean,
     ode_distill,
     rollout,
-    score_from_velocity,
     train_ar_diffusion_tf,
 )
 from ardlab.stages import _distill_design
@@ -78,17 +74,10 @@ def test_score_from_velocity_matches_exact_score():
     t = 0.45
     x = np.array([[0.2, -0.7], [1.1, 0.4]])
     v = bi_velocity_field(DIST)(x, t)
-    s = score_from_velocity(x, v, t)
-    assert np.allclose(s, exact_score(DIST, NoisyState(values=x, time=t)), atol=1e-10)
-
-
-def test_implied_posterior_mean_inverts_velocity():
-    model = build_student(m=16, chunk_dim=1, prefix_dim=0, role="ar-velocity", seed=0)
-    model.theta[:] = np.random.default_rng(0).standard_normal(model.theta.shape)
-    x = np.array([[0.5], [-1.0]])
-    t = 0.6
-    v = predict(model, x, np.empty((2, 0)), t)
-    assert np.allclose(implied_posterior_mean(model, x, np.empty((2, 0)), t), x - t * v)
+    # the score a velocity field implies: s(x, t) = -(x + (1 - t) v) / t
+    s = -(x + (1.0 - t) * v) / t
+    exact = _mixture_score(DIST._log_w, DIST._means, DIST._eigvecs, DIST._eigvals, x, t)
+    assert np.allclose(s, exact, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +463,14 @@ def test_distill_rejects_an_empty_dataset(tmp_path):
 
 def test_few_step_sampler_deterministic_and_shaped():
     students = _distilled_students(m=128, count=400)
-    prefixes = np.array([[0.5], [-0.5], [1.5]])
-    a = few_step_sample_batch(students.member(2), DEFAULT_GRID, prefixes, seed=7)
-    b = few_step_sample_batch(students.member(2), DEFAULT_GRID, prefixes, seed=7)
-    c = few_step_sample_batch(students.member(2), DEFAULT_GRID, prefixes, seed=8)
-    assert a.shape == (3, 1)
+    a = rollout(students, DEFAULT_GRID, seed=7, count=3)
+    b = rollout(students, DEFAULT_GRID, seed=7, count=3)
+    c = rollout(students, DEFAULT_GRID, seed=8, count=3)
+    assert a.shape == (3, 2)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # one draw is still a row batch
+    assert rollout(students, DEFAULT_GRID, seed=7).shape == (1, 2)
 
 
 def test_rollout_matches_data_moments():
@@ -508,9 +498,10 @@ def test_fake_score_consistent_with_velocity_algebra():
     t = np.array([0.3, 0.9])
     head = predict(model, x, np.empty((2, 0)), t)
     v = -x + t[:, None] * head
+    t_col = t[:, None]
     assert np.allclose(
         fake_score(model, x, np.empty((2, 0)), t),
-        score_from_velocity(x, v, t),
+        -(x + (1.0 - t_col) * v) / t_col,
         atol=1e-10,
     )
 
@@ -747,7 +738,7 @@ def test_learned_teacher_pairs_integrate_its_field(learned_teacher):
         field_fn = chunk_velocity_field(learned_teacher, i, prefixes)
         x = cols.snapshots[:, 0, sl]  # the noise at t = 1
         for k, (hi, lo, sub) in enumerate(_segment_plan(DEFAULT_GRID, steps), start=1):
-            x = integrate(field_fn, x, hi, lo, sub, "heun")
+            x = integrate(field_fn, x, hi, lo, sub)
             if lo > 0.0:
                 assert np.array_equal(x, cols.snapshots[:, k, sl])
         assert np.array_equal(x, cols.endpoint[:, sl])
