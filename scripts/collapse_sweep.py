@@ -56,8 +56,9 @@ def main(argv=None) -> int:
             seed=args.seed + 20,
         )
         deficit = gap["second_moment_deficit"]
-        ed_joint = conditional_energy_distance(joint, dist, grid, 2, count=4000, seed=args.seed + 21)
-        ed_causal = conditional_energy_distance(causal, dist, grid, 2, count=4000, seed=args.seed + 21)
+        ed_joint, ed_causal = conditional_energy_distance(
+            [joint, causal], dist, grid, 2, count=4000, seed=args.seed + 21
+        )
         print(
             f"{rho:>5.2f} {deficit.value:>9.4f} {deficit.uncertainty:>8.4f} "
             f"{ed_joint:>17.5f} {ed_causal:>14.5f}"

@@ -26,6 +26,7 @@ from .diagnostics import (
     df_mismatch,
     df_mismatch_oracle,
     energy_distance,
+    energy_distances,
     gaussian_kl,
     injectivity_variance,
     injectivity_variance_oracle,

@@ -83,7 +83,7 @@ def named_distribution(name: str, **params) -> SequenceDistribution:
         raise ConfigError(f"unknown distribution {name!r} (known: {known})")
     try:
         return _NAMED_DISTRIBUTIONS[name](**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for distribution {name!r}: {exc}")
 
 
@@ -153,11 +153,14 @@ class ExperimentConfig:
         self.distribution()
 
     def sequence_spec(self) -> SequenceSpec:
-        return SequenceSpec(
-            n_frames=self.n_frames,
-            frame_dim=self.frame_dim,
-            chunk_size=self.chunk_size,
-        )
+        try:
+            return SequenceSpec(
+                n_frames=self.n_frames,
+                frame_dim=self.frame_dim,
+                chunk_size=self.chunk_size,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"bad sequence layout: {exc}")
 
     def distribution(self) -> SequenceDistribution:
         spec = self.sequence_spec()

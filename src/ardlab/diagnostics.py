@@ -10,8 +10,9 @@ Audits implemented here:
   second-moment deficit of its outputs against the data chunk.
 * df_mismatch -- expected KL between the noisy-prefix conditional evaluated
   at a clean prefix value and the true clean conditional.
-* energy_distance / gaussian_kl / motion_variability -- distributional
-  metrics used by the experiment presets.
+* energy_distances / gaussian_kl / motion_variability -- distributional
+  metrics used by the experiment presets; a comparison scores all its arms
+  in one call, against one reference draw.
 
 Every estimator is deterministic given its seed and reports sample counts
 and uncertainties through DiagnosticsReport.
@@ -131,23 +132,31 @@ def _mean_cross_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(row_sums) / (n_a * n_b))
 
 
-def energy_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
-    """2 E|A - B| - E|A - A'| - E|B - B'| over all sample pairs.
+def energy_distances(sample_sets, reference: np.ndarray) -> list[float]:
+    """2 E|A - B| - E|A - A'| - E|B - B'| of each set A against one set B.
 
-    Both sets are rows (n, d): a 1-D vector is refused, since it could be
+    Every set is rows (n, d): a 1-D vector is refused, since it could be
     n scalar draws or one n-dimensional point.  Within-set terms include
     every ordered pair, which keeps the statistic nonnegative and exactly
-    zero on identical sample sets.
+    zero on identical sample sets.  E|B - B'| is taken once for all sets,
+    so the arms of one comparison share it as they share the reference.
     """
-    a = np.asarray(samples_a, dtype=float)
-    b = np.asarray(samples_b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("energy distance needs 2-d (n, d) sample arrays")
-    if a.size == 0 or b.size == 0:
-        raise ValueError("energy distance needs nonempty sample sets")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("sample dimensions differ")
-    return 2.0 * _mean_cross_norm(a, b) - _mean_cross_norm(a, a) - _mean_cross_norm(b, b)
+    b = np.asarray(reference, dtype=float)
+    sets = [np.asarray(a, dtype=float) for a in sample_sets]
+    for a in sets:
+        if a.ndim != 2 or b.ndim != 2:
+            raise ValueError("energy distance needs 2-d (n, d) sample arrays")
+        if a.size == 0 or b.size == 0:
+            raise ValueError("energy distance needs nonempty sample sets")
+        if a.shape[1] != b.shape[1]:
+            raise ValueError("sample dimensions differ")
+    bb = _mean_cross_norm(b, b)
+    return [2.0 * _mean_cross_norm(a, b) - _mean_cross_norm(a, a) - bb for a in sets]
+
+
+def energy_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
+    """energy_distances of the one set `samples_a` against `samples_b`."""
+    return energy_distances([samples_a], samples_b)[0]
 
 
 def gaussian_kl(p: tuple, q: tuple):
@@ -200,13 +209,15 @@ def motion_variability(sequences: np.ndarray, frame_dim: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _resample_complement(dist, chunk_index, anchors, t, n_resample, rng):
-    """Fill complementary coordinates from p_t(rest | chunk), per anchor.
+def _complement_chunk_ends(dist, chunk_index, anchors, t, n_resample, steps, rng):
+    """Joint-flow endpoints of the chunk after complement resampling.
 
-    Returns full-dimension states of shape (n_anchor * n_resample, total_dim)
-    where each anchor's chunk coordinates repeat across its resamples.  All
-    anchors are conditioned at once; sampling stays per anchor so the draw
-    order matches one sample_clean_with_rng call per anchor.
+    Each anchor's noisy chunk is held fixed while every other coordinate is
+    drawn n_resample times from p_t(rest | chunk); the completed states run
+    through the joint flow to t = 0.  Returns the chunk coordinates of the
+    endpoints, (n_anchor, n_resample, chunk_dim).  All anchors are
+    conditioned at once; sampling stays per anchor so the draw order matches
+    one sample_clean_with_rng call per anchor.
     """
     spec = dist.spec
     sl = spec.chunk_slice(chunk_index)
@@ -219,7 +230,8 @@ def _resample_complement(dist, chunk_index, anchors, t, n_resample, rng):
         block = full[b * n_resample : (b + 1) * n_resample]
         block[:, observed] = anchors[b]
         block[:, rest] = z
-    return full
+    endpoints = integrate(bi_velocity_field(dist), full, t, 0.0, steps)
+    return endpoints[:, sl].reshape(anchors.shape[0], n_resample, -1)
 
 
 def injectivity_variance(
@@ -255,9 +267,9 @@ def injectivity_variance(
     eps = rng.standard_normal(x0.shape)
     anchors = ((1.0 - t) * x0 + t * eps)[:, sl]
 
-    full = _resample_complement(dist, chunk_index, anchors, t, n_resample, rng)
-    endpoints = integrate(bi_velocity_field(dist), full, t, 0.0, steps)
-    chunk_ends = endpoints[:, sl].reshape(n_anchor, n_resample, -1)
+    chunk_ends = _complement_chunk_ends(
+        dist, chunk_index, anchors, t, n_resample, steps, rng
+    )
 
     per_anchor_var = chunk_ends.var(axis=1, ddof=1).sum(axis=1)
     centered = chunk_ends - chunk_ends.mean(axis=1, keepdims=True)
@@ -312,14 +324,6 @@ def injectivity_variance_oracle(dist: SequenceDistribution, chunk_index: int, t:
 # ---------------------------------------------------------------------------
 
 
-def _conditional_mean_oracle(dist, chunk_index, anchors, t, n_inner, steps, rng):
-    """Brute-force E[endpoint chunk | noisy chunk] under the joint flow."""
-    full = _resample_complement(dist, chunk_index, anchors, t, n_inner, rng)
-    endpoints = integrate(bi_velocity_field(dist), full, t, 0.0, steps)
-    sl = dist.spec.chunk_slice(chunk_index)
-    return endpoints[:, sl].reshape(anchors.shape[0], n_inner, -1).mean(axis=1)
-
-
 def collapse_gap(
     students,
     dist: SequenceDistribution,
@@ -367,9 +371,10 @@ def collapse_gap(
             eps = rng.standard_normal(x0.shape)
             x_t = ((1.0 - t) * x0 + t * eps)[:, spec.chunk_slice(chunk_index)]
             prefix = np.empty((n, 0))
-            oracle = _conditional_mean_oracle(
+            # brute-force E[endpoint chunk | noisy chunk] under the joint flow
+            oracle = _complement_chunk_ends(
                 dist, chunk_index, x_t[:n_rms], t, n_inner, steps, rng
-            )
+            ).mean(axis=1)
         else:
             prefix = x0[:, spec.prefix_slice(chunk_index)]
             eps = rng.standard_normal((n, spec.chunk_dim))
@@ -406,30 +411,35 @@ def collapse_gap(
 
 
 def conditional_energy_distance(
-    students,
+    student_sets,
     dist: SequenceDistribution,
     grid,
     chunk_index: int,
     count: int = 2000,
     seed: int = 0,
-) -> float:
-    """Joint (prefix, chunk) energy distance between student and data.
+) -> list[float]:
+    """Joint (prefix, chunk) energy distance between each student set and
+    data, one value per set.
 
-    Prefixes are clean data draws; the student samples its chunk with the
-    few-step sampler, the reference pairs each prefix draw with the true
-    clean chunk from an independent data draw.
+    Prefixes are clean data draws, and every set samples its chunk for them
+    with the few-step sampler from the same generator state, so the sets of
+    one comparison differ only in their models.  The reference pairs each
+    prefix draw with the true clean chunk from an independent data draw,
+    drawn once after the sampling.
     """
     spec = dist.spec
     rng = np.random.default_rng(seed)
-    member = students.member(chunk_index)
     x0_a = sample_clean_with_rng(dist, count, rng)
     prefixes = x0_a[:, spec.prefix_slice(chunk_index)]
-    samples = _sample_chunk_batch(member, prefixes, grid, rng)
+    start = rng.bit_generator.state
+    joints = []
+    for students in student_sets:
+        rng.bit_generator.state = start
+        samples = _sample_chunk_batch(students.member(chunk_index), prefixes, grid, rng)
+        joints.append(np.concatenate([prefixes, samples], axis=1))
     x0_b = sample_clean_with_rng(dist, count, rng)
     upto = spec.chunk_slice(chunk_index).stop
-    return energy_distance(
-        np.concatenate([prefixes, samples], axis=1), x0_b[:, :upto]
-    )
+    return energy_distances(joints, x0_b[:, :upto])
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +470,8 @@ def df_mismatch(
     """
     if chunk_index < 2:
         raise ConfigError("the first chunk has no prefix to mismatch")
+    if chunk_index > dist.spec.n_chunks:
+        raise ConfigError(f"chunk {chunk_index} out of range 1..{dist.spec.n_chunks}")
     if not (0.0 < t <= 1.0):
         raise ConfigError("time must lie in (0, 1]")
     if len(dist.components) != 1:
@@ -555,17 +567,15 @@ def trained_conditional_kl(
     """
     if len(dist.components) != 1:
         raise ConfigError("conditional KL oracle covers single-component data")
-    from .stages import learned_conditional_endpoints
-
     spec = dist.spec
     rng = np.random.default_rng(seed)
-    member = students.member(chunk_index)
     x0 = sample_clean_with_rng(dist, n_prefix, rng)
     prefix_draws = x0[:, spec.prefix_slice(chunk_index)]
     tiled = np.repeat(prefix_draws, n_samples, axis=0)
-    endpoints = learned_conditional_endpoints(
-        member, tiled, seed=int(rng.integers(2**32)), steps=steps
-    )
+    noise_rng = np.random.default_rng(int(rng.integers(2**32)))
+    x1 = noise_rng.standard_normal((tiled.shape[0], spec.chunk_dim))
+    field_fn = chunk_velocity_field(students, chunk_index, tiled)
+    endpoints = integrate(field_fn, x1, 1.0, 0.0, steps)
     cond_means, cond_cov = _single_gaussian_rows(
         condition_clean_prefix_batch(dist, chunk_index, prefix_draws)
     )

@@ -24,6 +24,13 @@ TIME_EMBED_DIM = 4
 ROLES = ("generator", "ar-velocity", "fake-score")
 
 
+def _time_column(t) -> np.ndarray:
+    """A scalar time as a 0-d array, one time per row as a column (B, 1):
+    either way it broadcasts against rows (B, d)."""
+    t = np.asarray(t, dtype=float)
+    return t[:, None] if t.ndim == 1 else t
+
+
 def time_embedding(t) -> np.ndarray:
     """Smooth 4-d embedding (t, 1 - t, sin 2 pi t, cos 2 pi t)."""
     t = np.asarray(t, dtype=float)
@@ -331,11 +338,7 @@ def predict_x0(model: LinearStudent, chunk, prefix, t, phi=None) -> np.ndarray:
     else:
         out = _blocked_head_output(phi, model.theta)
     if model.parameterization == "anchored":
-        chunk = np.asarray(chunk, dtype=float)
-        t_arr = np.asarray(t, dtype=float)
-        if out.ndim == 2 and t_arr.ndim == 1:
-            t_arr = t_arr[:, None]
-        return chunk - t_arr * out
+        return np.asarray(chunk, dtype=float) - _time_column(t) * out
     return out
 
 

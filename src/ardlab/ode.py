@@ -20,7 +20,7 @@ from .distributions import (
     sample_clean_with_rng,
 )
 from .errors import DivergenceError, GridError
-from .models import ChunkModelSet, predict
+from .models import ChunkModelSet, _time_column, predict
 
 DATASET_STEPS = 256
 
@@ -67,14 +67,6 @@ DEFAULT_GRID = TimestepGrid((1.0, 0.9375, 0.8333, 0.625))
 # ---------------------------------------------------------------------------
 
 
-def _div_time(num: np.ndarray, t) -> np.ndarray:
-    """Divide rows by a scalar time or by one time per row."""
-    t_arr = np.asarray(t, dtype=float)
-    if t_arr.ndim == 1:
-        return num / t_arr[:, None]
-    return num / float(t_arr)
-
-
 def bi_velocity_field(dist: SequenceDistribution):
     """Velocity callable f(x, t) over row batches for the joint field."""
 
@@ -82,7 +74,7 @@ def bi_velocity_field(dist: SequenceDistribution):
         m = _mixture_posterior_mean(
             dist._log_w, dist._means, dist._eigvecs, dist._eigvals, x, t
         )
-        return _div_time(x - m, t)
+        return (x - m) / _time_column(t)
 
     return field_fn
 
@@ -98,7 +90,7 @@ def chunk_velocity_field(source, i: int, prefixes: np.ndarray):
         member = source.member(i)
         return lambda x, t: predict(member, x, prefixes, t)
     cond = condition_clean_prefix_batch(source, i, prefixes)
-    return lambda x, t: _div_time(x - cond.posterior_mean(x, t), t)
+    return lambda x, t: (x - cond.posterior_mean(x, t)) / _time_column(t)
 
 
 # ---------------------------------------------------------------------------

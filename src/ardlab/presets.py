@@ -31,7 +31,7 @@ from .diagnostics import (
     consistency_rms,
     df_mismatch,
     df_mismatch_oracle,
-    energy_distance,
+    energy_distances,
     injectivity_variance,
     injectivity_variance_oracle,
     trained_conditional_kl,
@@ -166,8 +166,9 @@ def _run_fig3(config: ExperimentConfig):
         ),
         "collapse_causal",
     )
-    ed_asym = conditional_energy_distance(asym, dist, grid, 2, count=2000, seed=seed + 41)
-    ed_causal = conditional_energy_distance(causal, dist, grid, 2, count=2000, seed=seed + 41)
+    ed_asym, ed_causal = conditional_energy_distance(
+        [asym, causal], dist, grid, 2, count=2000, seed=seed + 41
+    )
     rep_ed = _scalar_report(
         "conditional_energy", {"asymmetric": ed_asym, "causal": ed_causal}
     )
@@ -270,10 +271,9 @@ def _run_table2(config: ExperimentConfig):
         causal = _generators(sub, seed + 14)
         res = ode_distill(ds_causal, causal, sub.train["distill"], seed=seed + 23)
         traces[f"distill_causal_{tag}_trace.csv"] = res.loss_trace
-        ed_asym = conditional_energy_distance(asym, dist, grid, 2,
-                                              count=1500, seed=seed + 41)
-        ed_causal = conditional_energy_distance(causal, dist, grid, 2,
-                                                count=1500, seed=seed + 41)
+        ed_asym, ed_causal = conditional_energy_distance(
+            [asym, causal], dist, grid, 2, count=1500, seed=seed + 41
+        )
         reports.append(
             _scalar_report(
                 f"conditional_energy_{tag}",
@@ -366,9 +366,9 @@ def _run_d2(config: ExperimentConfig):
 
     The fresh and warm arms own their generators, fake models and DMD seed
     stream, so their two dmd_train runs are shared out by models._share, at
-    once where there are two CPUs, with the same bits as in turn.  Their
-    energy distances are taken before and after, outside the arms, so that
-    each shares its own row blocks among the CPUs.
+    once where there are two CPUs, with the same bits as in turn.  Both
+    arms are scored in one energy_distances call before and one after,
+    outside the arms, so that each shares its row blocks among the CPUs.
     """
     dist = config.distribution()
     grid = config.timestep_grid()
@@ -380,12 +380,14 @@ def _run_d2(config: ExperimentConfig):
 
     data = sample_clean(dist, 2000, seed + 42)
 
-    def energy(gens):
-        return energy_distance(rollout(gens, grid, seed=seed + 41, count=2000), data)
+    def energy(arms):
+        return energy_distances(
+            [rollout(gens, grid, seed=seed + 41, count=2000) for gens in arms], data
+        )
 
     fresh, warm = _generators(config, seed + 11), _generators(config, seed + 11)
     copy_head(vel, warm)
-    ed0_fresh, ed0_warm = energy(fresh), energy(warm)
+    ed0_fresh, ed0_warm = energy([fresh, warm])
 
     def dmd_arm(gens):
         fakes = make_chunk_models(
@@ -395,7 +397,7 @@ def _run_d2(config: ExperimentConfig):
         return dmd_train(gens, fakes, dist, grid, config.train["dmd"], seed=seed + 31)
 
     res_fresh, res_warm = models._share(dmd_arm, [fresh, warm])
-    ed1_fresh, ed1_warm = energy(fresh), energy(warm)
+    ed1_fresh, ed1_warm = energy([fresh, warm])
     reports = [
         _scalar_report(
             "dmd_energy",
@@ -436,8 +438,6 @@ def _run_d3(config: ExperimentConfig):
 
     baseline = _generators(config, seed + 11)
     res_base = ode_distill(ds_bi, baseline, config.train["distill"], seed=seed + 21)
-    ed_baseline = conditional_energy_distance(baseline, dist, grid, 2,
-                                              count=1500, seed=seed + 41)
 
     vel = _velocities(config, seed + 11)
     res_vel = train_ar_diffusion_tf(dist, vel, config.train["diffusion"],
@@ -454,20 +454,20 @@ def _run_d3(config: ExperimentConfig):
         student = _generators(config, seed + 11)
         copy_head(source, student)
         students.append(student)
+
+    def energy():
+        scores = conditional_energy_distance(students, dist, grid, 2,
+                                             count=1500, seed=seed + 41)
+        return dict(zip(labels, scores))
+
     # the joint-init student is the baseline's feature banks and head, so
-    # its starting distance is ed_baseline
-    starts = {
-        "joint_init": ed_baseline,
-        "denoiser_init": conditional_energy_distance(
-            students[1], dist, grid, 2, count=1500, seed=seed + 41
-        ),
-    }
+    # its starting distance is the baseline's
+    starts = energy()
+    ed_baseline = starts["joint_init"]
     results = ode_distill(ds_causal, students, sgd_cfg, seed=seed + 23)
-    arms, traces = {}, {}
-    for label, student, res_arm in zip(labels, students, results):
-        traces[f"finetune_{label}_trace.csv"] = res_arm.loss_trace
-        arms[label] = conditional_energy_distance(student, dist, grid, 2,
-                                                  count=1500, seed=seed + 41)
+    traces = {f"finetune_{label}_trace.csv": res.loss_trace
+              for label, res in zip(labels, results)}
+    arms = energy()
 
     reports = [
         _scalar_report(

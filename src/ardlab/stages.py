@@ -58,6 +58,7 @@ from .models import (
     sgd_step,
     sgd_step_matrix,
     update_head,
+    _time_column,
 )
 from .models import predict_x0 as _predict_x0
 from .ode import (
@@ -65,7 +66,7 @@ from .ode import (
     TimestepGrid,
     bi_velocity_field,
     chunk_velocity_field,
-    integrate,
+    integrate,  # noqa: F401  (perfbench's tracer self-test reads stages.integrate)
 )
 
 DMD_DIVERGENCE_LIMIT = 1e6
@@ -101,11 +102,6 @@ def _ridge_info(chunks, fits) -> dict:
 def _uniform_times(rng: np.random.Generator, n: int) -> np.ndarray:
     """Noise times uniform on (0, 1]; zero is excluded so scores stay finite."""
     return 1.0 - rng.random(n)
-
-
-def _as_time_column(t) -> np.ndarray:
-    t_arr = np.asarray(t, dtype=float)
-    return t_arr[:, None] if t_arr.ndim == 1 else t_arr
 
 
 # ---------------------------------------------------------------------------
@@ -455,27 +451,6 @@ def rollout(
     return out
 
 
-def learned_conditional_endpoints(
-    model: LinearStudent,
-    prefixes: np.ndarray,
-    seed: int = 0,
-    steps: int = 256,
-) -> np.ndarray:
-    """Integrate a trained velocity model from fresh noise to t = 0.
-
-    This is the many-step sampler for one chunk's learned conditional law;
-    each prefix row gets its own trajectory.
-    """
-    prefixes = np.atleast_2d(np.asarray(prefixes, dtype=float))
-    rng = np.random.default_rng(seed)
-    x1 = rng.standard_normal((prefixes.shape[0], model.features.chunk_dim))
-
-    def field_fn(x, t):
-        return predict(model, x, prefixes, t)
-
-    return integrate(field_fn, x1, 1.0, 0.0, steps)
-
-
 # ---------------------------------------------------------------------------
 # stage 3: distribution matching
 # ---------------------------------------------------------------------------
@@ -516,8 +491,7 @@ def fake_score(model: LinearStudent, chunk, prefix, t) -> np.ndarray:
     score difference up no matter how well the head fits.
     """
     chunk = np.asarray(chunk, dtype=float)
-    t_col = _as_time_column(t)
-    return -chunk - (1.0 - t_col) * predict(model, chunk, prefix, t)
+    return -chunk - (1.0 - _time_column(t)) * predict(model, chunk, prefix, t)
 
 
 def _fake_design(generators, dist, i, n, grid, rng):

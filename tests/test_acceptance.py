@@ -156,11 +156,8 @@ def test_criterion_4_distillation_collapse():
         dist.spec, "generator", m=1024, seed=61, parameterization="anchored"
     )
     ode_distill(causal_pairs, causal_students, cfg, seed=62)
-    ed_causal = conditional_energy_distance(
-        causal_students, dist, grid, 2, count=6000, seed=63
-    )
-    ed_asym = conditional_energy_distance(
-        asym_students, dist, grid, 2, count=6000, seed=63
+    ed_causal, ed_asym = conditional_energy_distance(
+        [causal_students, asym_students], dist, grid, 2, count=6000, seed=63
     )
     elapsed = time.perf_counter() - start
     ok = (

@@ -192,6 +192,17 @@ def test_cli_usage_and_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--n-frames", "6", "--chunk-size", "4"],
+    ["train", "--n-frames", "0"],
+    ["audit", "--kind", "df-mismatch", "--distribution", "ar1",
+     "--n-frames", "3", "--chunk-size", "3"],
+])
+def test_cli_bad_layouts_exit_2(tmp_path, capsys, argv):
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_toggles_belong_to_the_verbs_that_read_them(tmp_path, capsys):
     doc = tmp_path / "config.json"
     doc.write_text(json.dumps({"ode": "causal-ode"}))

@@ -1,5 +1,6 @@
 """Oracle-backed estimators and distributional metrics."""
 
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -252,11 +253,63 @@ def test_collapse_gap_couplings_and_guards():
 
 def test_conditional_energy_distance_float_and_determinism():
     students = _zero_students(DIST.spec, parameterization="anchored")
-    a = conditional_energy_distance(students, DIST, DEFAULT_GRID, 2, count=300, seed=7)
-    b = conditional_energy_distance(students, DIST, DEFAULT_GRID, 2, count=300, seed=7)
+    [a] = conditional_energy_distance([students], DIST, DEFAULT_GRID, 2, count=300, seed=7)
+    [b] = conditional_energy_distance([students], DIST, DEFAULT_GRID, 2, count=300, seed=7)
     assert isinstance(a, float)
     assert a == b
     assert a > 0.0
+
+
+def _random_head_students(spec, seed):
+    """Anchored generators whose heads are random, so that arms differ."""
+    students = make_chunk_models(spec, role="generator", m=16, seed=seed,
+                                 parameterization="anchored")
+    rng = np.random.default_rng(seed)
+    for i in range(1, spec.n_chunks + 1):
+        member = students.member(i)
+        theta = 0.3 * rng.standard_normal(member.theta.shape)
+        students.replace_member(i, dataclasses.replace(member, theta=theta))
+    return students
+
+
+@pytest.mark.parametrize("dist", [DIST, ar1_sequence(6, 0.8, 3)],
+                         ids=["bivariate", "ar1-c3"])
+def test_conditional_energy_distance_arms_match_their_single_calls(dist):
+    arms = [_random_head_students(dist.spec, seed) for seed in (1, 2, 3)]
+    joint = conditional_energy_distance(arms, dist, DEFAULT_GRID, 2, count=400, seed=5)
+    singles = [
+        conditional_energy_distance([students], dist, DEFAULT_GRID, 2, count=400, seed=5)[0]
+        for students in arms
+    ]
+    assert joint == singles
+    assert len(set(joint)) == 3
+
+
+def test_energy_distances_match_energy_distance_bit_for_bit():
+    rng = np.random.default_rng(4)
+    reference = rng.standard_normal((300, 3))
+    sets = [rng.standard_normal((n, 3)) + shift for n, shift in ((200, 0.0), (350, 0.5), (1, 2.0))]
+    assert diagnostics.energy_distances(sets, reference) == [
+        energy_distance(a, reference) for a in sets
+    ]
+    with pytest.raises(ValueError):
+        diagnostics.energy_distances([sets[0], rng.standard_normal((10, 2))], reference)
+    with pytest.raises(ValueError):
+        diagnostics.energy_distances([sets[0], reference[:, 0]], reference)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_k_arm_call_takes_the_reference_term_once(k, monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a.shape, b.shape))
+        return _mean_cross_norm(a, b)
+
+    monkeypatch.setattr(diagnostics, "_mean_cross_norm", counting)
+    arms = [_random_head_students(DIST.spec, seed) for seed in range(k)]
+    conditional_energy_distance(arms, DIST, DEFAULT_GRID, 2, count=100, seed=0)
+    assert len(calls) == 1 + 2 * k
 
 
 # ---------------------------------------------------------------------------
