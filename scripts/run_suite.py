@@ -23,13 +23,17 @@ def main(argv=None) -> int:
         help="comma-separated preset names (default: all seven)",
     )
     args = parser.parse_args(argv)
+    names = [name.strip() for name in args.names.split(",")]
+    unknown = [name for name in names if name not in PRESET_NAMES]
+    if unknown:
+        parser.error(f"unknown preset names {unknown}; known: {PRESET_NAMES}")
 
     failures = 0
     total, total_cpu = time.perf_counter(), time.process_time()
-    for name in args.names.split(","):
+    for name in names:
         start, start_cpu = time.perf_counter(), time.process_time()
         try:
-            result = run_preset(name.strip(), output_dir=args.output_dir)
+            result = run_preset(name, output_dir=args.output_dir)
         except PresetCheckError as exc:
             failures += 1
             print(f"{name:<14} FAIL  {exc}")

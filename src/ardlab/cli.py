@@ -9,7 +9,8 @@ toggles it reads (--diffusion, --ode, --cd, --init).  A preset fixes its
 own config, so `preset` takes only --master-seed and --output-dir.
 
 Exit codes: 0 success, 1 failed run-level assertion or diverged training,
-2 usage or configuration error, 3 I/O or file-format error.
+2 usage or configuration error (a singular covariance or ridge normal
+matrix included), 3 I/O or file-format error.
 
 Stage seeds are fixed offsets from the master seed (datasets +1/+2, models
 +11, diffusion +21, distillation +22, consistency +24, distribution
@@ -41,6 +42,7 @@ from .errors import (
     DivergenceError,
     GridError,
     PresetCheckError,
+    SingularCovarianceError,
 )
 from .models import TrainConfig, copy_head, make_chunk_models
 from .ode import make_pairs_bi, make_pairs_causal
@@ -478,7 +480,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GridError) as exc:
+    except (ConfigError, GridError, SingularCovarianceError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (PresetCheckError, DivergenceError) as exc:

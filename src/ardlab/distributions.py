@@ -92,8 +92,10 @@ class GaussianComponent:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
         cov = np.asarray(self.covariance, dtype=float)
-        if self.weight < 0.0:
-            raise ValueError("component weight must be nonnegative")
+        if not np.isfinite(self.weight) or self.weight < 0.0:
+            raise ValueError("component weight must be finite and nonnegative")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("component mean and covariance must be finite")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match the mean")
         if np.max(np.abs(cov - cov.T), initial=0.0) > _SYM_TOL:
@@ -186,8 +188,11 @@ def _mixture_blocks(log_w, means, eigvecs, eigvals, x, t):
     of along D or K (often 1 or 2).  A 1-row rest joins the block before
     it: einsum reduces a lone row over D and K in another order, so its
     last bits could differ from the same row's in a larger block.  Yields
-    (row slice, log_resp (K, n), y (K, D, n), noisy_lam, a,
-    means (K, D, 1 or n)).
+    (row slice, resp (K, n), y (K, D, n), noisy_lam, a,
+    means (K, D, 1 or n)).  A one-component law yields resp = None and
+    skips the responsibility algebra: for a finite row its log
+    responsibility is exactly 0, so every weight would be exactly 1 and
+    _mix gives the same bits without it.
     """
     t_arr = np.asarray(t, dtype=float)
     per_row = t_arr.ndim == 1
@@ -224,6 +229,9 @@ def _mixture_blocks(log_w, means, eigvecs, eigvals, x, t):
         w = log_w if shared_w else log_w[rows].T
         diff = xt[None, :, :] - a * m  # (K, D, n)
         y = np.einsum("kdb,kde->keb", diff, eigvecs)  # coordinates in eigenbasis
+        if eigvals.shape[0] == 1:
+            yield rows, None, y, noisy_lam, a, m
+            continue
         quad = np.einsum("keb,keb->kb", y * y, 1.0 / noisy_lam)
         log_det = np.sum(np.log(noisy_lam), axis=1)  # (K, 1 or n)
         log_norm = -0.5 * (quad + log_det + dim * _LOG_2PI)
@@ -231,7 +239,7 @@ def _mixture_blocks(log_w, means, eigvecs, eigvals, x, t):
         # log-space responsibilities with max subtraction for stability
         shift = np.max(log_post, axis=0)
         log_z = shift + np.log(np.sum(np.exp(log_post - shift), axis=0))
-        yield rows, log_post - log_z, y, noisy_lam, a, m
+        yield rows, np.exp(log_post - log_z), y, noisy_lam, a, m
 
 
 def _write_rows(out, rows, cols):
@@ -241,28 +249,37 @@ def _write_rows(out, rows, cols):
         out[rows, d] = col
 
 
+def _mix(resp, per_comp):
+    """Responsibility-weighted sum over components, (K, D, n) -> (D, n).
+
+    resp None is one component of weight exactly 1.  einsum sums from +0.0,
+    so its -0.0 entries come out +0.0; adding 0.0 does the same here.
+    """
+    if resp is None:
+        return per_comp[0] + 0.0
+    return np.einsum("kb,kdb->db", resp, per_comp)
+
+
 def _mixture_posterior_mean(log_w, means, eigvecs, eigvals, x, t):
     """E[x0 | x_t = x] for the mixture, batched over rows of x."""
     out = np.empty(x.shape)
-    for rows, log_resp, y, noisy_lam, a, m in _mixture_blocks(
+    for rows, resp, y, noisy_lam, a, m in _mixture_blocks(
         log_w, means, eigvecs, eigvals, x, t
     ):
         gain = a * eigvals[:, :, None] / noisy_lam  # posterior gain per eigenmode
         pulled = np.einsum("kde,keb->kdb", eigvecs, gain * y)
-        resp = np.exp(log_resp)
-        _write_rows(out, rows, np.einsum("kb,kdb->db", resp, m + pulled))
+        _write_rows(out, rows, _mix(resp, m + pulled))
     return out
 
 
 def _mixture_score(log_w, means, eigvecs, eigvals, x, t):
     """Gradient of log p_t at x, batched over rows of x."""
     out = np.empty(x.shape)
-    for rows, log_resp, y, noisy_lam, _, _ in _mixture_blocks(
+    for rows, resp, y, noisy_lam, _, _ in _mixture_blocks(
         log_w, means, eigvecs, eigvals, x, t
     ):
         per_comp = -np.einsum("kde,keb->kdb", eigvecs, y / noisy_lam)
-        resp = np.exp(log_resp)
-        _write_rows(out, rows, np.einsum("kb,kdb->db", resp, per_comp))
+        _write_rows(out, rows, _mix(resp, per_comp))
     return out
 
 

@@ -569,7 +569,7 @@ def _base_config(name: str) -> ExperimentConfig:
             ),
             master_seed=4300,
         )
-    raise PresetCheckError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
+    raise ConfigError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
 
 
 _RUNNERS = {

@@ -203,6 +203,23 @@ def test_cli_bad_layouts_exit_2(tmp_path, capsys, argv):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table", [
+    # non-finite weight, mean and covariances
+    '[{"weight": NaN, "mean": [0, 0], "covariance": [[1, 0], [0, 1]]}]',
+    '[{"weight": 1.0, "mean": [0, NaN], "covariance": [[1, 0], [0, 1]]}]',
+    '[{"weight": 1.0, "mean": [0, 0], "covariance": [[1, NaN], [NaN, 1]]}]',
+    '[{"weight": 1.0, "mean": [0, 0],'
+    ' "covariance": [[1, Infinity], [Infinity, 1]]}]',
+    # a singular covariance: conditioning raises SingularCovarianceError
+    '[{"weight": 1.0, "mean": [0, 0], "covariance": [[0, 0], [0, 0]]}]',
+])
+def test_cli_bad_mixture_tables_exit_2(tmp_path, capsys, table):
+    argv = ["audit", "--anchors", "4", "--resamples", "50",
+            "--components", table, "--output-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_toggles_belong_to_the_verbs_that_read_them(tmp_path, capsys):
     doc = tmp_path / "config.json"
     doc.write_text(json.dumps({"ode": "causal-ode"}))
@@ -448,6 +465,14 @@ def test_preset_rejects_every_override_but_master_seed(tmp_path, key):
         preset_config("prop2-audit", overrides)
     with pytest.raises(ConfigError, match=key):
         run_preset("prop2-audit", output_dir=str(tmp_path), overrides=overrides)
+    assert not any(tmp_path.iterdir())
+
+
+def test_unknown_preset_name_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="unknown preset"):
+        preset_config("lemma1-audt")
+    with pytest.raises(ConfigError, match="unknown preset"):
+        run_preset("lemma1-audt", output_dir=str(tmp_path))
     assert not any(tmp_path.iterdir())
 
 

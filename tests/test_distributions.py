@@ -55,6 +55,18 @@ def test_component_validation():
         SequenceDistribution(
             SequenceSpec(1, 1), (GaussianComponent(0.7, np.zeros(1), np.eye(1)),)
         )
+    # non-finite weights, means and covariances are refused before eigh
+    nan, inf = float("nan"), float("inf")
+    for weight, mean, cov in [
+        (nan, np.zeros(2), np.eye(2)),
+        (inf, np.zeros(2), np.eye(2)),
+        (1.0, np.array([0.0, nan]), np.eye(2)),
+        (1.0, np.array([inf, 0.0]), np.eye(2)),
+        (1.0, np.zeros(2), np.array([[1.0, nan], [nan, 1.0]])),
+        (1.0, np.zeros(2), np.array([[1.0, inf], [inf, 1.0]])),
+    ]:
+        with pytest.raises(ValueError, match="finite"):
+            GaussianComponent(weight, mean, cov)
 
 
 def mean_and_covariance(dist):
@@ -485,6 +497,22 @@ def rowmajor_kernels(log_w, means, eigvecs, eigvals, x, t):
     return post, score
 
 
+def with_rows_at_scaled_means(args):
+    """Kernel arguments with every row repeated once more at x = a mu_0, the
+    scaled mean of component 0, where the score is exactly zero."""
+    rows = args[4].shape[0]
+    log_w, means, eigvecs, eigvals, x, t = row_args(args, np.tile(np.arange(rows), 2))
+    a = (1.0 - t)[:, None] if np.ndim(t) else 1.0 - float(t)
+    at_mean = a * (means[:, 0] if means.ndim == 3 else means[0])
+    x[rows:] = np.broadcast_to(at_mean, x.shape)[rows:]
+    return log_w, means, eigvecs, eigvals, x, t
+
+
+def same_bytes(got, want):
+    """Bitwise equality: unlike ==, it tells -0.0 from +0.0."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @given(
     k=st.integers(1, 2),
     dim=st.integers(1, 2),
@@ -500,14 +528,46 @@ def test_mixture_kernels_keep_rowmajor_bits_up_to_two_dims(
 ):
     # With D <= 2 and K <= 2 every reduction adds at most two terms, so the
     # coordinate-major blocks do the row-major kernel's arithmetic exactly.
-    # This pins the bytes of the presets with one or two coordinates.
+    # This pins the bytes of the presets with one or two coordinates, signed
+    # zeros included: the second half of the rows sits at a mu_0.
     rng = np.random.default_rng(seed)
     args, _ = kernel_inputs(rng, k, dim, rows, per_row_t, per_row_laws)
+    args = with_rows_at_scaled_means(args)
     expected = rowmajor_kernels(*args)
     with mock.patch.object(distributions, "_KERNEL_ROWS", block):
         for kernel, want in zip(KERNELS, expected):
             got = kernel(*args)
-            assert np.array_equal(got, want)
+            assert same_bytes(got, want)
             # a row's bits do not depend on the batch or block it sits in
-            alone = [kernel(*row_args(args, slice(b, b + 1))) for b in range(rows)]
-            assert np.array_equal(np.concatenate(alone), got)
+            alone = [
+                kernel(*row_args(args, slice(b, b + 1))) for b in range(2 * rows)
+            ]
+            assert same_bytes(np.concatenate(alone), got)
+
+
+@pytest.mark.parametrize("block", [4, 8192])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("per_row_laws", [False, True])
+@pytest.mark.parametrize("per_row_t", [False, True])
+def test_one_component_kernels_have_the_general_paths_bytes(
+    per_row_t, per_row_laws, dim, block
+):
+    # The same law as two identical components with log-weights (0, -inf)
+    # takes the general path, with responsibilities exactly (1, 0); the
+    # one-component path must give its bytes, the score's zeros at a mu
+    # included.
+    rng = np.random.default_rng(100 * dim + 10 * per_row_t + per_row_laws)
+    one = with_rows_at_scaled_means(
+        kernel_inputs(rng, 1, dim, 9, per_row_t, per_row_laws)[0]
+    )
+    log_w, means, eigvecs, eigvals, x, t = one
+    two = (
+        np.concatenate([np.zeros_like(log_w), np.full_like(log_w, -np.inf)], -1),
+        np.concatenate([means, means], axis=-2),
+        np.concatenate([eigvecs, eigvecs]),
+        np.concatenate([eigvals, eigvals]),
+        x, t,
+    )
+    with mock.patch.object(distributions, "_KERNEL_ROWS", block):
+        for kernel in KERNELS:
+            assert same_bytes(kernel(*one), kernel(*two))

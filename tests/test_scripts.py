@@ -1,6 +1,7 @@
 """Smoke test of the scripts: each loads and its --help exits 0, so a name
 one of them imports from ardlab cannot disappear unnoticed; collapse_sweep,
-which calls the diagnostics directly, also runs one small sweep."""
+which calls the diagnostics directly, also runs one small sweep, and
+run_suite refuses an unknown preset name as a usage error."""
 
 import importlib.util
 from pathlib import Path
@@ -26,6 +27,15 @@ def test_script_loads_and_its_help_exits_zero(name, capsys):
         script.main(["--help"])
     assert exit_info.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_run_suite_rejects_an_unknown_name_before_running_any(tmp_path, capsys):
+    argv = ["--names", "prop2-audit,lemma1-audt", "--output-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exit_info:
+        _load("run_suite").main(argv)
+    assert exit_info.value.code == 2
+    assert "lemma1-audt" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_collapse_sweep_prints_one_row_per_rho(capsys):
