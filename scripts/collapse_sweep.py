@@ -20,9 +20,7 @@ from ardlab.stages import ode_distill
 
 
 def distill(dist, pairs, m, seed):
-    students = make_chunk_models(
-        dist.spec, "generator", m=m, seed=seed, parameterization="anchored"
-    )
+    students = make_chunk_models(dist.spec, "generator", m=m, seed=seed)
     ode_distill(pairs, students, TrainConfig(method="ridge"), seed=seed + 1)
     return students
 

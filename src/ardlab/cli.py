@@ -246,7 +246,6 @@ def _cmd_distill(args) -> int:
     students = make_chunk_models(
         config.sequence_spec(), role="generator", m=config.feature_count,
         seed=config.master_seed + 11, frequency_scale=config.frequency_scale,
-        parameterization="anchored",
     )
     result = ode_distill(dataset, students, config.train["distill"],
                          seed=config.master_seed + 22)
@@ -266,7 +265,6 @@ def _cmd_dmd(args) -> int:
     generators = make_chunk_models(
         config.sequence_spec(), role="generator", m=config.feature_count,
         seed=config.master_seed + 11, frequency_scale=config.frequency_scale,
-        parameterization="anchored",
     )
     if args.diffusion is not None and args.init != "denoiser":
         raise ConfigError("--diffusion picks the denoiser of --init denoiser")
@@ -290,7 +288,6 @@ def _cmd_dmd(args) -> int:
         config.sequence_spec(), role="fake-score",
         m=max(32, config.feature_count // 2),
         seed=config.master_seed + 13, frequency_scale=config.frequency_scale,
-        parameterization="anchored",
     )
     result = dmd_train(generators, fakes, dist, grid, config.train["dmd"],
                        seed=config.master_seed + 31)
@@ -311,7 +308,6 @@ def _cmd_cd(args) -> int:
     students = make_chunk_models(
         config.sequence_spec(), role="generator", m=config.feature_count,
         seed=config.master_seed + 11, frequency_scale=config.frequency_scale,
-        parameterization="anchored",
     )
     result = cd_train(dist, students, config.train["cd"],
                       seed=config.master_seed + 24, grid_size=args.cd_cells,

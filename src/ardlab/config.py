@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import GaussianComponent, SequenceDistribution, SequenceSpec
 from .errors import ConfigError
-from .models import TrainConfig
+from .models import TrainConfig, check_numbers
 from .ode import DATASET_STEPS, DEFAULT_GRID, TimestepGrid
 
 #: stages that carry their own TrainConfig
@@ -134,12 +134,21 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
+        check_numbers(
+            self,
+            ints=("n_frames", "frame_dim", "chunk_size", "solver_steps",
+                    "feature_count", "dataset_size", "master_seed"),
+            reals=("frequency_scale",),
+        )
         if self.solver_steps < 1:
             raise ConfigError("solver_steps must be positive")
         if self.feature_count < 1:
             raise ConfigError("feature_count must be positive")
         if self.dataset_size < 1:
             raise ConfigError("dataset_size must be positive")
+        if any(isinstance(t, bool) or not isinstance(t, (int, float))
+               for t in self.grid):
+            raise ConfigError(f"grid times must be numbers, got {self.grid!r}")
         object.__setattr__(self, "grid", tuple(float(t) for t in self.grid))
         TimestepGrid(self.grid)  # validates ordering/range
         object.__setattr__(self, "components", tuple(self.components))
@@ -214,6 +223,8 @@ class ExperimentConfig:
         if "components" in data:
             data["components"] = tuple(data["components"])
         if "grid" in data:
+            if not isinstance(data["grid"], (list, tuple)):
+                raise ConfigError("grid must be a list of times")
             data["grid"] = tuple(data["grid"])
         return cls(**data)
 

@@ -34,12 +34,13 @@ from .distributions import (
     sample_clean_with_rng,
 )
 from .errors import ConfigError, SingularCovarianceError
-from .models import _row_blocks, _share
+from .models import _row_blocks, _share, predict_x0
 from .ode import (
     _integrate_segments,
     _segment_plan,
     bi_velocity_field,
     chunk_velocity_field,
+    gaussian_flow_map,
     integrate,
 )
 from .stages import _sample_chunk_batch
@@ -301,8 +302,6 @@ def injectivity_variance_oracle(dist: SequenceDistribution, chunk_index: int, t:
     covariance of the resampled coordinates, M the affine joint flow map."""
     if len(dist.components) != 1:
         raise ConfigError("the closed form covers single-component data only")
-    from .ode import gaussian_flow_map
-
     comp = dist.components[0]
     spec = dist.spec
     m, _ = gaussian_flow_map(comp.mean, comp.covariance, t)
@@ -361,8 +360,6 @@ def collapse_gap(
     member = students.member(chunk_index)
     rng = np.random.default_rng(seed)
     n_rms = n if n_rms is None else min(n_rms, n)
-    from .models import predict_x0
-
     sq_gaps = []
     outputs = []
     for t in t_set:
@@ -620,9 +617,6 @@ def consistency_rms(
     field_fn = chunk_velocity_field(dist, chunk_index, prefix)
     x = rng.standard_normal((count, spec.chunk_dim))
     endpoint, snaps = _integrate_segments(field_fn, x, _segment_plan(times, steps))
-
-    from .models import predict_x0
-
     sq = []
     for t in times:
         pred = predict_x0(member, snaps[t], prefix, t)

@@ -10,6 +10,7 @@ initialization whenever the feature banks match.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .distributions import SequenceSpec
-from .errors import SingularCovarianceError
+from .errors import ConfigError, SingularCovarianceError
 
 TIME_EMBED_DIM = 4
 
@@ -261,16 +262,15 @@ def featurize(spec: FeatureSpec, chunk, prefix, t, head=None) -> np.ndarray:
 class LinearStudent:
     """Linear head over a fixed feature bank.
 
-    `parameterization` selects how the model is read out as a clean-chunk
-    generator: "direct" returns the head output itself, "anchored" returns
-    chunk - t * head(chunk, prefix, t), which is the identity at t = 0 by
-    construction.
+    The head's meaning follows the role: an ar-velocity head is the
+    velocity itself, and a generator or fake-score head enters the anchored
+    readout chunk - t * head(chunk, prefix, t) (see predict_x0), which is
+    the identity at t = 0 by construction.
     """
 
     features: FeatureSpec
     theta: np.ndarray
     role: str = "generator"
-    parameterization: str = "direct"
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
@@ -278,8 +278,6 @@ class LinearStudent:
             raise ValueError("theta must have shape (m, output_dim)")
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}")
-        if self.parameterization not in ("direct", "anchored"):
-            raise ValueError(f"unknown parameterization {self.parameterization!r}")
         self.theta = theta
 
     @property
@@ -294,7 +292,6 @@ def build_student(
     role: str,
     seed: int = 0,
     frequency_scale: float = 1.0,
-    parameterization: str = "direct",
 ) -> LinearStudent:
     spec = FeatureSpec(
         m=m,
@@ -307,7 +304,6 @@ def build_student(
         features=spec,
         theta=np.zeros((m, chunk_dim)),
         role=role,
-        parameterization=parameterization,
     )
 
 
@@ -327,7 +323,8 @@ def _blocked_head_output(phi: np.ndarray, head: np.ndarray) -> np.ndarray:
 
 
 def predict_x0(model: LinearStudent, chunk, prefix, t, phi=None) -> np.ndarray:
-    """Clean-chunk readout under the model's parameterization.
+    """Clean-chunk readout chunk - t * head(chunk, prefix, t); for a
+    velocity head, the x0 estimate x - t * v.
 
     Pass `phi`, the feature rows of a batch (chunk, prefix, t), when they
     are already at hand: the readout then has the same bits without
@@ -337,9 +334,7 @@ def predict_x0(model: LinearStudent, chunk, prefix, t, phi=None) -> np.ndarray:
         out = predict(model, chunk, prefix, t)
     else:
         out = _blocked_head_output(phi, model.theta)
-    if model.parameterization == "anchored":
-        return np.asarray(chunk, dtype=float) - _time_column(t) * out
-    return out
+    return np.asarray(chunk, dtype=float) - _time_column(t) * out
 
 
 def normal_equations(spec: FeatureSpec, chunk, prefix, t, target, scale=None):
@@ -446,6 +441,20 @@ def ema_update(theta_minus: np.ndarray, theta: np.ndarray, rate: float) -> np.nd
     )
 
 
+def check_numbers(obj, ints=(), reals=()) -> None:
+    """ConfigError unless every named int field of obj holds an int and
+    every named real field a finite int or float; a bool is neither."""
+    for name in ints:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    for name in reals:
+        value = getattr(obj, name)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     """Knobs shared by the training stages.
@@ -466,6 +475,11 @@ class TrainConfig:
     method: str = "ridge"
 
     def __post_init__(self):
+        check_numbers(
+            self,
+            ints=("step_count", "batch_size", "fake_update_ratio"),
+            reals=("learning_rate", "ridge_lambda", "ema_rate"),
+        )
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if self.step_count < 1 or self.batch_size < 1:
@@ -587,10 +601,6 @@ class ChunkModelSet:
         members[i - 1] = model
         self.members = tuple(members)
 
-    @property
-    def parameterization(self) -> str:
-        return self.members[0].parameterization
-
 
 def member_seed(base_seed: int, chunk_index: int) -> int:
     """Per-chunk feature seed; depends only on (base_seed, chunk), not role,
@@ -604,7 +614,6 @@ def make_chunk_models(
     m: int,
     seed: int = 0,
     frequency_scale: float = 1.0,
-    parameterization: str = "direct",
 ) -> ChunkModelSet:
     members = tuple(
         build_student(
@@ -614,7 +623,6 @@ def make_chunk_models(
             role=role,
             seed=member_seed(seed, i),
             frequency_scale=frequency_scale,
-            parameterization=parameterization,
         )
         for i in range(1, seq_spec.n_chunks + 1)
     )

@@ -23,6 +23,7 @@ from .config import (
     bivariate_pair,
     component_tables,
     save_config,
+    two_mode,
 )
 from .diagnostics import (
     DiagnosticsReport,
@@ -110,7 +111,6 @@ def _generators(config: ExperimentConfig, seed: int):
         m=config.feature_count,
         seed=seed,
         frequency_scale=config.frequency_scale,
-        parameterization="anchored",
     )
 
 
@@ -391,8 +391,7 @@ def _run_d2(config: ExperimentConfig):
 
     def dmd_arm(gens):
         fakes = make_chunk_models(
-            config.sequence_spec(), role="fake-score", m=128,
-            seed=seed + 13, parameterization="anchored",
+            config.sequence_spec(), role="fake-score", m=128, seed=seed + 13
         )
         return dmd_train(gens, fakes, dist, grid, config.train["dmd"], seed=seed + 31)
 
@@ -545,8 +544,6 @@ def _base_config(name: str) -> ExperimentConfig:
     if name == "prop2-audit":
         return ExperimentConfig(components=biv, master_seed=200)
     if name == "d2-init":
-        from .config import two_mode
-
         return ExperimentConfig(
             components=component_tables(two_mode(3.0)),
             n_frames=1,

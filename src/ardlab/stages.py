@@ -162,8 +162,6 @@ def _train_velocity(
         raise ConfigError(f"unknown prefix_mode {prefix_mode!r}")
     if students.role != "ar-velocity":
         raise ConfigError("train_ar_diffusion_tf/df expect ar-velocity students")
-    if students.parameterization != "direct":
-        raise ConfigError("velocity students must use the direct readout")
     spec = students.seq_spec
     if spec != dist.spec:
         raise ConfigError("student and distribution sequence layouts differ")
@@ -261,7 +259,7 @@ def _distill_design(dataset: PairDataset, prefix_mode: str):
 
 def _check_shared_design(sets) -> None:
     """Student sets stepped in lockstep share one featurized design, so they
-    must agree on role, layout, readout and every chunk's feature bank."""
+    must agree on role, layout and every chunk's feature bank."""
     if not sets:
         raise ConfigError("ode_distill needs at least one student set")
     first = sets[0]
@@ -270,12 +268,11 @@ def _check_shared_design(sets) -> None:
         if (
             models.role != first.role
             or models.seq_spec != first.seq_spec
-            or models.parameterization != first.parameterization
             or [member.features for member in models.members] != banks
         ):
             raise ConfigError(
                 "student sets distilled together must share role, sequence "
-                "layout, parameterization and feature banks"
+                "layout and feature banks"
             )
 
 
@@ -294,7 +291,7 @@ def ode_distill(
     which only exists for jointly-integrated datasets.
 
     `students` is one ChunkModelSet, or a list of sets that share their
-    feature banks, parameterization, role and layout and differ only in
+    feature banks, role and layout and differ only in
     their heads; a list returns one StageResult per set, in order, each with
     its own loss trace.  Each set gets the same fit it would get alone, and
     the design is built once for all of them.
@@ -324,7 +321,6 @@ def ode_distill(
     if sets[0].seq_spec != dataset.spec:
         raise ConfigError("student and dataset sequence layouts differ")
     spec = dataset.spec
-    anchored = sets[0].parameterization == "anchored"
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     design = _distill_design(dataset, prefix_mode)
@@ -334,13 +330,10 @@ def ode_distill(
         fits = [[] for _ in sets]
         for i in range(1, spec.n_chunks + 1):
             rows = design[i]
-            if anchored:
-                scale, y = rows["t"], rows["chunk"] - rows["target"]
-            else:
-                scale, y = None, rows["target"]
+            y = rows["chunk"] - rows["target"]
             normal = normal_equations(
                 sets[0].member(i).features, rows["chunk"], rows["prefix"], rows["t"],
-                y, scale,
+                y, rows["t"],
             )
             for k, models in enumerate(sets):
                 member, readings = fit_head(models.member(i), normal, cfg.ridge_lambda)
@@ -372,8 +365,8 @@ def ode_distill(
                 pick = picks[step]
                 phi = phi_all[pick]
                 target = rows["target"][pick]
-                t = rows["t"][pick] if anchored else None
-                anchor = (rows["chunk"][pick], t) if anchored else None
+                t = rows["t"][pick]
+                anchor = (rows["chunk"][pick], t)
                 step_matrix = sgd_step_matrix(phi, t)
                 for k, member in enumerate(members):
                     resid = head_residual(member.theta, phi, target, anchor)
@@ -466,14 +459,11 @@ def dmd_generator_gradient(
 
     Gradients flow only through the sampler's final prediction, whose
     feature rows phi (B x m, as _sample_chunk_batch captures them) are all
-    the estimate needs.  For the anchored readout x - t * head the sample's
-    sensitivity to head column k is -t_last * phi, so the estimate is
-    (t_last / B) Phi^T delta; the direct readout drops the -t_last factor.
+    the estimate needs.  Under the anchored readout x - t * head the
+    sample's sensitivity to head column k is -t_last * phi, so the estimate
+    is (t_last / B) Phi^T delta.
     """
-    n = phi.shape[0]
-    if model.parameterization == "anchored":
-        return (t_last / n) * phi.T @ delta
-    return -(phi.T @ delta) / n
+    return (t_last / phi.shape[0]) * phi.T @ delta
 
 
 def _dmd_prefixes(dist, i, n, rng):
@@ -558,10 +548,6 @@ def dmd_train(
         raise ConfigError("dmd_train expects generator students")
     if fake_models.role != "fake-score":
         raise ConfigError("dmd_train expects fake-score companions")
-    if fake_models.parameterization != "anchored":
-        raise ConfigError(
-            "fake-score models must use the anchored readout; see fake_score"
-        )
     if generators.seq_spec != dist.spec or fake_models.seq_spec != dist.spec:
         raise ConfigError("model and distribution sequence layouts differ")
     spec = dist.spec
@@ -670,11 +656,6 @@ def cd_train(
         raise ConfigError("the bidirectional teacher is always the exact field")
     if students.role != "generator":
         raise ConfigError("cd_train expects generator students")
-    if students.parameterization != "anchored":
-        raise ConfigError(
-            "consistency training requires anchored students; the identity "
-            "boundary at t = 0 is what the recursion bottoms out on"
-        )
     spec = students.seq_spec
     if spec != dist.spec:
         raise ConfigError("student and distribution sequence layouts differ")
@@ -711,9 +692,7 @@ def cd_train(
             x_prev_full, t_prev = _one_teacher_step(joint_field, x_t_full, t, dt)
             student_in = x_t_full[:, spec.chunk_slice(i)]
             x_prev = x_prev_full[:, spec.chunk_slice(i)]
-        target_model = LinearStudent(
-            member.features, theta_minus[i], "generator", "anchored"
-        )
+        target_model = LinearStudent(member.features, theta_minus[i])
         target = _predict_x0(target_model, x_prev, prefixes, t_prev)
         if cfg.method == "ridge":
             normal = normal_equations(

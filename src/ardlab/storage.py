@@ -27,6 +27,11 @@ FORMAT_VERSION = 1
 
 _TIME_KEY = "{:.6f}"
 
+#: the readout each role's head enters, as a checkpoint line records it: a
+#: velocity head is the velocity, the others are read out as x - t * head
+_ROLE_READOUT = {"generator": "anchored", "ar-velocity": "direct",
+                 "fake-score": "anchored"}
+
 
 def _dumps(obj) -> str:
     return json.dumps(
@@ -271,7 +276,7 @@ def save_models(models: ChunkModelSet, path) -> None:
                 "frequency_scale": feats.frequency_scale,
                 "seed": int(feats.seed),
                 "role": member.role,
-                "parameterization": member.parameterization,
+                "parameterization": _ROLE_READOUT[member.role],
                 "theta": member.theta.tolist(),
             }
             fh.write(_dumps(row) + "\n")
@@ -319,16 +324,20 @@ def load_models(path) -> ChunkModelSet:
                 frequency_scale=obj["frequency_scale"],
                 seed=obj["seed"],
             )
-            members.append(
-                LinearStudent(
-                    features=feats,
-                    theta=np.asarray(obj["theta"], dtype=float),
-                    role=obj["role"],
-                    parameterization=obj["parameterization"],
-                )
+            member = LinearStudent(
+                features=feats,
+                theta=np.asarray(obj["theta"], dtype=float),
+                role=obj["role"],
             )
         except (TypeError, ValueError) as exc:
             raise DatasetFormatError(f"{path}, line {lineno}: {exc}")
+        if obj["parameterization"] != _ROLE_READOUT[member.role]:
+            raise DatasetFormatError(
+                f"{path}, line {lineno}: a {member.role} head has the "
+                f"{_ROLE_READOUT[member.role]} readout, not "
+                f"{obj['parameterization']!r}"
+            )
+        members.append(member)
     if len(members) != count:
         raise DatasetFormatError(
             f"{path}: header promises {count} members, found {len(members)}"

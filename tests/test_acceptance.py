@@ -135,7 +135,7 @@ def test_criterion_4_distillation_collapse():
         dist = bivariate_pair(rho)
         pairs = make_pairs_bi(dist, grid, count=10_000, steps=128, seed=seed)
         students = make_chunk_models(
-            dist.spec, "generator", m=1024, seed=seed + 1, parameterization="anchored"
+            dist.spec, "generator", m=1024, seed=seed + 1
         )
         ode_distill(pairs, students, cfg, seed=seed + 2)
         gap = collapse_gap(
@@ -153,7 +153,7 @@ def test_criterion_4_distillation_collapse():
     dist = bivariate_pair(0.8)
     causal_pairs = make_pairs_causal(dist, grid, count=4096, steps=128, seed=60)
     causal_students = make_chunk_models(
-        dist.spec, "generator", m=1024, seed=61, parameterization="anchored"
+        dist.spec, "generator", m=1024, seed=61
     )
     ode_distill(causal_pairs, causal_students, cfg, seed=62)
     ed_causal, ed_asym = conditional_energy_distance(
@@ -223,10 +223,10 @@ def test_criterion_6_distribution_matching():
     dist = two_mode(3.0)
     grid = DEFAULT_GRID
     generators = make_chunk_models(
-        dist.spec, "generator", m=256, seed=80, parameterization="anchored"
+        dist.spec, "generator", m=256, seed=80
     )
     fakes = make_chunk_models(
-        dist.spec, "fake-score", m=128, seed=81, parameterization="anchored"
+        dist.spec, "fake-score", m=128, seed=81
     )
     data = sample_clean(dist, 2000, seed=82)
     ed_before = energy_distance(rollout(generators, grid, seed=83, count=2000), data)
@@ -239,7 +239,7 @@ def test_criterion_6_distribution_matching():
 
     # analytic generator gradient vs finite differences of the surrogate loss
     probe = make_chunk_models(
-        dist.spec, "generator", m=32, seed=85, parameterization="anchored"
+        dist.spec, "generator", m=32, seed=85
     ).member(1)
     probe = replace(probe, theta=np.random.default_rng(85).normal(size=probe.theta.shape))
     rng = np.random.default_rng(86)
@@ -264,10 +264,10 @@ def test_criterion_6_distribution_matching():
 
     # forcing the fake score to the real one must freeze the generator
     forced = make_chunk_models(
-        dist.spec, "generator", m=256, seed=80, parameterization="anchored"
+        dist.spec, "generator", m=256, seed=80
     )
     forced_fakes = make_chunk_models(
-        dist.spec, "fake-score", m=128, seed=81, parameterization="anchored"
+        dist.spec, "fake-score", m=128, seed=81
     )
     theta_before = forced.member(1).theta.copy()
     result = dmd_train(
@@ -307,7 +307,7 @@ def test_criterion_7_consistency_distillation():
         ridge_lambda=1e-6,
     )
     causal = make_chunk_models(
-        dist.spec, "generator", m=512, seed=21, parameterization="anchored"
+        dist.spec, "generator", m=512, seed=21
     )
     cd_train(dist, causal, cfg, seed=22, grid_size=12, teacher_kind="autoregressive")
 
@@ -325,7 +325,7 @@ def test_criterion_7_consistency_distillation():
     )["rms_gap"].value
 
     asym = make_chunk_models(
-        dist.spec, "generator", m=512, seed=21, parameterization="anchored"
+        dist.spec, "generator", m=512, seed=21
     )
     cd_train(dist, asym, cfg, seed=22, grid_size=12, teacher_kind="bidirectional")
     rms_asym = consistency_rms(

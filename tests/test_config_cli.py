@@ -220,6 +220,26 @@ def test_cli_bad_mixture_tables_exit_2(tmp_path, capsys, table):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("document", [
+    # a count must be an int, not a string, a bool or a fraction
+    '{"dataset_size": "10"}',
+    '{"feature_count": true}',
+    '{"train": {"diffusion": {"step_count": 2.5}}}',
+    '{"solver_steps": 2.5}',
+    # a real must be finite
+    '{"train": {"diffusion": {"method": "sgd", "learning_rate": NaN}}}',
+])
+def test_cli_bad_numbers_in_a_config_document_exit_2(tmp_path, capsys, document):
+    doc = tmp_path / "config.json"
+    doc.write_text(document)
+    argv = ["train", "--config", str(doc), "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_toggles_belong_to_the_verbs_that_read_them(tmp_path, capsys):
     doc = tmp_path / "config.json"
     doc.write_text(json.dumps({"ode": "causal-ode"}))
@@ -362,7 +382,7 @@ def test_cli_dmd_init_picks_the_starting_heads(tmp_path, monkeypatch, init):
         "dmd": {"step_count": 2, "batch_size": 16},
     }}))
     stored = make_chunk_models(bivariate_pair(0.8).spec, role="generator", m=16,
-                               seed=11, parameterization="anchored")
+                               seed=11)
     rng = np.random.default_rng(0)
     for i, member in enumerate(stored.members, start=1):
         stored.replace_member(i, replace(member, theta=rng.standard_normal((16, 1))))
@@ -420,8 +440,7 @@ def test_cli_dmd_checkpoint_with_wrong_field_type_exits_3(tmp_path, capsys,
     out.mkdir()
     path = out / "models_generator.jsonl"
     save_models(
-        make_chunk_models(bivariate_pair(0.8).spec, role="generator", m=16,
-                          parameterization="anchored"),
+        make_chunk_models(bivariate_pair(0.8).spec, role="generator", m=16),
         path,
     )
     lines = path.read_text().splitlines()
@@ -433,13 +452,31 @@ def test_cli_dmd_checkpoint_with_wrong_field_type_exits_3(tmp_path, capsys,
     assert "line 2" in capsys.readouterr().err
 
 
+def test_cli_dmd_checkpoint_with_another_readout_exits_3(tmp_path, capsys):
+    # a generator head has the anchored readout; a line naming another one
+    # describes a head this checkpoint cannot hold
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "models_generator.jsonl"
+    save_models(
+        make_chunk_models(bivariate_pair(0.8).spec, role="generator", m=16),
+        path,
+    )
+    lines = path.read_text().splitlines()
+    member = json.loads(lines[2])
+    assert member["parameterization"] == "anchored"
+    lines[2] = json.dumps({**member, "parameterization": "direct"})
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["dmd", "--init", "distilled", "--output-dir", str(out)]) == 3
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_cli_dmd_checkpoint_with_unknown_header_role_exits_3(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
     path = out / "models_generator.jsonl"
     save_models(
-        make_chunk_models(bivariate_pair(0.8).spec, role="generator", m=16,
-                          parameterization="anchored"),
+        make_chunk_models(bivariate_pair(0.8).spec, role="generator", m=16),
         path,
     )
     lines = path.read_text().splitlines()

@@ -228,7 +228,7 @@ def test_injectivity_variance_guards():
 def test_collapse_gap_zero_head_has_positive_deficit():
     # the anchored zero head is the identity map; its outputs carry the
     # noisy second moment (1-t)^2 + t^2 < 1, so the deficit must be positive
-    students = _zero_students(DIST.spec, parameterization="anchored")
+    students = _zero_students(DIST.spec)
     report = collapse_gap(
         students, DIST, t_set=(0.5,), n=800, chunk_index=1,
         coupling="bidirectional", n_rms=64, n_inner=400, steps=48, seed=5,
@@ -239,7 +239,7 @@ def test_collapse_gap_zero_head_has_positive_deficit():
 
 
 def test_collapse_gap_couplings_and_guards():
-    students = _zero_students(DIST.spec, parameterization="anchored")
+    students = _zero_students(DIST.spec)
     auto = collapse_gap(
         students, DIST, t_set=(0.5,), n=400, chunk_index=2,
         coupling="autoregressive", n_rms=64, n_inner=1, steps=48, seed=6,
@@ -252,7 +252,7 @@ def test_collapse_gap_couplings_and_guards():
 
 
 def test_conditional_energy_distance_float_and_determinism():
-    students = _zero_students(DIST.spec, parameterization="anchored")
+    students = _zero_students(DIST.spec)
     [a] = conditional_energy_distance([students], DIST, DEFAULT_GRID, 2, count=300, seed=7)
     [b] = conditional_energy_distance([students], DIST, DEFAULT_GRID, 2, count=300, seed=7)
     assert isinstance(a, float)
@@ -262,8 +262,7 @@ def test_conditional_energy_distance_float_and_determinism():
 
 def _random_head_students(spec, seed):
     """Anchored generators whose heads are random, so that arms differ."""
-    students = make_chunk_models(spec, role="generator", m=16, seed=seed,
-                                 parameterization="anchored")
+    students = make_chunk_models(spec, role="generator", m=16, seed=seed)
     rng = np.random.default_rng(seed)
     for i in range(1, spec.n_chunks + 1):
         member = students.member(i)
@@ -370,7 +369,7 @@ def test_trained_conditional_kl_mechanics():
 
 
 def test_consistency_rms_mechanics():
-    students = _zero_students(DIST.spec, parameterization="anchored")
+    students = _zero_students(DIST.spec)
     report = consistency_rms(students, DIST, DEFAULT_GRID, 2, count=300, steps=60, seed=13)
     assert report["rms_gap"].value > 0.1
     again = consistency_rms(students, DIST, DEFAULT_GRID, 2, count=300, steps=60, seed=13)

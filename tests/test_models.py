@@ -170,12 +170,11 @@ def test_readout_from_feature_rows_has_the_bits_of_predict():
     theta = rng.standard_normal((spec.m, 3))
     for t in (0.625, rng.uniform(0.05, 1.0, n)):
         phi = featurize(spec, chunk, prefix, t)
-        for parameterization in ("direct", "anchored"):
-            model = LinearStudent(spec, theta, parameterization=parameterization)
-            assert np.array_equal(
-                predict_x0(model, chunk, prefix, t, phi=phi),
-                predict_x0(model, chunk, prefix, t),
-            )
+        model = LinearStudent(spec, theta)
+        assert np.array_equal(
+            predict_x0(model, chunk, prefix, t, phi=phi),
+            predict_x0(model, chunk, prefix, t),
+        )
 
 
 def test_featurize_starts_block_threads_only_for_large_batches():
@@ -520,10 +519,7 @@ def test_head_jacobian_matches_finite_differences():
 @given(t=st.floats(0.0, 1.0), x=st.floats(-3.0, 3.0))
 @settings(max_examples=40, deadline=None)
 def test_anchored_readout_identity_at_zero(t, x):
-    model = build_student(
-        m=8, chunk_dim=1, prefix_dim=0, role="generator", seed=5,
-        parameterization="anchored",
-    )
+    model = build_student(m=8, chunk_dim=1, prefix_dim=0, role="generator", seed=5)
     model.theta[:] = 0.7
     out = predict_x0(model, np.array([x]), np.empty(0), t)
     head = predict(model, np.array([x]), np.empty(0), t)
@@ -538,8 +534,6 @@ def test_student_validation():
         LinearStudent(spec, np.zeros((5, 1)))
     with pytest.raises(ValueError):
         LinearStudent(spec, np.zeros((4, 1)), role="oracle")
-    with pytest.raises(ValueError):
-        LinearStudent(spec, np.zeros((4, 1)), parameterization="affine")
 
 
 @given(
@@ -558,14 +552,16 @@ def test_update_head_readouts_and_gradient(seed, anchored, n, m, d):
     target = rng.standard_normal((n, d))
     anchor = (chunk, t) if anchored else None
     model = LinearStudent(
-        spec, rng.standard_normal((m, d)), "generator",
-        "anchored" if anchored else "direct",
+        spec, rng.standard_normal((m, d)),
+        "generator" if anchored else "ar-velocity",
     )
 
-    # the residual is the model's clean-chunk readout minus the target
+    # the residual is the model's readout minus the target: the clean-chunk
+    # readout of a generator, the head itself for a velocity model
     phi = featurize(spec, chunk, None, t)
     resid = head_residual(model.theta, phi, target, anchor)
-    assert np.allclose(resid, predict_x0(model, chunk, None, t) - target, atol=1e-12)
+    readout = (predict_x0 if anchored else predict)(model, chunk, None, t)
+    assert np.allclose(resid, readout - target, atol=1e-12)
 
     # one SGD step descends mean_rows |residual|^2: with learning rate 1 the
     # step is the gradient, which must match central finite differences
@@ -589,15 +585,14 @@ def test_update_head_readouts_and_gradient(seed, anchored, n, m, d):
     assert np.array_equal(given.theta, stepped.theta)
 
     # the ridge fit at lambda 0 on a full-rank design (n > m) is where that
-    # gradient vanishes; it keeps the model's role and readout.  The anchored
+    # gradient vanishes; it keeps the model's role.  The anchored
     # fit regresses chunk - target on rows scaled by t.
     if anchored:
         rows, y = phi * t[:, None], chunk - target
     else:
         rows, y = phi, target
     fitted, _ = fit_head(model, (rows.T @ rows, rows.T @ y, float(np.sum(y**2))), 0.0)
-    assert (fitted.role, fitted.parameterization) == (
-        model.role, model.parameterization)
+    assert fitted.role == model.role
     step = fitted.theta - update_head(fitted, phi, target, sgd, anchor).theta
     scale = 1.0 + np.abs(fitted.theta).max() * np.abs(phi).max() ** 2
     assert np.abs(step).max() <= 1e-9 * scale
@@ -642,22 +637,34 @@ def test_member_seed_is_role_free_and_banks_match():
     assert member_seed(10, 1) != member_seed(10, 2)
     assert member_seed(10, 1) != member_seed(11, 1)
     velocities = make_chunk_models(SPEC, role="ar-velocity", m=32, seed=10)
-    generators = make_chunk_models(
-        SPEC, role="generator", m=32, seed=10, parameterization="anchored"
-    )
+    generators = make_chunk_models(SPEC, role="generator", m=32, seed=10)
     for i in (1, 2):
         assert velocities.member(i).features == generators.member(i).features
 
 
+def test_copied_velocity_head_reads_out_its_x0_estimate():
+    # a generator warm-started from a velocity head reads out x - t * v,
+    # the velocity model's clean-chunk estimate, bit for bit
+    velocities = make_chunk_models(SPEC, role="ar-velocity", m=32, seed=10)
+    generators = make_chunk_models(SPEC, role="generator", m=32, seed=10)
+    rng = np.random.default_rng(10)
+    for member in velocities.members:
+        member.theta[:] = rng.standard_normal(member.theta.shape)
+    copy_head(velocities, generators)
+    chunk = rng.standard_normal((64, 1))
+    prefix = rng.standard_normal((64, 1))
+    for t in (0.625, rng.uniform(0.05, 1.0, 64)):
+        v = predict(velocities.member(2), chunk, prefix, t)
+        x0 = predict_x0(generators.member(2), chunk, prefix, t)
+        assert np.array_equal(x0, chunk - np.reshape(t, (-1, 1)) * v)
+
+
 def test_copy_head_transfers_and_checks_banks():
     velocities = make_chunk_models(SPEC, role="ar-velocity", m=32, seed=10)
-    generators = make_chunk_models(
-        SPEC, role="generator", m=32, seed=10, parameterization="anchored"
-    )
+    generators = make_chunk_models(SPEC, role="generator", m=32, seed=10)
     velocities.member(1).theta[:] = 3.0
     copy_head(velocities, generators)
     assert np.allclose(generators.member(1).theta, 3.0)
-    assert generators.member(1).parameterization == "anchored"
     other = make_chunk_models(SPEC, role="generator", m=32, seed=11)
     with pytest.raises(ValueError):
         copy_head(velocities, other)

@@ -16,12 +16,8 @@ DIST = two_mode(3.0)
 
 def _dmd_arm(learning_rate=0.05, seed=92):
     """A small dmd_train arm owning its generators and fake models."""
-    gens = make_chunk_models(
-        DIST.spec, "generator", m=32, seed=90, parameterization="anchored"
-    )
-    fakes = make_chunk_models(
-        DIST.spec, "fake-score", m=16, seed=91, parameterization="anchored"
-    )
+    gens = make_chunk_models(DIST.spec, "generator", m=32, seed=90)
+    fakes = make_chunk_models(DIST.spec, "fake-score", m=16, seed=91)
     cfg = TrainConfig(method="ridge", step_count=20, batch_size=64,
                       learning_rate=learning_rate, fake_update_ratio=2)
     return lambda: dmd_train(gens, fakes, DIST, DEFAULT_GRID, cfg, seed=seed)

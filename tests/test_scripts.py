@@ -1,7 +1,8 @@
 """Smoke test of the scripts: each loads and its --help exits 0, so a name
 one of them imports from ardlab cannot disappear unnoticed; collapse_sweep,
-which calls the diagnostics directly, also runs one small sweep, and
-run_suite refuses an unknown preset name as a usage error."""
+which calls the diagnostics directly, also runs one small sweep,
+solver_convergence shows Heun's second order, and run_suite refuses an
+unknown preset name as a usage error."""
 
 import importlib.util
 from pathlib import Path
@@ -45,3 +46,14 @@ def test_collapse_sweep_prints_one_row_per_rho(capsys):
     assert header.split()[:3] == ["rho", "deficit", "SE"]
     assert len(rows) == 1
     assert float(rows[0].split()[0]) == 0.8
+
+
+def test_solver_convergence_shows_second_order_ratios(capsys):
+    # halving the step of a second-order solver quarters its error
+    assert _load("solver_convergence").main(["--max-steps", "32"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["steps", "rms", "error", "ratio"]
+    assert [int(row.split()[0]) for row in rows] == [8, 16, 32]
+    ratios = [float(row.split()[2]) for row in rows[1:]]
+    assert len(ratios) == 2
+    assert all(3.5 <= ratio <= 4.6 for ratio in ratios)

@@ -123,9 +123,7 @@ def test_sgd_velocity_training_descends():
 
 def _distilled_students(m=256, count=1500, seed=5):
     pairs = make_pairs_causal(DIST, DEFAULT_GRID, count=count, steps=96, seed=seed)
-    students = make_chunk_models(
-        SPEC, role="generator", m=m, seed=seed + 1, parameterization="anchored"
-    )
+    students = make_chunk_models(SPEC, role="generator", m=m, seed=seed + 1)
     ode_distill(pairs, students, TrainConfig(method="ridge"), seed=seed + 2)
     return students
 
@@ -240,16 +238,12 @@ def _run_ridge_stage(stage, m):
     if stage == "velocity":
         students = make_chunk_models(dist.spec, role="ar-velocity", m=m, seed=56)
         return train_ar_diffusion_tf(dist, students, cfg, seed=57)
-    students = make_chunk_models(
-        dist.spec, role="generator", m=m, seed=54, parameterization="anchored"
-    )
+    students = make_chunk_models(dist.spec, role="generator", m=m, seed=54)
     if stage == "distill":
         pairs = make_pairs_causal(dist, DEFAULT_GRID, count=24, steps=8, seed=53)
         return ode_distill(pairs, students, cfg, seed=55)
     if stage == "dmd":
-        fakes = make_chunk_models(
-            dist.spec, role="fake-score", m=m, seed=58, parameterization="anchored"
-        )
+        fakes = make_chunk_models(dist.spec, role="fake-score", m=m, seed=58)
         return dmd_train(students, fakes, dist, DEFAULT_GRID, cfg, seed=59)
     return cd_train(dist, students, cfg, seed=60, grid_size=4)
 
@@ -311,13 +305,12 @@ def _sgd_distill_reference(dataset, students, cfg, seed, prefix_mode):
     """SGD distillation that featurizes every step's picked rows afresh."""
     rng = np.random.default_rng(seed)
     design = _distill_design(dataset, prefix_mode)
-    anchored = students.parameterization == "anchored"
     trace = np.empty(cfg.step_count)
     for step in range(cfg.step_count):
         i = int(rng.integers(1, students.seq_spec.n_chunks + 1))
         pick = rng.integers(0, design[i]["t"].size, size=cfg.batch_size)
         rows = {k: v[pick] for k, v in design[i].items()}
-        anchor = (rows["chunk"], rows["t"]) if anchored else None
+        anchor = (rows["chunk"], rows["t"])
         member = students.member(i)
         phi = featurize(member.features, rows["chunk"], rows["prefix"], rows["t"])
         resid = head_residual(member.theta, phi, rows["target"], anchor)
@@ -329,7 +322,8 @@ def _sgd_distill_reference(dataset, students, cfg, seed, prefix_mode):
 
 
 @pytest.mark.parametrize("prefix_mode", ["clean", "noisy"])
-@pytest.mark.parametrize("readout", ["anchored", "direct"])
+# every generator has the anchored readout
+@pytest.mark.parametrize("readout", ["anchored"])
 @pytest.mark.parametrize("dist", [DIST, ar1_sequence(3, 0.5)], ids=["bivariate", "ar1-3"])
 def test_sgd_distill_matches_per_step_featurize_reference(
     monkeypatch, dist, readout, prefix_mode
@@ -339,9 +333,7 @@ def test_sgd_distill_matches_per_step_featurize_reference(
     cfg = TrainConfig(method="sgd", learning_rate=0.3, step_count=80, batch_size=16)
 
     def students():
-        return make_chunk_models(
-            dist.spec, role="generator", m=32, seed=51, parameterization=readout
-        )
+        return make_chunk_models(dist.spec, role="generator", m=32, seed=51)
 
     expected = students()
     want_trace = _sgd_distill_reference(pairs, expected, cfg, 52, prefix_mode)
@@ -365,7 +357,8 @@ def _random_heads(models, seed):
 
 
 @pytest.mark.parametrize("prefix_mode", ["clean", "noisy"])
-@pytest.mark.parametrize("readout", ["anchored", "direct"])
+# every generator has the anchored readout
+@pytest.mark.parametrize("readout", ["anchored"])
 @pytest.mark.parametrize("dist", [DIST, ar1_sequence(3, 0.5)], ids=["bivariate", "ar1-3"])
 def test_lockstep_sgd_distill_matches_each_set_alone(
     monkeypatch, dist, readout, prefix_mode
@@ -377,9 +370,7 @@ def test_lockstep_sgd_distill_matches_each_set_alone(
     cfg = TrainConfig(method="sgd", learning_rate=0.3, step_count=80, batch_size=12)
 
     def students(head_seed):
-        models = make_chunk_models(
-            dist.spec, role="generator", m=32, seed=51, parameterization=readout
-        )
+        models = make_chunk_models(dist.spec, role="generator", m=32, seed=51)
         return models if head_seed is None else _random_heads(models, head_seed)
 
     head_seeds = (None, 53)
@@ -407,12 +398,11 @@ def test_lockstep_distill_rejects_sets_that_do_not_share_a_design():
     cfg = TrainConfig(method="sgd", step_count=4, batch_size=4)
 
     def students(**kw):
-        args = dict(role="generator", m=16, seed=55, parameterization="anchored")
+        args = dict(role="generator", m=16, seed=55)
         return make_chunk_models(kw.pop("spec", SPEC), **{**args, **kw})
 
     others = [
         students(seed=56),  # another feature bank
-        students(parameterization="direct"),
         students(role="fake-score"),
         students(spec=SequenceSpec(n_frames=4, frame_dim=1, chunk_size=2)),
     ]
@@ -423,16 +413,15 @@ def test_lockstep_distill_rejects_sets_that_do_not_share_a_design():
         ode_distill(pairs, [], cfg, seed=0)
 
 
-@pytest.mark.parametrize("readout", ["anchored", "direct"])
+# every generator has the anchored readout
+@pytest.mark.parametrize("readout", ["anchored"])
 def test_lockstep_ridge_distill_gives_each_set_its_single_fit(readout):
     dist = ar1_sequence(3, 0.5)
     pairs = make_pairs_causal(dist, DEFAULT_GRID, count=24, steps=8, seed=57)
     cfg = TrainConfig(method="ridge")
 
     def students(head_seed):
-        models = make_chunk_models(
-            dist.spec, role="generator", m=32, seed=58, parameterization=readout
-        )
+        models = make_chunk_models(dist.spec, role="generator", m=32, seed=58)
         return models if head_seed is None else _random_heads(models, head_seed)
 
     head_seeds = (None, 59)
@@ -489,10 +478,7 @@ def test_rollout_matches_data_moments():
 def test_fake_score_consistent_with_velocity_algebra():
     # the fake field is v = -x + t * head; its implied score must equal the
     # bounded closed form the fake head trains against
-    model = build_student(
-        m=32, chunk_dim=1, prefix_dim=0, role="fake-score", seed=10,
-        parameterization="anchored",
-    )
+    model = build_student(m=32, chunk_dim=1, prefix_dim=0, role="fake-score", seed=10)
     model.theta[:] = np.random.default_rng(10).standard_normal(model.theta.shape)
     x = np.array([[0.4], [-1.2]])
     t = np.array([0.3, 0.9])
@@ -509,10 +495,7 @@ def test_fake_score_consistent_with_velocity_algebra():
 def test_dmd_generator_gradient_matches_surrogate_fd():
     # gradient of mean_b <delta_b, sample_b(theta)> with the sampler's final
     # application as the only theta-dependent piece
-    model = build_student(
-        m=20, chunk_dim=1, prefix_dim=1, role="generator", seed=11,
-        parameterization="anchored",
-    )
+    model = build_student(m=20, chunk_dim=1, prefix_dim=1, role="generator", seed=11)
     rng = np.random.default_rng(11)
     model.theta[:] = rng.standard_normal(model.theta.shape)
     n, t_last = 16, 0.625
@@ -525,7 +508,7 @@ def test_dmd_generator_gradient_matches_surrogate_fd():
     def surrogate(theta):
         from ardlab.models import LinearStudent
 
-        probe = LinearStudent(model.features, theta, "generator", "anchored")
+        probe = LinearStudent(model.features, theta)
         return -float(np.mean(
             np.sum(delta * predict_x0(probe, final_in, prefixes, t_last), axis=1)
         ))
@@ -543,12 +526,8 @@ def test_dmd_generator_gradient_matches_surrogate_fd():
 
 def test_dmd_forced_real_fake_is_a_fixed_point():
     dist = two_mode(3.0)
-    generators = make_chunk_models(
-        dist.spec, role="generator", m=64, seed=12, parameterization="anchored"
-    )
-    fakes = make_chunk_models(
-        dist.spec, role="fake-score", m=32, seed=13, parameterization="anchored"
-    )
+    generators = make_chunk_models(dist.spec, role="generator", m=64, seed=12)
+    fakes = make_chunk_models(dist.spec, role="fake-score", m=32, seed=13)
     before = generators.member(1).theta.copy()
     result = dmd_train(
         generators, fakes, dist, DEFAULT_GRID,
@@ -563,12 +542,8 @@ def test_dmd_improves_energy_distance():
     from ardlab.diagnostics import energy_distance
 
     dist = two_mode(3.0)
-    generators = make_chunk_models(
-        dist.spec, role="generator", m=128, seed=15, parameterization="anchored"
-    )
-    fakes = make_chunk_models(
-        dist.spec, role="fake-score", m=64, seed=16, parameterization="anchored"
-    )
+    generators = make_chunk_models(dist.spec, role="generator", m=128, seed=15)
+    fakes = make_chunk_models(dist.spec, role="fake-score", m=64, seed=16)
     data = sample_clean(dist, 1500, seed=41)
     ed_before = energy_distance(rollout(generators, DEFAULT_GRID, seed=40, count=1500), data)
     cfg = TrainConfig(
@@ -582,12 +557,7 @@ def test_dmd_improves_energy_distance():
 
 def test_dmd_validates_roles():
     dist = two_mode(3.0)
-    generators = make_chunk_models(
-        dist.spec, role="generator", m=8, seed=0, parameterization="anchored"
-    )
-    direct_fakes = make_chunk_models(dist.spec, role="fake-score", m=8, seed=1)
-    with pytest.raises(ConfigError):
-        dmd_train(generators, direct_fakes, dist, DEFAULT_GRID, TrainConfig(), seed=0)
+    generators = make_chunk_models(dist.spec, role="generator", m=8, seed=0)
     with pytest.raises(ConfigError):
         dmd_train(generators, generators, dist, DEFAULT_GRID, TrainConfig(), seed=0)
 
@@ -598,27 +568,20 @@ def test_dmd_validates_roles():
 
 
 def test_cd_requires_anchored_generators():
-    direct = make_chunk_models(SPEC, role="generator", m=8, seed=0)
-    with pytest.raises(ConfigError):
-        cd_train(DIST, direct, TrainConfig(step_count=1), seed=0)
     velocity = make_chunk_models(SPEC, role="ar-velocity", m=8, seed=0)
     with pytest.raises(ConfigError):
         cd_train(DIST, velocity, TrainConfig(step_count=1), seed=0)
-    anchored = make_chunk_models(
-        SPEC, role="generator", m=8, seed=0, parameterization="anchored"
-    )
+    generators = make_chunk_models(SPEC, role="generator", m=8, seed=0)
     with pytest.raises(ConfigError):
-        cd_train(DIST, anchored, TrainConfig(step_count=1), seed=0, grid_size=1)
+        cd_train(DIST, generators, TrainConfig(step_count=1), seed=0, grid_size=1)
     with pytest.raises(ConfigError):
         cd_train(
-            DIST, anchored, TrainConfig(step_count=1), seed=0, teacher_kind="joint"
+            DIST, generators, TrainConfig(step_count=1), seed=0, teacher_kind="joint"
         )
 
 
 def test_cd_boundary_is_exact_regardless_of_training():
-    students = make_chunk_models(
-        SPEC, role="generator", m=64, seed=18, parameterization="anchored"
-    )
+    students = make_chunk_models(SPEC, role="generator", m=64, seed=18)
     cd_train(
         DIST, students,
         TrainConfig(method="ridge", step_count=8, batch_size=512, ema_rate=0.0),
@@ -632,9 +595,7 @@ def test_cd_boundary_is_exact_regardless_of_training():
 def test_cd_fitted_iteration_improves_consistency():
     from ardlab.diagnostics import consistency_rms
 
-    students = make_chunk_models(
-        SPEC, role="generator", m=256, seed=20, parameterization="anchored"
-    )
+    students = make_chunk_models(SPEC, role="generator", m=256, seed=20)
     init = consistency_rms(students, DIST, DEFAULT_GRID, 2, count=600, steps=120, seed=21)
     cd_train(
         DIST, students,
@@ -671,14 +632,11 @@ def _run_sgd_stage(stage):
         fake_update_ratio=2, ema_rate=0.5,
     )
     kind = "ar-velocity" if stage == "tf" else "generator"
-    readout = "direct" if stage == "tf" else "anchored"
-    students = make_chunk_models(
-        SPEC, role=kind, m=32, seed=30, parameterization=readout
-    )
+    students = make_chunk_models(SPEC, role=kind, m=32, seed=30)
     sets = [students]
     if stage == "dmd":
         sets.append(make_chunk_models(
-            SPEC, role="fake-score", m=32, seed=31, parameterization="anchored"
+            SPEC, role="fake-score", m=32, seed=31
         ))
     before = [[member.theta.copy() for member in models.members] for models in sets]
     if stage == "tf":
@@ -758,14 +716,10 @@ def test_learned_teacher_pairs_save_load_save_is_byte_identical(
 
 
 def test_cd_with_learned_teacher(learned_teacher):
-    students = make_chunk_models(
-        AR3.spec, role="generator", m=32, seed=44, parameterization="anchored"
-    )
+    students = make_chunk_models(AR3.spec, role="generator", m=32, seed=44)
     cfg = TrainConfig(method="ridge", step_count=6, batch_size=128)
     result = cd_train(AR3, students, cfg, seed=45, grid_size=6, teacher=learned_teacher)
     assert result.loss_trace.shape == (6,) and np.all(np.isfinite(result.loss_trace))
-    oracle = make_chunk_models(
-        AR3.spec, role="generator", m=32, seed=44, parameterization="anchored"
-    )
+    oracle = make_chunk_models(AR3.spec, role="generator", m=32, seed=44)
     oracle_trace = cd_train(AR3, oracle, cfg, seed=45, grid_size=6).loss_trace
     assert not np.array_equal(result.loss_trace, oracle_trace)

@@ -29,9 +29,7 @@ def small_dataset(seed=0):
 
 
 def small_models(seed=0):
-    models = make_chunk_models(
-        DIST.spec, role="generator", m=12, seed=seed, parameterization="anchored"
-    )
+    models = make_chunk_models(DIST.spec, role="generator", m=12, seed=seed)
     rng = np.random.default_rng(seed)
     for i in (1, 2):
         models.member(i).theta[:] = rng.standard_normal(models.member(i).theta.shape)
@@ -212,12 +210,27 @@ def test_models_round_trip_predictions(tmp_path):
     save_models(models, path)
     loaded = load_models(path)
     assert loaded.role == models.role
-    assert loaded.parameterization == models.parameterization
     x = np.array([[0.3], [-0.8]])
     y = np.array([[0.1], [0.2]])
     assert np.array_equal(
         predict(models.member(2), x, y, 0.5), predict(loaded.member(2), x, y, 0.5)
     )
+
+
+@pytest.mark.parametrize("role, readout", [
+    ("generator", "anchored"), ("fake-score", "anchored"), ("ar-velocity", "direct"),
+])
+def test_checkpoint_lines_record_the_roles_readout(tmp_path, role, readout):
+    path = tmp_path / "models.jsonl"
+    save_models(make_chunk_models(DIST.spec, role=role, m=4), path)
+    header, *lines = path.read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert [row["parameterization"] for row in rows] == [readout] * 2
+    other = "direct" if readout == "anchored" else "anchored"
+    lines[0] = json.dumps({**rows[0], "parameterization": other})
+    path.write_text("\n".join([header, *lines]) + "\n")
+    with pytest.raises(DatasetFormatError, match="line 2"):
+        load_models(path)
 
 
 def test_models_file_rejects_dataset_payload(tmp_path):
