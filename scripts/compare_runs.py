@@ -3,10 +3,11 @@
 Usage: python3 scripts/compare_runs.py DIR_A DIR_B
 
 Compares every file under the two trees by sha256 and prints one line per
-file that differs or exists on one side only.  For a CSV, JSON or
-JSON-lines file present on both sides it also prints the largest relative
-change of any number, |b - a| / max(|a|, |b|), and where it occurs, and for
-a CSV the columns of the non-numeric cells that differ.  JSON lines are
+file that differs or exists on one side only.  For a CSV, JSON, JSON-lines
+or key=value text report (report.txt) present on both sides it also prints
+the largest relative change of any number, |b - a| / max(|a|, |b|), and
+where it occurs, and for a CSV or text report the columns or keys of the
+non-numeric cells that differ.  JSON lines are
 compared value by value when both files have the same record structure; a
 JSON document also lists the keys found on one side only (side A is DIR_A,
 side B is DIR_B) and compares the values found on both.
@@ -17,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -78,6 +80,48 @@ def largest_csv_change(path_a: Path, path_b: Path) -> str:
             if a is None or b is None:
                 text_columns.add(column)
     return _largest_change(cells, sorted(text_columns))
+
+
+# one key=value field of a structured-text report line; a quoted value is a
+# JSON string and may hold spaces
+_FIELD = re.compile(r'(\w+)=("(?:[^"\\]|\\.)*"|\S*)(?: |$)')
+
+
+def _report_fields(line: str):
+    """[(key, value text)] of one key=value report line, or None when the
+    line is not made of such fields."""
+    line = line.rstrip("\n")
+    fields, at = [], 0
+    for match in _FIELD.finditer(line):
+        if match.start() != at:
+            return None
+        fields.append(match.groups())
+        at = match.end()
+    return fields if at == len(line) and fields else None
+
+
+def largest_report_text_change(path_a: Path, path_b: Path) -> str:
+    """Largest relative change of a number in key=value report lines with
+    the same keys on both sides, or why there is none."""
+    with open(path_a) as fa, open(path_b) as fb:
+        lines_a = [_report_fields(line) for line in fa]
+        lines_b = [_report_fields(line) for line in fb]
+    if None in lines_a or None in lines_b:
+        return "not key=value records"
+    if len(lines_a) != len(lines_b) or any(
+        [k for k, _ in a] != [k for k, _ in b] for a, b in zip(lines_a, lines_b)
+    ):
+        return "shape differs"
+    cells, text_keys = [], set()
+    for r, (fields_a, fields_b) in enumerate(zip(lines_a, lines_b)):
+        for (key, cell_a), (_, cell_b) in zip(fields_a, fields_b):
+            if cell_a == cell_b:
+                continue
+            a, b = _number(cell_a), _number(cell_b)
+            cells.append((f"line {r + 1} {key}", a, b))
+            if a is None or b is None:
+                text_keys.add(key)
+    return _largest_change(cells, sorted(text_keys))
 
 
 def _leaves(value, path=""):
@@ -147,6 +191,7 @@ DETAIL = {
     ".csv": largest_csv_change,
     ".json": json_change,
     ".jsonl": largest_jsonl_change,
+    ".txt": largest_report_text_change,
 }
 
 

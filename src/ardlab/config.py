@@ -151,7 +151,13 @@ class ExperimentConfig:
             raise ConfigError(f"grid times must be numbers, got {self.grid!r}")
         object.__setattr__(self, "grid", tuple(float(t) for t in self.grid))
         TimestepGrid(self.grid)  # validates ordering/range
+        if not isinstance(self.components, (list, tuple)):
+            raise ConfigError(
+                f"components must be a list of mixture tables, got {self.components!r}"
+            )
         object.__setattr__(self, "components", tuple(self.components))
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         missing = [name for name in TRAIN_STAGES if name not in self.train]
         if missing:
             raise ConfigError(f"train settings missing for stages: {missing}")
@@ -175,6 +181,8 @@ class ExperimentConfig:
         spec = self.sequence_spec()
         comps = []
         for row in self.components:
+            if not isinstance(row, dict):
+                raise ConfigError(f"a mixture component must be an object, got {row!r}")
             extra = set(row) - {"weight", "mean", "covariance"}
             if extra:
                 raise ConfigError(f"unknown component fields: {sorted(extra)}")
@@ -186,7 +194,7 @@ class ExperimentConfig:
                         np.asarray(row["covariance"], dtype=float),
                     )
                 )
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad mixture component: {exc}")
         try:
             return SequenceDistribution(spec, tuple(comps))
@@ -220,8 +228,6 @@ class ExperimentConfig:
                     raise ConfigError(f"train settings for unknown stage {name!r}")
                 train[name] = _train_config_from_dict(sub)
             data["train"] = train
-        if "components" in data:
-            data["components"] = tuple(data["components"])
         if "grid" in data:
             if not isinstance(data["grid"], (list, tuple)):
                 raise ConfigError("grid must be a list of times")

@@ -133,6 +133,11 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+# Set in each thread while it runs the items of a _share call with two or
+# more threads.
+_sharing = threading.local()
+
+
 def _share(fn, items, cells=None) -> list:
     """[fn(item) for item in items], the items shared among up to one thread
     per CPU.
@@ -142,23 +147,34 @@ def _share(fn, items, cells=None) -> list:
     started.  w is at most _cpu_count() and the item count, and for a call
     of `cells` cells at most one per _THREAD_CELLS of them, so a small call
     starts none: each featurize call inside d2-init's two DMD arms is one.
-    Each thread stops at its first failing item.  Every started thread is
-    joined, also when the calling thread's items raise; then the first
-    failing item's exception, in item order, is raised.  Items must share
-    nothing they write.
+    A call made from inside an item of a call with w >= 2 has w = 1, so
+    nested calls start no thread and there are never more threads than
+    CPUs.  Each thread stops at its first failing item.  Every started
+    thread is joined, also when the calling thread's items raise; then the
+    first failing item's exception, in item order, is raised.  Items must
+    share nothing they write.
     """
     workers = max(1, min(_cpu_count(), len(items)))
     if cells is not None:
         workers = max(1, min(workers, cells // _THREAD_CELLS))
+    nested = getattr(_sharing, "active", False)
+    if nested:
+        workers = 1
     results, errors = [None] * len(items), [None] * len(items)
 
     def run(first):
-        for i in range(first, len(items), workers):
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:
-                errors[i] = exc
-                return
+        # threads are started only when not nested, so every thread that
+        # runs items returns to the calling thread's state
+        _sharing.active = nested or workers > 1
+        try:
+            for i in range(first, len(items), workers):
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as exc:
+                    errors[i] = exc
+                    return
+        finally:
+            _sharing.active = nested
 
     started = []
     try:
@@ -207,8 +223,9 @@ def _openblas_function(name: str):
 
 def _pin_blas_threads() -> None:
     """Hold numpy's OpenBLAS to one thread, so that the threads of _share
-    (featurize's and energy_distance's row blocks, d2-init's two DMD arms)
-    are the only parallelism in the package.
+    (featurize's and energy_distance's row blocks, d2-init's two DMD arms,
+    d3-init's joint and causal halves) are the only parallelism in the
+    package.
 
     A call that OpenBLAS splits over its own threads leaves them spinning on
     the other CPUs for about 0.1 s, taking the CPU featurize's threads and
@@ -532,37 +549,32 @@ def fit_head(model: LinearStudent, normal, ridge_lambda: float):
     return replace(model, theta=theta), readings
 
 
-def sgd_step_matrix(phi, t=None) -> np.ndarray:
-    """The m x n matrix M whose product M @ r with a residual r is the
-    gradient of mean |residual|^2 over feature rows phi: (2/n) Phi^T, or
-    -(2/n) (t Phi)^T with rows scaled by t (one time per row) for the
-    anchored readout.  It does not depend on the head, so heads stepped on
-    the same rows can share it."""
+def head_gradient(phi, resid, t=None) -> np.ndarray:
+    """Gradient of mean |residual|^2 over feature rows phi (n x m) with
+    respect to the head, from the residual r (n x k): (2/n) Phi^T r, or
+    -(2/n) Phi^T (t r) with r's rows scaled by t (one time per row) for the
+    anchored readout.  The product is taken before the scale, so no n x m
+    copy of phi is made."""
     n = phi.shape[0]
-    # The scale goes onto Phi^T before the product with r, not onto the
-    # product.  This order is kept for the bits: unless n is a power of two,
-    # scaling the product instead rounds differently.
     if t is None:
-        return (2.0 / n) * phi.T
-    return -(2.0 / n) * (phi * t[:, None]).T
+        return (2.0 / n) * (phi.T @ resid)
+    return -(2.0 / n) * (phi.T @ (t[:, None] * resid))
 
 
 def update_head(
     model: LinearStudent, phi, target, cfg: TrainConfig, anchor=None, resid=None
 ) -> LinearStudent:
     """One SGD step on mean |residual|^2 of the head's readout (see
-    head_residual) over feature rows phi.
+    head_residual) over feature rows phi, along head_gradient.
 
-    The gradient is sgd_step_matrix(phi, t) @ r: the scaled transpose
-    (2/n) Phi^T, negated and with rows scaled by t for the anchored readout,
-    times the residual r.  Pass `resid` when the current residual is already
-    at hand.  Ridge fits do not come through here: they go through
-    normal_equations and fit_head, which never hold a whole design's rows.
+    Pass `resid` when the current residual is already at hand.  Ridge fits
+    do not come through here: they go through normal_equations and
+    fit_head, which never hold a whole design's rows.
     """
     if resid is None:
         resid = head_residual(model.theta, phi, target, anchor)
     t = None if anchor is None else anchor[1]
-    return sgd_step(model, sgd_step_matrix(phi, t) @ resid, cfg.learning_rate)
+    return sgd_step(model, head_gradient(phi, resid, t), cfg.learning_rate)
 
 
 @dataclass

@@ -426,21 +426,36 @@ def _run_d3(config: ExperimentConfig):
     """Where the gain comes from: chunk-wise training data, not student
     initialization.  Distill on chunk-wise data from two different warm
     starts — the joint-data student's weights and the denoiser head — and
-    both land far below the joint-data baseline, close to each other."""
+    both land far below the joint-data baseline, close to each other.
+
+    The joint half (joint pairs, then the baseline distilled on them) and
+    the causal half (chunk-wise pairs, then the denoiser teacher) own their
+    models and seeds, so models._share runs them at once where there are
+    two CPUs, with the same bits as in turn."""
     dist = config.distribution()
     grid = config.timestep_grid()
     seed = config.master_seed
-    ds_bi = make_pairs_bi(dist, grid, count=config.dataset_size,
-                          steps=config.solver_steps, seed=seed + 1)
-    ds_causal = make_pairs_causal(dist, grid, count=config.dataset_size,
-                                  steps=config.solver_steps, seed=seed + 2)
 
-    baseline = _generators(config, seed + 11)
-    res_base = ode_distill(ds_bi, baseline, config.train["distill"], seed=seed + 21)
+    def joint_half():
+        ds_bi = make_pairs_bi(dist, grid, count=config.dataset_size,
+                              steps=config.solver_steps, seed=seed + 1)
+        baseline = _generators(config, seed + 11)
+        res_base = ode_distill(ds_bi, baseline, config.train["distill"],
+                               seed=seed + 21)
+        return ds_bi, res_base
 
-    vel = _velocities(config, seed + 11)
-    res_vel = train_ar_diffusion_tf(dist, vel, config.train["diffusion"],
-                                    seed=seed + 22)
+    def causal_half():
+        ds_causal = make_pairs_causal(dist, grid, count=config.dataset_size,
+                                      steps=config.solver_steps, seed=seed + 2)
+        vel = _velocities(config, seed + 11)
+        res_vel = train_ar_diffusion_tf(dist, vel, config.train["diffusion"],
+                                        seed=seed + 22)
+        return ds_causal, res_vel
+
+    (ds_bi, res_base), (ds_causal, res_vel) = models._share(
+        lambda half: half(), [joint_half, causal_half]
+    )
+    baseline, vel = res_base.models, res_vel.models
 
     # warm starts are fine-tuned, not refit: an SGD pass on the chunk-wise
     # data, identical for both arms, so initialization is the only variable.

@@ -16,13 +16,11 @@ Four stages are implemented, all sharing TrainConfig and StageResult:
 
 Each stage fits a linear head over fixed features, as cfg.method says: a
 closed-form ridge fit (models.normal_equations, then models.fit_head) or one
-SGD step (models.update_head; ode_distill, which steps several heads on one
-pick, applies its models.sgd_step_matrix directly); the DMD generator step
-is always SGD.  A
-ridge fit sums its normal equations over row blocks, so it never holds a
-design's whole rows x m features, and its loss reading comes from the same
-sums.  Each ridge stage puts its fits' readings in StageResult.info["ridge"]
-(see _ridge_info).
+SGD step (models.update_head, along models.head_gradient); the DMD generator
+step is always SGD.  A ridge fit sums its normal equations over row blocks,
+so it never holds a design's whole rows x m features, and its loss reading
+comes from the same sums.  Each ridge stage puts its fits' readings in
+StageResult.info["ridge"] (see _ridge_info).
 
 Generators are "anchored": G(x, prefix, t) = x - t * head(x, prefix, t), so
 G at t = 0 is the identity map no matter what the head does.  Ridge fits for
@@ -56,7 +54,6 @@ from .models import (
     predict,
     residual_sse,
     sgd_step,
-    sgd_step_matrix,
     update_head,
     _time_column,
 )
@@ -303,9 +300,9 @@ def ode_distill(
     features at a time, whatever the number of sets: it draws its (chunk,
     batch_size-row pick) schedule up front, in step order, and then runs
     each chunk's steps on rows indexed from that chunk's features.  A step
-    gathers its pick and builds its sgd_step_matrix once, then steps each
-    set's head in turn.  With batch_size and m of 2 or more this gives the
-    same bits as featurizing every pick for each set alone.
+    gathers its pick's feature rows once, then steps each set's head in
+    turn with update_head.  With batch_size and m of 2 or more this gives
+    the same bits as featurizing every pick for each set alone.
     """
     sets = students if isinstance(students, list) else [students]
     _check_shared_design(sets)
@@ -367,11 +364,9 @@ def ode_distill(
                 target = rows["target"][pick]
                 t = rows["t"][pick]
                 anchor = (rows["chunk"][pick], t)
-                step_matrix = sgd_step_matrix(phi, t)
                 for k, member in enumerate(members):
                     resid = head_residual(member.theta, phi, target, anchor)
-                    grad = step_matrix @ resid
-                    members[k] = sgd_step(member, grad, cfg.learning_rate)
+                    members[k] = update_head(member, phi, target, cfg, anchor, resid)
                     traces[k][step] = float(np.mean(resid**2))
             for models, member in zip(sets, members):
                 models.replace_member(i, member)
@@ -450,10 +445,7 @@ def rollout(
 
 
 def dmd_generator_gradient(
-    model: LinearStudent,
-    phi: np.ndarray,
-    t_last: float,
-    delta: np.ndarray,
+    phi: np.ndarray, t_last: float, delta: np.ndarray
 ) -> np.ndarray:
     """Head gradient -mean_b delta_b (d sample_b / d theta).
 
@@ -585,7 +577,7 @@ def dmd_train(
             raise DivergenceError(
                 f"score difference blew up at step {step}: {trace[step]:.3e}"
             )
-        grad = dmd_generator_gradient(member, final_phi, t_last, delta)
+        grad = dmd_generator_gradient(final_phi, t_last, delta)
         generators.replace_member(i, sgd_step(member, grad, cfg.learning_rate))
 
     info = {"fake_models": fake_models}

@@ -248,7 +248,7 @@ def test_criterion_6_distribution_matching():
     delta = rng.standard_normal((64, 1))
     t_last = grid.times[-1]
     phi = featurize(probe.features, final_in, prefixes, t_last)
-    analytic = dmd_generator_gradient(probe, phi, t_last, delta)
+    analytic = dmd_generator_gradient(phi, t_last, delta)
 
     def surrogate(theta):
         model = replace(probe, theta=theta)

@@ -1,4 +1,4 @@
-"""scripts/compare_runs.py: sha256 file comparison with CSV cell changes."""
+"""scripts/compare_runs.py: sha256 file comparison with the numbers that changed."""
 
 import importlib.util
 from pathlib import Path
@@ -83,3 +83,32 @@ def test_json_change_lists_one_sided_keys_and_the_largest_shared_change(tmp_path
         "cells equal, bytes differ"
     )
     assert compare_runs.json_change(a / "config.json", b / "bad.json") == "not JSON"
+
+
+def test_largest_report_text_change_reads_key_value_records(tmp_path):
+    line = ('report="energy" metric="a b" value={} uncertainty={} '
+            'sample_count=1 config_digest={} note="x = 1"\n')
+    a = _tree(tmp_path / "a", {"report.txt": line.format(2.0, 0.5, "abc")
+                               + line.format(1.0, 0.0, "abc")})
+    b = _tree(tmp_path / "b", {
+        "report.txt": line.format(2.0, 0.4, "abc") + line.format(1.1, 0.0, "abc"),
+        "digest.txt": line.format(2.0, 0.5, "def") + line.format(1.0, 0.0, "def"),
+        "short.txt": line.format(2.0, 0.5, "abc"),
+        "keys.txt": line.format(2.0, 0.5, "abc") + 'report="energy" value=1.0\n',
+        "plain.txt": "ok\n",
+    })
+    assert compare_runs.largest_report_text_change(a / "report.txt", b / "report.txt") == (
+        "largest relative change 0.2 at line 1 uncertainty"
+    )
+    assert compare_runs.largest_report_text_change(a / "report.txt", b / "digest.txt") == (
+        "2 non-numeric cells differ in column config_digest"
+    )
+    assert compare_runs.largest_report_text_change(a / "report.txt", b / "short.txt") == (
+        "shape differs"
+    )
+    assert compare_runs.largest_report_text_change(a / "report.txt", b / "keys.txt") == (
+        "shape differs"
+    )
+    assert compare_runs.largest_report_text_change(a / "report.txt", b / "plain.txt") == (
+        "not key=value records"
+    )

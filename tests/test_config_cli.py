@@ -212,6 +212,9 @@ def test_cli_bad_layouts_exit_2(tmp_path, capsys, argv):
     ' "covariance": [[1, Infinity], [Infinity, 1]]}]',
     # a singular covariance: conditioning raises SingularCovarianceError
     '[{"weight": 1.0, "mean": [0, 0], "covariance": [[0, 0], [0, 0]]}]',
+    # a component that is not an object, a weight that is not a number
+    '[5]',
+    '[{"weight": null, "mean": [0, 0], "covariance": [[1, 0], [0, 1]]}]',
 ])
 def test_cli_bad_mixture_tables_exit_2(tmp_path, capsys, table):
     argv = ["audit", "--anchors", "4", "--resamples", "50",
@@ -228,6 +231,9 @@ def test_cli_bad_mixture_tables_exit_2(tmp_path, capsys, table):
     '{"solver_steps": 2.5}',
     # a real must be finite
     '{"train": {"diffusion": {"method": "sgd", "learning_rate": NaN}}}',
+    # the mixture tables are a list, the output directory a path string
+    '{"components": 5}',
+    '{"output_dir": 5}',
 ])
 def test_cli_bad_numbers_in_a_config_document_exit_2(tmp_path, capsys, document):
     doc = tmp_path / "config.json"

@@ -26,6 +26,7 @@ from ardlab.models import (
     featurize,
     fit_head,
     fit_ridge,
+    head_gradient,
     head_residual,
     make_chunk_models,
     member_seed,
@@ -276,6 +277,31 @@ def test_share_starts_no_thread_below_the_threading_size():
     assert below == [main] * 4
     assert at[0] is at[2] is main
     assert at[1] is at[3] is not main
+
+
+def test_share_inside_a_shared_item_starts_no_thread():
+    starts = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        starts.append(thread)
+        start(thread)
+
+    def inner(item):
+        return models._share(lambda x: (item, x, threading.current_thread()), range(4))
+
+    with mock.patch.object(models, "_cpu_count", lambda: 2), \
+            mock.patch.object(threading.Thread, "start", counted_start):
+        nested = models._share(inner, range(2))
+        assert len(starts) == 1  # the outer call's one started thread
+        # each nested call ran all its items in the thread of its item
+        for item, rows in enumerate(nested):
+            assert [row[:2] for row in rows] == [(item, x) for x in range(4)]
+            assert len({row[2] for row in rows}) == 1
+        assert nested[0][0][2] is not nested[1][0][2]
+        # a top-level call afterwards, in either thread, still shares
+        again = models._share(lambda x: threading.current_thread(), range(2))
+        assert len(starts) == 2 and again[0] is not again[1]
 
 
 @pytest.mark.parametrize("failing", [(1, 2), (2, 3)])
@@ -596,6 +622,38 @@ def test_update_head_readouts_and_gradient(seed, anchored, n, m, d):
     step = fitted.theta - update_head(fitted, phi, target, sgd, anchor).theta
     scale = 1.0 + np.abs(fitted.theta).max() * np.abs(phi).max() ** 2
     assert np.abs(step).max() <= 1e-9 * scale
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    anchored=st.booleans(),
+    n=st.one_of(st.sampled_from([1, 2, 8, 16, 64]), st.integers(1, 70)),
+    m=st.integers(1, 9),
+    k=st.integers(1, 3),
+)
+@settings(max_examples=80, deadline=None)
+def test_head_gradient_matches_the_scaled_transpose_product(seed, anchored, n, m, k):
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal((n, m))
+    resid = rng.standard_normal((n, k))
+    t = rng.uniform(0.01, 1.0, n) if anchored else None
+    got = head_gradient(phi, resid, t)
+    # the scale applied to the transpose before the product with r
+    if anchored:
+        want = -(2.0 / n) * (phi * t[:, None]).T @ resid
+        weights = np.abs(t)[:, None] * np.abs(resid)
+    else:
+        want = (2.0 / n) * phi.T @ resid
+        weights = np.abs(resid)
+    # Each side is within gamma_{n+3} |2/n| |Phi|^T |t r| of the exact
+    # gradient: n - 1 roundings in the sum and at most four in each term
+    # (2/n itself, the scale, and the two products), where gamma_j =
+    # j u / (1 - j u) with unit roundoff u = 2**-53.
+    u = 2.0**-53
+    gamma = (n + 3) * u / (1.0 - (n + 3) * u)
+    bound = 2.0 * gamma * (2.0 / n) * (np.abs(phi).T @ weights)
+    assert got.shape == (m, k)
+    assert np.all(np.abs(got - want) <= bound)
 
 
 def test_sgd_step_and_ema():

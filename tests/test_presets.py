@@ -1,12 +1,15 @@
-"""d2-init's two DMD arms, shared out by models._share: at once or in turn."""
+"""Work that presets share out by models._share, at once or in turn: d2-init's
+two DMD arms and d3-init's joint and causal halves."""
 
+import hashlib
+import threading
 from unittest import mock
 
 import pytest
 
-from ardlab import models
+from ardlab import models, presets
 from ardlab.config import two_mode
-from ardlab.errors import DivergenceError
+from ardlab.errors import DivergenceError, PresetCheckError
 from ardlab.models import TrainConfig, make_chunk_models
 from ardlab.ode import DEFAULT_GRID
 from ardlab.stages import dmd_train
@@ -49,3 +52,42 @@ def test_a_failing_arm_reaches_the_caller_when_the_other_succeeds(cpus):
             models._share(_call, [_dmd_arm(learning_rate=1e8), _dmd_arm()])
         with pytest.raises(DivergenceError):
             models._share(_call, [_dmd_arm(), _dmd_arm(learning_rate=1e8)])
+
+
+def _small_d3_config(name, overrides=None):
+    """d3-init's config cut down so that a run takes about a second."""
+    config = presets._base_config(name)
+    train = dict(config.train)
+    train["diffusion"] = TrainConfig(method="ridge", step_count=10, batch_size=50)
+    return config.with_overrides(dataset_size=64, solver_steps=8,
+                                 feature_count=32, train=train)
+
+
+def test_d3_writes_the_same_bytes_on_one_cpu_and_two(tmp_path):
+    runs, starts = [], []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        starts.append(thread)
+        start(thread)
+
+    for cpus in (1, 2):
+        root = tmp_path / f"cpus{cpus}"
+        starts.clear()
+        with mock.patch.object(models, "_cpu_count", lambda: cpus), \
+                mock.patch.object(presets, "preset_config", _small_d3_config), \
+                mock.patch.object(threading.Thread, "start", counted_start):
+            try:
+                presets.run_preset("d3-init", output_dir=str(root))
+            except PresetCheckError:
+                pass  # the cut-down run's checks are not what is compared
+        assert bool(starts) == (cpus == 2)  # one CPU starts no thread
+        runs.append({
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted((root / "d3-init").iterdir())
+        })
+    assert runs[0] == runs[1]
+    assert {"report.csv", "report.txt", "pairs_bidirectional.jsonl",
+            "pairs_causal.jsonl", "finetune_joint_init_trace.csv",
+            "finetune_denoiser_init_trace.csv", "distill_baseline_trace.csv",
+            "diffusion_tf_trace.csv"} <= set(runs[0])

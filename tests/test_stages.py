@@ -503,7 +503,7 @@ def test_dmd_generator_gradient_matches_surrogate_fd():
     prefixes = rng.standard_normal((n, 1))
     delta = rng.standard_normal((n, 1))
     phi = featurize(model.features, final_in, prefixes, t_last)
-    grad = dmd_generator_gradient(model, phi, t_last, delta)
+    grad = dmd_generator_gradient(phi, t_last, delta)
 
     def surrogate(theta):
         from ardlab.models import LinearStudent
