@@ -15,7 +15,11 @@ Audits implemented here:
   in one call, against one reference draw.
 
 Every estimator is deterministic given its seed and reports sample counts
-and uncertainties through DiagnosticsReport.
+and uncertainties through DiagnosticsReport.  injectivity_variance (on a
+one-component law) and df_mismatch add their closed form to their own
+report as an oracle row; the closed forms take every conditional from
+distributions' one Gaussian-conditioning kernel, and reject what their
+estimators reject through one argument guard.
 """
 
 from __future__ import annotations
@@ -90,6 +94,23 @@ def mean_with_se(values: np.ndarray) -> tuple[float, float]:
     values = np.asarray(values, dtype=float)
     se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
     return float(values.mean()), se
+
+
+def _check_audit(dist, chunk_index, t, first_chunk=1, closed_form=False):
+    """Raise ConfigError for what an audit or its closed form cannot take.
+
+    The law needs two chunks, chunk_index must lie in first_chunk..n_chunks
+    and t in (0, 1]; closed_form also needs a one-component law.
+    """
+    n_chunks = dist.spec.n_chunks
+    if n_chunks < 2:
+        raise ConfigError("the audit needs at least two chunks")
+    if not (first_chunk <= chunk_index <= n_chunks):
+        raise ConfigError(f"chunk {chunk_index} out of range {first_chunk}..{n_chunks}")
+    if not (0.0 < t <= 1.0):
+        raise ConfigError("audit time must lie in (0, 1]")
+    if closed_form and len(dist.components) != 1:
+        raise ConfigError("the closed form covers single-component data only")
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +273,12 @@ def injectivity_variance(
     of the endpoint's chunk coordinates.  An anchor "witnesses" sensitivity
     when its variance exceeds VARIANCE_WITNESS_FACTOR times its own MC
     standard error; the fraction of witnesses estimates whether the chunk
-    value alone determines its endpoint.
+    value alone determines its endpoint.  On a one-component law the report
+    also holds the closed form, injectivity_variance_oracle, as
+    oracle_variance.
     """
+    _check_audit(dist, chunk_index, t)
     spec = dist.spec
-    if spec.n_chunks < 2:
-        raise ConfigError("the audit needs at least two chunks to resample")
-    if not (0.0 < t <= 1.0):
-        raise ConfigError("audit time must lie in (0, 1]")
     if n_anchor < 2 or n_resample < 2:
         raise ConfigError("need at least 2 anchors and 2 resamples")
     rng = np.random.default_rng(seed)
@@ -294,28 +314,32 @@ def injectivity_variance(
         "positive_fraction", witnesses.mean(), 0.0, n_anchor,
         note=f"variance > {VARIANCE_WITNESS_FACTOR} x its MC standard error",
     )
+    if len(dist.components) == 1:
+        report.add(
+            "oracle_variance", injectivity_variance_oracle(dist, chunk_index, t),
+            0.0, 1, note="closed form, single Gaussian",
+        )
     return report
 
 
 def injectivity_variance_oracle(dist: SequenceDistribution, chunk_index: int, t: float) -> float:
     """Closed form for single-Gaussian data: |M_cr|^2-weighted conditional
-    covariance of the resampled coordinates, M the affine joint flow map."""
-    if len(dist.components) != 1:
-        raise ConfigError("the closed form covers single-component data only")
+    covariance of the resampled coordinates, M the affine joint flow map.
+
+    The conditional covariance of p_t does not depend on the observed value,
+    so the conditioning is taken at zero.
+    """
+    _check_audit(dist, chunk_index, t, closed_form=True)
     comp = dist.components[0]
-    spec = dist.spec
-    m, _ = gaussian_flow_map(comp.mean, comp.covariance, t)
-    sl = spec.chunk_slice(chunk_index)
+    sl = dist.spec.chunk_slice(chunk_index)
     observed = np.arange(sl.start, sl.stop)
-    rest = np.array([j for j in range(spec.total_dim) if j not in set(observed)])
-    a = 1.0 - t
-    noisy_cov = a * a * comp.covariance + t * t * np.eye(spec.total_dim)
-    s_oo = noisy_cov[np.ix_(observed, observed)]
-    s_rr = noisy_cov[np.ix_(rest, rest)]
-    s_ro = noisy_cov[np.ix_(rest, observed)]
-    cond_cov = s_rr - s_ro @ np.linalg.solve(s_oo, s_ro.T)
+    rest = np.setdiff1d(np.arange(dist.dim), observed)
+    cond = condition_on_coordinates(
+        noisy_marginal(dist, t), observed, np.zeros((1, observed.size))
+    )
+    m, _ = gaussian_flow_map(comp.mean, comp.covariance, t)
     m_cr = m[np.ix_(observed, rest)]
-    return float(np.trace(m_cr @ cond_cov @ m_cr.T))
+    return float(np.trace(m_cr @ cond.covariances[0] @ m_cr.T))
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +474,16 @@ def _single_gaussian_rows(cond):
     return cond.means[:, 0], cond.covariances[0]
 
 
+def _prefix_kls(dist, chunk_index, prefixes, t):
+    """Per-row KL between the noisy-prefix conditional evaluated at each
+    clean prefix row and the true clean conditional, single-Gaussian data."""
+    noisy_cond = df_conditional_dist(dist, chunk_index, prefixes, t)
+    clean_cond = condition_clean_prefix_batch(dist, chunk_index, prefixes)
+    return gaussian_kl(
+        _single_gaussian_rows(noisy_cond), _single_gaussian_rows(clean_cond)
+    )
+
+
 def df_mismatch(
     dist: SequenceDistribution,
     chunk_index: int,
@@ -463,85 +497,42 @@ def df_mismatch(
     Each draw plugs the same clean prefix y into both conditionals; for
     Gaussian data both are Gaussian with prefix-free covariances, so the
     per-draw KL is closed form, only its mean term varies with y, and the MC
-    part is only the average over y.
+    part is only the average over y.  The report also holds the analytic
+    expectation, df_mismatch_oracle, as oracle_kl.
     """
-    if chunk_index < 2:
-        raise ConfigError("the first chunk has no prefix to mismatch")
-    if chunk_index > dist.spec.n_chunks:
-        raise ConfigError(f"chunk {chunk_index} out of range 1..{dist.spec.n_chunks}")
-    if not (0.0 < t <= 1.0):
-        raise ConfigError("time must lie in (0, 1]")
-    if len(dist.components) != 1:
-        raise ConfigError(
-            "per-draw closed-form KL is implemented for single-component data"
-        )
+    oracle = df_mismatch_oracle(dist, chunk_index, t)  # also guards the arguments
     rng = np.random.default_rng(seed)
-    spec = dist.spec
     x0 = sample_clean_with_rng(dist, n, rng)
-    prefixes = x0[:, spec.prefix_slice(chunk_index)]
-    noisy_cond = df_conditional_dist(dist, chunk_index, prefixes, t)
-    clean_cond = condition_clean_prefix_batch(dist, chunk_index, prefixes)
-    kls = gaussian_kl(
-        _single_gaussian_rows(noisy_cond), _single_gaussian_rows(clean_cond)
-    )
-    value, se = mean_with_se(kls)
+    prefixes = x0[:, dist.spec.prefix_slice(chunk_index)]
+    value, se = mean_with_se(_prefix_kls(dist, chunk_index, prefixes, t))
     report = DiagnosticsReport(name="df_mismatch")
     report.add("expected_kl", value, se, n, note=f"chunk {chunk_index}, t={t}")
+    report.add("oracle_kl", oracle, 0.0, 1, note="analytic expectation")
     return report
-
-
-def _prefix_regressions(dist: SequenceDistribution, chunk_index: int, t: float):
-    """Closed-form conditionals of chunk i for single-Gaussian data.
-
-    Returns (k_clean, v_clean, k_noisy, v_noisy): given a clean prefix y the
-    chunk is N(mu_c + k_clean (y - mu_p), v_clean); given a noisy prefix
-    z = a y + t w it is N(mu_c + k_noisy (z - a mu_p), v_noisy).
-    """
-    spec = dist.spec
-    comp = dist.components[0]
-    p_sl = spec.prefix_slice(chunk_index)
-    c_sl = spec.chunk_slice(chunk_index)
-    p_idx = np.arange(p_sl.start, p_sl.stop)
-    c_idx = np.arange(c_sl.start, c_sl.stop)
-    sigma = comp.covariance
-    s_cc = sigma[np.ix_(c_idx, c_idx)]
-    s_cp = sigma[np.ix_(c_idx, p_idx)]
-    s_pp = sigma[np.ix_(p_idx, p_idx)]
-    a = 1.0 - t
-
-    # clean conditional: mean coef K_c = S_cp S_pp^-1, cov V_c
-    k_clean = np.linalg.solve(s_pp, s_cp.T).T
-    v_clean = s_cc - k_clean @ s_cp.T
-    # noisy-prefix conditional: observe a * prefix + t * noise
-    s_pp_noisy = a * a * s_pp + t * t * np.eye(p_idx.size)
-    k_noisy = a * np.linalg.solve(s_pp_noisy, s_cp.T).T
-    v_noisy = s_cc - a * k_noisy @ s_cp.T
-    return k_clean, v_clean, k_noisy, v_noisy
 
 
 def df_mismatch_oracle(dist: SequenceDistribution, chunk_index: int, t: float) -> float:
     """Analytic expectation of the df_mismatch KL for single-Gaussian data.
 
-    Both conditionals are Gaussian with prefix-linear means; the variance
-    terms are prefix-free and the mean term averages to a trace against the
-    prefix second moment.
+    Both conditionals are Gaussian with prefix-free covariances and means
+    affine in the prefix y, so the per-draw KL is a quadratic in y plus
+    prefix-free variance terms.  A quadratic's mean under N(mu_p, S_pp) is
+    its average over the 2p symmetric sigma points mu_p +- sqrt(p) L_j (L
+    the Cholesky factor of S_pp, p the prefix dimension), which share the
+    law's mean and covariance (the unscented transform; Julier & Uhlmann
+    1997).  So the per-draw KL of df_mismatch, averaged over those points,
+    is exact, nonzero means included.
     """
-    if len(dist.components) != 1:
-        raise ConfigError("closed form covers single-component data only")
-    k_clean, v_clean, k_noisy, v_noisy = _prefix_regressions(dist, chunk_index, t)
+    _check_audit(dist, chunk_index, t, first_chunk=2, closed_form=True)
     comp = dist.components[0]
     p_sl = dist.spec.prefix_slice(chunk_index)
-    s_pp = comp.covariance[p_sl, p_sl]
-
-    d = v_clean.shape[0]
-    solved = np.linalg.solve(v_clean, v_noisy)
-    log_det = float(np.linalg.slogdet(v_clean)[1] - np.linalg.slogdet(v_noisy)[1])
-    delta = k_noisy - k_clean
-    # E over prefix y of the mean term; prefix second moment is S_pp + mu mu^T
-    mu_p = comp.mean[p_sl]
-    second = s_pp + np.outer(mu_p, mu_p)
-    mean_term = float(np.trace(np.linalg.solve(v_clean, delta @ second @ delta.T)))
-    return 0.5 * (np.trace(solved) + mean_term - d + log_det)
+    try:
+        chol = np.linalg.cholesky(comp.covariance[p_sl, p_sl])
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovarianceError("the prefix covariance is singular") from exc
+    spread = np.sqrt(chol.shape[0]) * chol.T  # row j: sqrt(p) L_j
+    points = comp.mean[p_sl] + np.concatenate([spread, -spread])
+    return float(np.mean(_prefix_kls(dist, chunk_index, points, t)))
 
 
 def trained_conditional_kl(

@@ -31,10 +31,8 @@ from .diagnostics import (
     conditional_energy_distance,
     consistency_rms,
     df_mismatch,
-    df_mismatch_oracle,
     energy_distances,
     injectivity_variance,
-    injectivity_variance_oracle,
     trained_conditional_kl,
 )
 from .distributions import sample_clean
@@ -311,11 +309,10 @@ def _run_lemma1(config: ExperimentConfig):
         dist = bivariate_pair(rho)
         rep = injectivity_variance(dist, 1, t=0.5, n_anchor=24, n_resample=3000,
                                    steps=96, seed=seed + 1)
-        oracle = injectivity_variance_oracle(dist, 1, 0.5)
         tag = f"rho{rho:.1f}".replace(".", "p")
-        rep.add("oracle_variance", oracle, 0.0, 1, note="closed form, single Gaussian")
         reports.append(_at_rho(_renamed(rep, f"injectivity_{tag}"), rho))
         mean = rep.metrics["mean_variance"].value
+        oracle = rep.metrics["oracle_variance"].value
         means[rho] = mean
         if rho == 0.0:
             checks["rho0_variance_vanishes"] = mean < 1e-3
@@ -340,8 +337,7 @@ def _run_prop2(config: ExperimentConfig):
     reports, checks = [], {}
     for t in (0.25, 0.5, 0.75):
         rep = df_mismatch(dist, 2, t, n=1500, seed=seed + 1)
-        oracle = df_mismatch_oracle(dist, 2, t)
-        rep.add("oracle_kl", oracle, 0.0, 1, note="analytic expectation")
+        oracle = rep.metrics["oracle_kl"].value
         tag = f"t{t:.2f}".replace(".", "p")
         reports.append(_at_rho(_renamed(rep, f"df_mismatch_{tag}"), rho))
         entry = rep.metrics["expected_kl"]

@@ -309,6 +309,16 @@ def test_cli_audit_passes_and_writes_reports(tmp_path, capsys):
     assert (out / "audit_report.txt").exists()
 
 
+def test_cli_df_mismatch_audit_passes_on_a_law_with_nonzero_mean(tmp_path, capsys):
+    table = '[{"weight":1,"mean":[2,-1],"covariance":[[1,0.8],[0.8,1]]}]'
+    argv = ["audit", "--kind", "df-mismatch", "--time", "0.25",
+            "--components", table, "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    reports = read_report_csv(tmp_path / "audit_report.csv")
+    assert reports["df_mismatch"]["oracle_kl"].value == pytest.approx(0.36263, abs=1e-5)
+
+
 def test_cli_report_round_trip(tmp_path, capsys):
     out = tmp_path / "audit"
     main([

@@ -27,7 +27,8 @@ from ardlab.diagnostics import (
     trained_conditional_kl,
 )
 from ardlab.diagnostics import _mean_cross_norm
-from ardlab.errors import ConfigError
+from ardlab.distributions import GaussianComponent, SequenceDistribution
+from ardlab.errors import ConfigError, SingularCovarianceError
 from ardlab.models import _THREAD_CELLS, _row_blocks, make_chunk_models
 from ardlab.ode import DEFAULT_GRID
 
@@ -216,8 +217,31 @@ def test_injectivity_variance_vanishes_for_independent_frames():
 def test_injectivity_variance_guards():
     with pytest.raises(ConfigError):
         injectivity_variance(two_mode(3.0), 1, t=0.5)
-    with pytest.raises(ConfigError):
-        injectivity_variance(DIST, 1, t=0.0)
+    for chunk, t in ((1, 0.0), (1, 1.5), (3, 0.5)):
+        with pytest.raises(ConfigError):
+            injectivity_variance(DIST, chunk, t=t)
+        with pytest.raises(ConfigError):
+            injectivity_variance_oracle(DIST, chunk, t)
+    assert type(injectivity_variance_oracle(DIST, 1, 0.5)) is float
+
+
+def test_injectivity_variance_carries_its_oracle_on_one_component_laws():
+    report = injectivity_variance(
+        DIST, 1, t=0.5, n_anchor=2, n_resample=20, steps=8, seed=3
+    )
+    entry = report["oracle_variance"]
+    assert entry.value == injectivity_variance_oracle(DIST, 1, 0.5)
+    assert (entry.uncertainty, entry.sample_count) == (0.0, 1)
+    assert entry.note == "closed form, single Gaussian"
+    cov = DIST.components[0].covariance
+    mixture = SequenceDistribution(DIST.spec, (
+        GaussianComponent(0.5, np.array([1.0, 0.0]), cov),
+        GaussianComponent(0.5, np.array([-1.0, 0.0]), cov),
+    ))
+    report = injectivity_variance(
+        mixture, 1, t=0.5, n_anchor=2, n_resample=20, steps=8, seed=3
+    )
+    assert "oracle_variance" not in report.metrics
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +369,30 @@ def test_df_mismatch_zero_for_independent_frames():
     assert report["expected_kl"].value < 1e-12
 
 
+def test_df_mismatch_carries_its_oracle():
+    entry = df_mismatch(DIST, 2, 0.25, n=50, seed=8)["oracle_kl"]
+    assert entry.value == df_mismatch_oracle(DIST, 2, 0.25)
+    assert (entry.uncertainty, entry.sample_count) == (0.0, 1)
+    assert entry.note == "analytic expectation"
+    # independent frames: both conditionals coincide, so the oracle is zero
+    assert df_mismatch(bivariate_pair(0.0), 2, 0.5, n=50)["oracle_kl"].value == 0.0
+
+
 def test_df_mismatch_guards():
     with pytest.raises(ConfigError):
-        df_mismatch(DIST, 1, 0.5)
-    with pytest.raises(ConfigError):
         df_mismatch(two_mode(3.0), 1, 0.5)
+    for chunk, t in ((1, 0.5), (2, 0.0), (2, 1.5), (3, 0.5)):
+        with pytest.raises(ConfigError):
+            df_mismatch(DIST, chunk, t)
+        with pytest.raises(ConfigError):
+            df_mismatch_oracle(DIST, chunk, t)
+    assert type(df_mismatch_oracle(DIST, 2, 0.5)) is float
+    flat = SequenceDistribution(DIST.spec, (
+        GaussianComponent(1.0, np.zeros(2), np.array([[0.0, 0.0], [0.0, 1.0]])),
+    ))
+    for audit in (df_mismatch, df_mismatch_oracle):
+        with pytest.raises(SingularCovarianceError):
+            audit(flat, 2, 0.5)
 
 
 # ---------------------------------------------------------------------------

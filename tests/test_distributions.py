@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ardlab import distributions
 from ardlab.config import ar1_sequence, bivariate_pair, two_mode
-from ardlab.diagnostics import _prefix_regressions
+from ardlab.diagnostics import df_mismatch_oracle, injectivity_variance_oracle
 from ardlab.distributions import (
     GaussianComponent,
     SequenceDistribution,
@@ -24,6 +24,7 @@ from ardlab.distributions import (
     sample_clean,
 )
 from ardlab.errors import SingularCovarianceError
+from ardlab.ode import gaussian_flow_map
 
 RHO = 0.8
 DIST = bivariate_pair(RHO)
@@ -313,6 +314,28 @@ def test_condition_kernel_matches_dense_reference(k, dim, rows, seed):
     assert np.allclose(batched.covariances, covs, rtol=0.0, atol=1e-9)
 
 
+def prefix_regressions(dist, chunk_index, t):
+    """Closed-form conditionals of chunk i for single-Gaussian data.
+
+    Returns (k_clean, v_clean, k_noisy, v_noisy): given a clean prefix y the
+    chunk is N(mu_c + k_clean (y - mu_p), v_clean); given a noisy prefix
+    z = a y + t w it is N(mu_c + k_noisy (z - a mu_p), v_noisy).
+    """
+    spec = dist.spec
+    sigma = dist.components[0].covariance
+    p_sl, c_sl = spec.prefix_slice(chunk_index), spec.chunk_slice(chunk_index)
+    s_cc, s_cp, s_pp = sigma[c_sl, c_sl], sigma[c_sl, p_sl], sigma[p_sl, p_sl]
+    a = 1.0 - t
+    # clean conditional: mean coef K_c = S_cp S_pp^-1, cov V_c
+    k_clean = np.linalg.solve(s_pp, s_cp.T).T
+    v_clean = s_cc - k_clean @ s_cp.T
+    # noisy-prefix conditional: observe a * prefix + t * noise
+    s_pp_noisy = a * a * s_pp + t * t * np.eye(s_pp.shape[0])
+    k_noisy = a * np.linalg.solve(s_pp_noisy, s_cp.T).T
+    v_noisy = s_cc - a * k_noisy @ s_cp.T
+    return k_clean, v_clean, k_noisy, v_noisy
+
+
 @given(
     n_chunks=st.integers(2, 3),
     frame_dim=st.integers(1, 2),
@@ -331,7 +354,7 @@ def test_noisy_prefix_conditional_matches_oracle_regression(
     mean = dist.components[0].mean
     mu_p, mu_c = mean[spec.prefix_slice(i)], mean[spec.chunk_slice(i)]
     z = rng.standard_normal((rows, spec.prefix_dim(i)))
-    k_clean, v_clean, k_noisy, v_noisy = _prefix_regressions(dist, i, t)
+    k_clean, v_clean, k_noisy, v_noisy = prefix_regressions(dist, i, t)
     noisy = df_conditional_dist(dist, i, z, t)
     expected = mu_c + (z - (1.0 - t) * mu_p) @ k_noisy.T
     assert np.allclose(noisy.means[:, 0], expected, rtol=0.0, atol=1e-9)
@@ -339,6 +362,62 @@ def test_noisy_prefix_conditional_matches_oracle_regression(
     clean = condition_clean_prefix_batch(dist, i, z)
     assert np.allclose(clean.means[:, 0], mu_c + (z - mu_p) @ k_clean.T, rtol=0.0, atol=1e-9)
     assert np.allclose(clean.covariances[0], v_clean, rtol=0.0, atol=1e-9)
+
+
+@given(
+    n_chunks=st.integers(2, 3),
+    frame_dim=st.integers(1, 2),
+    t=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_df_mismatch_oracle_matches_the_explicit_formula(n_chunks, frame_dim, t, seed):
+    # random_mixture draws nonzero means, so the mean offset t K_n mu_p counts
+    rng = np.random.default_rng(seed)
+    dist = random_mixture(rng, 1, n_chunks, frame_dim)
+    i = int(rng.integers(2, n_chunks + 1))
+    comp = dist.components[0]
+    p_sl = dist.spec.prefix_slice(i)
+    mu_p, s_pp = comp.mean[p_sl], comp.covariance[p_sl, p_sl]
+    k_clean, v_clean, k_noisy, v_noisy = prefix_regressions(dist, i, t)
+    v_inv = np.linalg.inv(v_clean)
+    delta = k_noisy - k_clean
+    offset = t * k_noisy @ mu_p
+    mean_term = np.trace(v_inv @ delta @ s_pp @ delta.T) + offset @ v_inv @ offset
+    log_det = np.linalg.slogdet(v_clean)[1] - np.linalg.slogdet(v_noisy)[1]
+    expected = 0.5 * (np.trace(v_inv @ v_noisy) + mean_term - v_clean.shape[0] + log_det)
+    assert df_mismatch_oracle(dist, i, t) == pytest.approx(expected, rel=1e-9)
+
+
+@given(
+    n_chunks=st.integers(2, 3),
+    frame_dim=st.integers(1, 2),
+    t=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_injectivity_oracle_matches_the_explicit_schur_complement(
+    n_chunks, frame_dim, t, seed
+):
+    rng = np.random.default_rng(seed)
+    dist = random_mixture(rng, 1, n_chunks, frame_dim)
+    i = int(rng.integers(1, n_chunks + 1))
+    comp = dist.components[0]
+    sl = dist.spec.chunk_slice(i)
+    observed = np.arange(sl.start, sl.stop)
+    rest = np.setdiff1d(np.arange(dist.dim), observed)
+    a = 1.0 - t
+    noisy_cov = a * a * comp.covariance + t * t * np.eye(dist.dim)
+    s_oo = noisy_cov[np.ix_(observed, observed)]
+    s_rr = noisy_cov[np.ix_(rest, rest)]
+    s_ro = noisy_cov[np.ix_(rest, observed)]
+    cond_cov = s_rr - s_ro @ np.linalg.inv(s_oo) @ s_ro.T
+    m, _ = gaussian_flow_map(comp.mean, comp.covariance, t)
+    m_cr = m[np.ix_(observed, rest)]
+    expected = np.trace(m_cr @ cond_cov @ m_cr.T)
+    assert injectivity_variance_oracle(dist, i, t) == pytest.approx(
+        expected, rel=1e-9, abs=1e-15
+    )
 
 
 def test_conditioning_singular_observed_block_raises():

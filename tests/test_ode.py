@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ardlab.config import ar1_sequence, bivariate_pair
 from ardlab.distributions import (
@@ -130,6 +130,7 @@ def test_chunk_velocity_field_oracle_gives_one_row_per_prefix():
     rows=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(i=3, rows=6, seed=4159497)
 @settings(max_examples=25, deadline=None)
 def test_chunk_field_from_models_matches_predict_per_row(i, rows, seed):
     rng = np.random.default_rng(seed)
@@ -152,7 +153,9 @@ def test_chunk_field_from_models_matches_predict_per_row(i, rows, seed):
     for b in range(rows):
         field_b = chunk_velocity_field(dist, i, prefixes[b : b + 1])
         one = field_b(x[b : b + 1], float(t[b]))
-        assert np.allclose(oracle[b], one[0], rtol=0.0, atol=1e-12)
+        # the field is (x - m) / t and x - m carries the rounding of O(1)
+        # values, so the error grows like eps / t
+        assert np.allclose(oracle[b], one[0], rtol=0.0, atol=1e-12 / t[b])
 
 
 @given(t=st.floats(0.05, 1.0))
