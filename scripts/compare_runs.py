@@ -7,7 +7,10 @@ file that differs or exists on one side only.  For a CSV, JSON, JSON-lines
 or key=value text report (report.txt) present on both sides it also prints
 the largest relative change of any number, |b - a| / max(|a|, |b|), and
 where it occurs, and for a CSV or text report the columns or keys of the
-non-numeric cells that differ.  JSON lines are
+non-numeric cells that differ.  Report rows (a report.csv or report.txt,
+where every row names a distinct report and metric) are paired by
+(report, metric), and the rows found on one side only are named; other
+CSVs, such as loss traces, are compared line by line.  JSON lines are
 compared value by value when both files have the same record structure; a
 JSON document also lists the keys found on one side only (side A is DIR_A,
 side B is DIR_B) and compares the values found on both.
@@ -60,10 +63,61 @@ def _largest_change(cells, text_columns=()) -> str:
     return "; ".join(parts) or "cells equal, bytes differ"
 
 
+def _keyed_rows(rows):
+    """{(report, metric): row} of rows given as {column: cell text}, or None
+    when a row lacks either column or two rows share a key."""
+    keyed = {}
+    for row in rows:
+        if "report" not in row or "metric" not in row:
+            return None
+        keyed[row["report"].strip('"'), row["metric"].strip('"')] = row
+    return keyed if len(keyed) == len(rows) else None
+
+
+def _report_row_change(rows_a, rows_b):
+    """Report rows paired by (report, metric): the rows found on one side
+    only, and the largest relative change among the cells of the rows found
+    on both.  None when either side's rows are not keyed that way."""
+    keyed_a, keyed_b = _keyed_rows(rows_a), _keyed_rows(rows_b)
+    if keyed_a is None or keyed_b is None:
+        return None
+    parts = [
+        f"rows only on side {side}: {', '.join('.'.join(key) for key in keys)}"
+        for side, keys in (
+            ("A", [key for key in keyed_a if key not in keyed_b]),
+            ("B", [key for key in keyed_b if key not in keyed_a]),
+        )
+        if keys
+    ]
+    cells, text_columns = [], set()
+    for key, row_a in keyed_a.items():
+        row_b = keyed_b.get(key)
+        if row_b is None:
+            continue
+        for column, cell_a in row_a.items():
+            cell_b = row_b.get(column, "")
+            if cell_a == cell_b:
+                continue
+            a, b = _number(cell_a), _number(cell_b)
+            cells.append((f"{'.'.join(key)} {column}", a, b))
+            if a is None or b is None:
+                text_columns.add(column)
+    if cells or not parts:
+        parts.append(_largest_change(cells, sorted(text_columns)))
+    return "; ".join(parts)
+
+
 def largest_csv_change(path_a: Path, path_b: Path) -> str:
     """Largest relative change of a numeric cell, or why there is none."""
     with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
         rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    if rows_a and rows_b:
+        keyed = _report_row_change(
+            [dict(zip(rows_a[0], row)) for row in rows_a[1:]],
+            [dict(zip(rows_b[0], row)) for row in rows_b[1:]],
+        )
+        if keyed is not None:
+            return keyed
     if len(rows_a) != len(rows_b) or any(
         len(a) != len(b) for a, b in zip(rows_a, rows_b)
     ):
@@ -108,6 +162,10 @@ def largest_report_text_change(path_a: Path, path_b: Path) -> str:
         lines_b = [_report_fields(line) for line in fb]
     if None in lines_a or None in lines_b:
         return "not key=value records"
+    keyed = _report_row_change([dict(fields) for fields in lines_a],
+                              [dict(fields) for fields in lines_b])
+    if keyed is not None:
+        return keyed
     if len(lines_a) != len(lines_b) or any(
         [k for k, _ in a] != [k for k, _ in b] for a, b in zip(lines_a, lines_b)
     ):

@@ -12,15 +12,20 @@ Exit codes: 0 success, 1 failed run-level assertion or diverged training,
 2 usage or configuration error (a singular covariance or ridge normal
 matrix included), 3 I/O or file-format error.
 
-Stage seeds are fixed offsets from the master seed (datasets +1/+2, models
-+11, diffusion +21, distillation +22, consistency +24, distribution
-matching +31), so verbs invoked separately line up with the preset
-pipelines.
+Stage seeds are fixed offsets from the master seed: pair datasets +1
+(bidirectional) and +2 (causal), models +11 (fake scores +13), diffusion
++21, distillation +22, consistency +24, distribution matching +31.  The
+pair datasets match every preset's by construction, since both build them
+through ExperimentConfig.pairs.  The model and training seeds do not line
+up with the presets': `distill` (models +11, fit +22) matches no preset arm
+(fig3 draws its arms at +11/+21 and +12/+22, d3-init its baseline at
++11/+21), and `train` fits at +21 where d3-init's denoiser fits at +22.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -29,6 +34,7 @@ from .config import (
     ExperimentConfig,
     component_tables,
     named_distribution,
+    read_config_document,
 )
 from .diagnostics import df_mismatch, injectivity_variance
 from .errors import (
@@ -39,8 +45,7 @@ from .errors import (
     PresetCheckError,
     SingularCovarianceError,
 )
-from .models import TrainConfig, copy_head, make_chunk_models
-from .ode import make_pairs_bi, make_pairs_causal
+from .models import copy_head
 from .presets import PRESET_NAMES, run_all_presets, run_preset
 from .stages import (
     cd_train,
@@ -59,18 +64,19 @@ from .storage import (
     save_models,
 )
 
-#: (ExperimentConfig field, argparse dest) pairs for the shared flags
-_FIELD_FLAGS = (
-    ("n_frames", "n_frames"),
-    ("frame_dim", "frame_dim"),
-    ("chunk_size", "chunk_size"),
-    ("grid", "grid"),
-    ("solver_steps", "solver_steps"),
-    ("feature_count", "feature_count"),
-    ("frequency_scale", "frequency_scale"),
-    ("dataset_size", "dataset_size"),
-    ("master_seed", "master_seed"),
-    ("output_dir", "output_dir"),
+#: ExperimentConfig fields that every pipeline verb takes as a flag of the
+#: same name (n_frames is --n-frames), typed like the field's default
+CONFIG_FLAG_FIELDS = (
+    "n_frames",
+    "frame_dim",
+    "chunk_size",
+    "grid",
+    "solver_steps",
+    "feature_count",
+    "frequency_scale",
+    "dataset_size",
+    "master_seed",
+    "output_dir",
 )
 
 
@@ -85,17 +91,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--separation", type=float, help="two-mode mode offset")
     group.add_argument("--components", metavar="JSON",
                        help="mixture component tables as a JSON list")
-    group.add_argument("--n-frames", type=int, dest="n_frames")
-    group.add_argument("--frame-dim", type=int, dest="frame_dim")
-    group.add_argument("--chunk-size", type=int, dest="chunk_size")
-    group.add_argument("--grid", metavar="T1,T2,...",
-                       help="few-step grid times, comma separated")
-    group.add_argument("--solver-steps", type=int, dest="solver_steps")
-    group.add_argument("--feature-count", type=int, dest="feature_count")
-    group.add_argument("--frequency-scale", type=float, dest="frequency_scale")
-    group.add_argument("--dataset-size", type=int, dest="dataset_size")
-    group.add_argument("--master-seed", type=int, dest="master_seed")
-    group.add_argument("--output-dir", dest="output_dir")
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    for name in CONFIG_FLAG_FIELDS:
+        if name == "grid":  # parsed by gather_overrides
+            kwargs = dict(metavar="T1,T2,...",
+                          help="few-step grid times, comma separated")
+        else:
+            kwargs = dict(type=type(defaults[name]))
+        group.add_argument(f"--{name.replace('_', '-')}", dest=name, **kwargs)
 
 
 #: stage toggles, each a flag of only the verbs that read it
@@ -141,11 +144,10 @@ def _distribution_overrides(args) -> dict:
 def gather_overrides(args) -> dict:
     """Explicitly-set flags as a config fragment (defaults stay absent)."""
     overrides = dict(_distribution_overrides(args))
-    for field_name, attr in _FIELD_FLAGS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field_name] = value
-    if getattr(args, "components", None) is not None:
+    for name in CONFIG_FLAG_FIELDS:
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
+    if args.components is not None:
         try:
             overrides["components"] = json.loads(args.components)
         except json.JSONDecodeError as exc:
@@ -157,15 +159,8 @@ def gather_overrides(args) -> dict:
             )
         except ValueError:
             raise ConfigError(f"--grid must be comma-separated floats")
-    if getattr(args, "config", None) is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                document = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config} is not valid JSON: {exc}")
-        if not isinstance(document, dict):
-            raise ConfigError("config document must be a JSON object")
-        overrides.update(document)
+    if args.config is not None:
+        overrides.update(read_config_document(args.config))
     return overrides
 
 
@@ -184,24 +179,18 @@ def _out_root(config: ExperimentConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 
+#: the pair dataset each --ode arm builds and reads
+_PAIR_KINDS = {"asymmetric-ode": "bidirectional", "causal-ode": "causal"}
+
+
 def _cmd_gen_data(args) -> int:
     config = build_config(args)
     if args.ode == "none":
         raise ConfigError("gen-data needs an ode stage: asymmetric-ode builds "
                           "jointly-integrated pairs, causal-ode chunk-wise ones")
-    dist = config.distribution()
-    grid = config.timestep_grid()
-    root = _out_root(config)
-    if args.ode == "asymmetric-ode":
-        dataset = make_pairs_bi(dist, grid, count=config.dataset_size,
-                                steps=config.solver_steps,
-                                seed=config.master_seed + 1)
-        path = root / "pairs_bidirectional.jsonl"
-    else:
-        dataset = make_pairs_causal(dist, grid, count=config.dataset_size,
-                                    steps=config.solver_steps,
-                                    seed=config.master_seed + 2)
-        path = root / "pairs_causal.jsonl"
+    kind = _PAIR_KINDS[args.ode]
+    dataset = config.pairs(kind)
+    path = _out_root(config) / f"pairs_{kind}.jsonl"
     save_dataset(dataset, path)
     print(f"wrote {len(dataset.records)} pairs to {path}")
     return 0
@@ -210,10 +199,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     config = build_config(args)
     dist = config.distribution()
-    models = make_chunk_models(
-        config.sequence_spec(), role="ar-velocity", m=config.feature_count,
-        seed=config.master_seed + 11, frequency_scale=config.frequency_scale,
-    )
+    models = config.chunk_models("ar-velocity", config.master_seed + 11)
     trainer = train_ar_diffusion_tf if args.diffusion == "tf" else train_ar_diffusion_df
     result = trainer(dist, models, config.train["diffusion"],
                      seed=config.master_seed + 21)
@@ -228,9 +214,7 @@ def _cmd_train(args) -> int:
 def _dataset_path(config: ExperimentConfig, args) -> Path:
     if args.data is not None:
         return Path(args.data)
-    name = ("pairs_bidirectional.jsonl" if args.ode == "asymmetric-ode"
-            else "pairs_causal.jsonl")
-    return Path(config.output_dir) / name
+    return Path(config.output_dir) / f"pairs_{_PAIR_KINDS[args.ode]}.jsonl"
 
 
 def _cmd_distill(args) -> int:
@@ -238,10 +222,7 @@ def _cmd_distill(args) -> int:
     if args.ode == "none":
         raise ConfigError("distill needs --ode to pick its data")
     dataset = load_dataset(_dataset_path(config, args))
-    students = make_chunk_models(
-        config.sequence_spec(), role="generator", m=config.feature_count,
-        seed=config.master_seed + 11, frequency_scale=config.frequency_scale,
-    )
+    students = config.chunk_models("generator", config.master_seed + 11)
     result = ode_distill(dataset, students, config.train["distill"],
                          seed=config.master_seed + 22)
     root = _out_root(config)
@@ -257,17 +238,11 @@ def _cmd_dmd(args) -> int:
     dist = config.distribution()
     grid = config.timestep_grid()
     root = _out_root(config)
-    generators = make_chunk_models(
-        config.sequence_spec(), role="generator", m=config.feature_count,
-        seed=config.master_seed + 11, frequency_scale=config.frequency_scale,
-    )
+    generators = config.chunk_models("generator", config.master_seed + 11)
     if args.diffusion is not None and args.init != "denoiser":
         raise ConfigError("--diffusion picks the denoiser of --init denoiser")
     if args.init == "denoiser":
-        velocities = make_chunk_models(
-            config.sequence_spec(), role="ar-velocity", m=config.feature_count,
-            seed=config.master_seed + 11, frequency_scale=config.frequency_scale,
-        )
+        velocities = config.chunk_models("ar-velocity", config.master_seed + 11)
         trainer = (train_ar_diffusion_df if args.diffusion == "df"
                    else train_ar_diffusion_tf)
         trainer(dist, velocities, config.train["diffusion"],
@@ -279,11 +254,7 @@ def _cmd_dmd(args) -> int:
         source = "distilled checkpoint"
     else:
         source = "fresh (identity map)"
-    fakes = make_chunk_models(
-        config.sequence_spec(), role="fake-score",
-        m=max(32, config.feature_count // 2),
-        seed=config.master_seed + 13, frequency_scale=config.frequency_scale,
-    )
+    fakes = config.chunk_models("fake-score", config.master_seed + 13)
     result = dmd_train(generators, fakes, dist, grid, config.train["dmd"],
                        seed=config.master_seed + 31)
     save_models(generators, root / "models_dmd.jsonl")
@@ -300,10 +271,7 @@ def _cmd_cd(args) -> int:
     dist = config.distribution()
     teacher_kind = ("autoregressive" if args.cd == "causal-cd"
                     else "bidirectional")
-    students = make_chunk_models(
-        config.sequence_spec(), role="generator", m=config.feature_count,
-        seed=config.master_seed + 11, frequency_scale=config.frequency_scale,
-    )
+    students = config.chunk_models("generator", config.master_seed + 11)
     result = cd_train(dist, students, config.train["cd"],
                       seed=config.master_seed + 24, grid_size=args.cd_cells,
                       teacher_kind=teacher_kind)

@@ -1,4 +1,4 @@
-"""Experiment configuration: lab distributions, digests.
+"""Experiment configuration: lab distributions, digests, run parts.
 
 An ExperimentConfig is a single JSON-serializable description of a run: the
 data distribution as explicit mixture tables, the sequence layout, the
@@ -6,7 +6,9 @@ few-step sampling grid, per-stage training settings, the master seed, and
 where outputs go.  Which arm of a stage runs is not part of it: each CLI
 verb takes that as its own flag.  Named constructors build the stock lab
 distributions; everything else flows through the numeric tables so a config
-file alone reproduces a run.
+file alone reproduces a run.  The presets and the CLI verbs build their
+model sets (chunk_models) and ODE pair datasets (pairs) through the config,
+so both routes wire a run the same way.
 """
 
 from __future__ import annotations
@@ -20,8 +22,15 @@ import numpy as np
 
 from .distributions import GaussianComponent, SequenceDistribution, SequenceSpec
 from .errors import ConfigError
-from .models import TrainConfig, check_numbers
-from .ode import DATASET_STEPS, DEFAULT_GRID, TimestepGrid
+from .models import ChunkModelSet, TrainConfig, check_numbers, make_chunk_models
+from .ode import (
+    DATASET_STEPS,
+    DEFAULT_GRID,
+    PairDataset,
+    TimestepGrid,
+    make_pairs_bi,
+    make_pairs_causal,
+)
 
 #: stages that carry their own TrainConfig
 TRAIN_STAGES = ("diffusion", "distill", "dmd", "cd")
@@ -204,6 +213,32 @@ class ExperimentConfig:
     def timestep_grid(self) -> TimestepGrid:
         return TimestepGrid(self.grid)
 
+    def chunk_models(self, role: str, seed: int) -> ChunkModelSet:
+        """A fresh model set of the given role on this run's layout.  A fake
+        score gets half the features (at least 32); every other role gets
+        feature_count."""
+        m = self.feature_count
+        if role == "fake-score":
+            m = max(32, m // 2)
+        return make_chunk_models(self.sequence_spec(), role, m, seed,
+                                 frequency_scale=self.frequency_scale)
+
+    def pairs(self, kind: str) -> PairDataset:
+        """This run's ODE pair dataset: "bidirectional" integrates the joint
+        flow (seed master_seed + 1), "causal" the exact chunk-wise
+        conditional flows (seed master_seed + 2)."""
+        # the builders are looked up by name at each call, so whatever this
+        # module's names are bound to then (a profiler's wrapper) runs
+        if kind == "bidirectional":
+            build, offset = make_pairs_bi, 1
+        elif kind == "causal":
+            build, offset = make_pairs_causal, 2
+        else:
+            raise ValueError(f"unknown pair kind {kind!r}; known: bidirectional, causal")
+        return build(self.distribution(), self.timestep_grid(),
+                     count=self.dataset_size, steps=self.solver_steps,
+                     seed=self.master_seed + offset)
+
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
         out["components"] = [dict(row) for row in self.components]
@@ -256,15 +291,22 @@ def _train_config_from_dict(raw: dict) -> TrainConfig:
         raise ConfigError(f"bad train settings: {exc}")
 
 
+def read_config_document(path) -> dict:
+    """The JSON object a config file holds, its keys not yet checked.  A file
+    that is not JSON, or holds no object, is a ConfigError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            document = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(document, dict):
+        raise ConfigError("config document must be a JSON object")
+    return document
+
+
 def load_config(path) -> ExperimentConfig:
     """Read a JSON config file.  Parse or schema problems are ConfigError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    return ExperimentConfig.from_dict(raw)
+    return ExperimentConfig.from_dict(read_config_document(path))
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:

@@ -297,10 +297,6 @@ class LinearStudent:
             raise ValueError(f"unknown role {self.role!r}")
         self.theta = theta
 
-    @property
-    def output_dim(self) -> int:
-        return self.theta.shape[1]
-
 
 def build_student(
     m: int,

@@ -98,6 +98,14 @@ def chunk_velocity_field(source, i: int, prefixes: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def _heun_step(field_fn, x, t0, t1, dt):
+    """One Heun step of dx/dt = field(x, t) from t0 to t1 = t0 + dt (dt < 0
+    steps backward): the Heun state and its Euler predictor."""
+    v0 = field_fn(x, t0)
+    pred = x + dt * v0
+    return x + 0.5 * dt * (v0 + field_fn(pred, t1)), pred
+
+
 def integrate(
     field_fn,
     x_start: np.ndarray,
@@ -131,10 +139,9 @@ def integrate(
         if terminal and k == steps - 1:
             x = x - t0 * field_fn(x, t0)
         else:
-            dt = t1 - t0
-            v0 = field_fn(x, t0)
-            pred = x + dt * v0
-            x = x + 0.5 * dt * (v0 + field_fn(pred, t1))
+            # drop the predictor now: held into the next step, it is one more
+            # state-sized array alive at every field evaluation
+            x = _heun_step(field_fn, x, t0, t1, t1 - t0)[0]
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"non-finite state while stepping to t={t1}")
     return x

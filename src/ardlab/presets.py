@@ -13,8 +13,6 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import models
 from .config import (
     TRAIN_STAGES,
@@ -37,8 +35,7 @@ from .diagnostics import (
 )
 from .distributions import sample_clean
 from .errors import ConfigError, PresetCheckError
-from .models import TrainConfig, copy_head, make_chunk_models
-from .ode import make_pairs_bi, make_pairs_causal
+from .models import TrainConfig, copy_head
 from .stages import (
     cd_train,
     dmd_train,
@@ -102,26 +99,6 @@ def _at_rho(report: DiagnosticsReport, rho: float) -> DiagnosticsReport:
     return dataclasses.replace(report, metrics=metrics)
 
 
-def _generators(config: ExperimentConfig, seed: int):
-    return make_chunk_models(
-        config.sequence_spec(),
-        role="generator",
-        m=config.feature_count,
-        seed=seed,
-        frequency_scale=config.frequency_scale,
-    )
-
-
-def _velocities(config: ExperimentConfig, seed: int):
-    return make_chunk_models(
-        config.sequence_spec(),
-        role="ar-velocity",
-        m=config.feature_count,
-        seed=seed,
-        frequency_scale=config.frequency_scale,
-    )
-
-
 # ---------------------------------------------------------------------------
 # preset bodies: each returns (reports, checks, datasets_to_save)
 # ---------------------------------------------------------------------------
@@ -138,16 +115,12 @@ def _run_fig3(config: ExperimentConfig):
     dist = config.distribution()
     grid = config.timestep_grid()
     seed = config.master_seed
-    ds_bi = make_pairs_bi(
-        dist, grid, count=config.dataset_size, steps=config.solver_steps, seed=seed + 1
-    )
-    ds_causal = make_pairs_causal(
-        dist, grid, count=config.dataset_size, steps=config.solver_steps, seed=seed + 2
-    )
+    ds_bi = config.pairs("bidirectional")
+    ds_causal = config.pairs("causal")
     cfg = config.train["distill"]
-    asym = _generators(config, seed + 11)
+    asym = config.chunk_models("generator", seed + 11)
     res_asym = ode_distill(ds_bi, asym, cfg, seed=seed + 21)
-    causal = _generators(config, seed + 12)
+    causal = config.chunk_models("generator", seed + 12)
     res_causal = ode_distill(ds_causal, causal, cfg, seed=seed + 22)
 
     rep_asym = _renamed(
@@ -194,9 +167,9 @@ def _run_fig4(config: ExperimentConfig):
     dist = config.distribution()
     seed = config.master_seed
     cfg = config.train["diffusion"]
-    vel_tf = _velocities(config, seed + 11)
+    vel_tf = config.chunk_models("ar-velocity", seed + 11)
     res_tf = train_ar_diffusion_tf(dist, vel_tf, cfg, seed=seed + 21)
-    vel_df = _velocities(config, seed + 12)
+    vel_df = config.chunk_models("ar-velocity", seed + 12)
     res_df = train_ar_diffusion_df(dist, vel_df, cfg, seed=seed + 21)
 
     rep_tf = _renamed(
@@ -234,11 +207,11 @@ def _run_table2(config: ExperimentConfig):
         dist = sub.distribution()
         grid = sub.timestep_grid()
 
-        vel_tf = _velocities(sub, seed + 11)
+        vel_tf = sub.chunk_models("ar-velocity", seed + 11)
         res = train_ar_diffusion_tf(dist, vel_tf, sub.train["diffusion"],
                                     seed=seed + 21)
         traces[f"diffusion_tf_{tag}_trace.csv"] = res.loss_trace
-        vel_df = _velocities(sub, seed + 12)
+        vel_df = sub.chunk_models("ar-velocity", seed + 12)
         res = train_ar_diffusion_df(dist, vel_df, sub.train["diffusion"],
                                     seed=seed + 21)
         traces[f"diffusion_df_{tag}_trace.csv"] = res.loss_trace
@@ -257,16 +230,14 @@ def _run_table2(config: ExperimentConfig):
             rep_df.metrics["expected_kl"].value > rep_tf.metrics["expected_kl"].value
         )
 
-        ds_bi = make_pairs_bi(dist, grid, count=config.dataset_size,
-                              steps=config.solver_steps, seed=seed + 1)
-        ds_causal = make_pairs_causal(dist, grid, count=config.dataset_size,
-                                      steps=config.solver_steps, seed=seed + 2)
+        ds_bi = sub.pairs("bidirectional")
+        ds_causal = sub.pairs("causal")
         datasets[f"pairs_bidirectional_{tag}.jsonl"] = ds_bi
         datasets[f"pairs_causal_{tag}.jsonl"] = ds_causal
-        asym = _generators(sub, seed + 13)
+        asym = sub.chunk_models("generator", seed + 13)
         res = ode_distill(ds_bi, asym, sub.train["distill"], seed=seed + 22)
         traces[f"distill_asym_{tag}_trace.csv"] = res.loss_trace
-        causal = _generators(sub, seed + 14)
+        causal = sub.chunk_models("generator", seed + 14)
         res = ode_distill(ds_causal, causal, sub.train["distill"], seed=seed + 23)
         traces[f"distill_causal_{tag}_trace.csv"] = res.loss_trace
         ed_asym, ed_causal = conditional_energy_distance(
@@ -284,7 +255,7 @@ def _run_table2(config: ExperimentConfig):
             cd_cfg = sub.train["cd"]
             rms = {}
             for kind in ("autoregressive", "bidirectional"):
-                students = _generators(sub, seed + 15)
+                students = sub.chunk_models("generator", seed + 15)
                 res = cd_train(dist, students, cd_cfg, seed=seed + 24,
                                grid_size=12, teacher_kind=kind)
                 rep = consistency_rms(students, dist, grid, 2,
@@ -370,7 +341,7 @@ def _run_d2(config: ExperimentConfig):
     grid = config.timestep_grid()
     seed = config.master_seed
 
-    vel = _velocities(config, seed + 11)
+    vel = config.chunk_models("ar-velocity", seed + 11)
     res_vel = train_ar_diffusion_tf(dist, vel, config.train["diffusion"],
                                     seed=seed + 21)
 
@@ -381,14 +352,12 @@ def _run_d2(config: ExperimentConfig):
             [rollout(gens, grid, seed=seed + 41, count=2000) for gens in arms], data
         )
 
-    fresh, warm = _generators(config, seed + 11), _generators(config, seed + 11)
+    fresh, warm = (config.chunk_models("generator", seed + 11) for _ in range(2))
     copy_head(vel, warm)
     ed0_fresh, ed0_warm = energy([fresh, warm])
 
     def dmd_arm(gens):
-        fakes = make_chunk_models(
-            config.sequence_spec(), role="fake-score", m=128, seed=seed + 13
-        )
+        fakes = config.chunk_models("fake-score", seed + 13)
         return dmd_train(gens, fakes, dist, grid, config.train["dmd"], seed=seed + 31)
 
     res_fresh, res_warm = models._share(dmd_arm, [fresh, warm])
@@ -433,17 +402,15 @@ def _run_d3(config: ExperimentConfig):
     seed = config.master_seed
 
     def joint_half():
-        ds_bi = make_pairs_bi(dist, grid, count=config.dataset_size,
-                              steps=config.solver_steps, seed=seed + 1)
-        baseline = _generators(config, seed + 11)
+        ds_bi = config.pairs("bidirectional")
+        baseline = config.chunk_models("generator", seed + 11)
         res_base = ode_distill(ds_bi, baseline, config.train["distill"],
                                seed=seed + 21)
         return ds_bi, res_base
 
     def causal_half():
-        ds_causal = make_pairs_causal(dist, grid, count=config.dataset_size,
-                                      steps=config.solver_steps, seed=seed + 2)
-        vel = _velocities(config, seed + 11)
+        ds_causal = config.pairs("causal")
+        vel = config.chunk_models("ar-velocity", seed + 11)
         res_vel = train_ar_diffusion_tf(dist, vel, config.train["diffusion"],
                                         seed=seed + 22)
         return ds_causal, res_vel
@@ -461,7 +428,7 @@ def _run_d3(config: ExperimentConfig):
     labels = ("joint_init", "denoiser_init")
     students = []
     for source in (baseline, vel):
-        student = _generators(config, seed + 11)
+        student = config.chunk_models("generator", seed + 11)
         copy_head(source, student)
         students.append(student)
 

@@ -61,6 +61,7 @@ from .models import predict_x0 as _predict_x0
 from .ode import (
     PairDataset,
     TimestepGrid,
+    _heun_step,
     bi_velocity_field,
     chunk_velocity_field,
     integrate,  # noqa: F401  (perfbench's tracer self-test reads stages.integrate)
@@ -606,11 +607,10 @@ def _one_teacher_step(field_fn, x, t, dt_mag):
     """
     t_next = t - dt_mag
     boundary = t_next <= 1e-12
-    v0 = field_fn(x, t)
-    euler = x - dt_mag * v0
-    t_safe = np.where(boundary, dt_mag, t_next)
-    v1 = field_fn(euler, t_safe)
-    heun = x - 0.5 * dt_mag * (v0 + v1)
+    # on a boundary row dt_mag is t, so the Euler predictor is the endpoint rule
+    heun, euler = _heun_step(
+        field_fn, x, t, np.where(boundary, dt_mag, t_next), -dt_mag
+    )
     return np.where(boundary[:, None], euler, heun), t_next
 
 

@@ -112,3 +112,28 @@ def test_largest_report_text_change_reads_key_value_records(tmp_path):
     assert compare_runs.largest_report_text_change(a / "report.txt", b / "plain.txt") == (
         "not key=value records"
     )
+
+
+def test_report_rows_pair_by_report_and_metric(tmp_path):
+    header = "report,metric,value,uncertainty,sample_count,config_digest,note\n"
+    row = "{},{},{},0.0,1,abc,\n"
+    line = 'report="{}" metric="{}" value={} uncertainty=0.0 note="x"\n'
+    a_rows = [("checks", "ok", 1.0), ("energy", "causal", 2.0)]
+    # side B gains a row ahead of the others and changes one value
+    b_rows = [("energy", "asym", 3.0), ("checks", "ok", 1.0), ("energy", "causal", 2.5)]
+    a = _tree(tmp_path / "a", {
+        "report.csv": header + "".join(row.format(*r) for r in a_rows),
+        "report.txt": "".join(line.format(*r) for r in a_rows),
+    })
+    b = _tree(tmp_path / "b", {
+        "report.csv": header + "".join(row.format(*r) for r in b_rows),
+        "report.txt": "".join(line.format(*r) for r in b_rows),
+        "gained.csv": header + "".join(row.format(*r) for r in a_rows + b_rows[:1]),
+    })
+    want = ("rows only on side B: energy.asym; "
+            "largest relative change 0.2 at energy.causal value")
+    assert compare_runs.largest_csv_change(a / "report.csv", b / "report.csv") == want
+    assert compare_runs.largest_report_text_change(a / "report.txt", b / "report.txt") == want
+    assert compare_runs.largest_csv_change(b / "gained.csv", a / "report.csv") == (
+        "rows only on side A: energy.asym"
+    )

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ardlab.cli import main
+import ardlab.config
+from ardlab.cli import CONFIG_FLAG_FIELDS, build_config, main, make_parser
 from ardlab.config import (
     ExperimentConfig,
     ar1_sequence,
@@ -19,8 +20,9 @@ from ardlab.config import (
 )
 from ardlab.errors import ConfigError, GridError
 from ardlab.models import TrainConfig, make_chunk_models
+from ardlab.ode import make_pairs_bi, make_pairs_causal
 from ardlab.presets import PRESET_NAMES, preset_config, run_preset
-from ardlab.storage import load_models, read_report_csv, save_models
+from ardlab.storage import load_models, read_report_csv, save_dataset, save_models
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +112,9 @@ def test_save_load_config(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
         load_config(path)
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        load_config(path)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +187,8 @@ def test_cli_usage_and_config_errors_exit_2(tmp_path, capsys):
     assert main(_gen_data_args(tmp_path, 0) + ["--grid", "1.0,oops"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
+    assert main(_gen_data_args(tmp_path, 0) + ["--config", str(bad)]) == 2
+    bad.write_text("[1, 2]")
     assert main(_gen_data_args(tmp_path, 0) + ["--config", str(bad)]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["gen-data", "--diffusion", "ddim"])
@@ -561,3 +568,100 @@ def test_cli_preset_master_seed(tmp_path, capsys):
     capsys.readouterr()
     recorded = json.loads((tmp_path / "prop2-audit" / "config.json").read_text())
     assert recorded == preset_config("prop2-audit", {"master_seed": 7}).to_dict()
+
+
+# ---------------------------------------------------------------------------
+# run parts built through the config, and the config flags
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("role, feature_count, width", [
+    ("generator", 40, 40),
+    ("ar-velocity", 256, 256),
+    # a fake score gets half the features, at least 32
+    ("fake-score", 256, 128),
+    ("fake-score", 40, 32),
+])
+def test_chunk_models_match_a_direct_build(role, feature_count, width):
+    config = ExperimentConfig(feature_count=feature_count, frequency_scale=0.5)
+    built = config.chunk_models(role, 7)
+    direct = make_chunk_models(config.sequence_spec(), role, width, 7,
+                               frequency_scale=0.5)
+    assert built.role == role
+    for got, want in zip(built.members, direct.members, strict=True):
+        assert got.features == want.features
+        assert got.features.m == width
+        assert got.features.frequencies.tobytes() == want.features.frequencies.tobytes()
+
+
+@pytest.mark.parametrize("kind, build, offset", [
+    ("bidirectional", make_pairs_bi, 1),
+    ("causal", make_pairs_causal, 2),
+])
+def test_pairs_equal_a_direct_build(tmp_path, kind, build, offset):
+    config = ExperimentConfig(components=component_tables(ar1_sequence(4, 0.6)),
+                              n_frames=4, chunk_size=2, grid=(1.0, 0.5),
+                              dataset_size=6, solver_steps=12, master_seed=5)
+    direct = build(config.distribution(), config.timestep_grid(), count=6,
+                   steps=12, seed=5 + offset)
+    save_dataset(config.pairs(kind), tmp_path / "config.jsonl")
+    save_dataset(direct, tmp_path / "direct.jsonl")
+    assert (tmp_path / "config.jsonl").read_bytes() == (
+        tmp_path / "direct.jsonl"
+    ).read_bytes()
+    with pytest.raises(ValueError, match="pair kind"):
+        config.pairs("joint")
+
+
+def test_pairs_call_the_builder_bound_at_call_time(monkeypatch):
+    # a profiler that rebinds the builder in ardlab.config must see the call
+    seeds = []
+    real = ardlab.config.make_pairs_bi
+
+    def traced(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ardlab.config, "make_pairs_bi", traced)
+    ExperimentConfig(dataset_size=3, solver_steps=8, master_seed=3).pairs("bidirectional")
+    assert seeds == [4]
+
+
+_FOUR_DIM = ["--components", json.dumps(component_tables(ar1_sequence(4, 0.5)))]
+
+#: field -> (flag text, the field's value, other flags the value needs)
+_FLAG_CASES = {
+    "n_frames": ("4", 4, _FOUR_DIM),
+    "frame_dim": ("2", 2, _FOUR_DIM),
+    "chunk_size": ("2", 2, []),
+    "grid": ("1.0,0.5", (1.0, 0.5), []),
+    "solver_steps": ("17", 17, []),
+    "feature_count": ("33", 33, []),
+    "frequency_scale": ("0.5", 0.5, []),
+    "dataset_size": ("7", 7, []),
+    "master_seed": ("9", 9, []),
+    "output_dir": ("elsewhere", "elsewhere", []),
+}
+
+PIPELINE_VERBS = ("gen-data", "train", "distill", "dmd", "cd", "audit")
+
+
+@pytest.mark.parametrize("name", CONFIG_FLAG_FIELDS)
+def test_each_config_flag_sets_its_field(name):
+    text, value, extra = _FLAG_CASES[name]
+    flag = "--" + name.replace("_", "-")
+    assert getattr(ExperimentConfig(), name) != value
+    assert getattr(make_parser().parse_args(["train"]), name) is None
+    config = build_config(make_parser().parse_args(["train", flag, text, *extra]))
+    assert getattr(config, name) == value
+    assert type(getattr(config, name)) is type(value)
+
+
+@pytest.mark.parametrize("name", CONFIG_FLAG_FIELDS)
+def test_each_pipeline_verb_lists_each_config_flag(name, capsys):
+    flag = "--" + name.replace("_", "-")
+    for verb in PIPELINE_VERBS:
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        assert flag in capsys.readouterr().out.split()
