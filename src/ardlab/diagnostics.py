@@ -165,6 +165,8 @@ def energy_distances(sample_sets, reference: np.ndarray) -> list[float]:
     """
     b = np.asarray(reference, dtype=float)
     sets = [np.asarray(a, dtype=float) for a in sample_sets]
+    if not sets:
+        raise ConfigError("energy_distances needs at least one sample set")
     for a in sets:
         if a.ndim != 2 or b.ndim != 2:
             raise ValueError("energy distance needs 2-d (n, d) sample arrays")
@@ -448,6 +450,9 @@ def conditional_energy_distance(
     prefix draw with the true clean chunk from an independent data draw,
     drawn once after the sampling.
     """
+    student_sets = list(student_sets)
+    if not student_sets:
+        raise ConfigError("conditional_energy_distance needs at least one student set")
     spec = dist.spec
     rng = np.random.default_rng(seed)
     x0_a = sample_clean_with_rng(dist, count, rng)
@@ -536,49 +541,76 @@ def df_mismatch_oracle(dist: SequenceDistribution, chunk_index: int, t: float) -
 
 
 def trained_conditional_kl(
-    students,
+    student_sets,
     dist: SequenceDistribution,
     chunk_index: int,
     n_prefix: int = 12,
     n_samples: int = 400,
     steps: int = 64,
     seed: int = 0,
-) -> DiagnosticsReport:
-    """KL of a trained velocity model's clean-prefix conditional to the data's.
+) -> list[DiagnosticsReport]:
+    """KL of each trained velocity set's clean-prefix conditional to the
+    data's, one report per set, in order.
 
-    For each clean prefix draw, the model's conditional law is the endpoint
+    For each clean prefix draw, a set's conditional law is the endpoint
     cloud of its own velocity field integrated from fresh noise with that
     prefix held fixed; the cloud is moment-matched to a Gaussian and compared
     against the exact Gaussian conditional.  Averaging over prefixes gives
     the expected conditional KL that separates teacher forcing from
-    diffusion forcing.
+    diffusion forcing.  The prefixes, the noise and the exact conditional
+    are drawn once, so the sets of one comparison differ only in their
+    models; each set's integration is one models._share item, so the arms
+    integrate at once and each gets the bits it gets alone.
     """
+    sets = list(student_sets)
+    spec = dist.spec
+    if not sets:
+        raise ConfigError("trained_conditional_kl needs at least one student set")
+    for students in sets:
+        if students.role != "ar-velocity" or students.seq_spec != spec:
+            raise ConfigError(
+                "trained_conditional_kl scores ar-velocity sets on the law's layout"
+            )
     if len(dist.components) != 1:
         raise ConfigError("conditional KL oracle covers single-component data")
-    spec = dist.spec
+    if not (1 <= chunk_index <= spec.n_chunks):
+        raise ConfigError(f"chunk {chunk_index} out of range 1..{spec.n_chunks}")
+    if n_prefix < 2:
+        raise ConfigError("need at least 2 prefix draws")
+    if n_samples <= spec.chunk_dim:
+        # fewer endpoints than chunk_dim + 1 give a singular cloud covariance
+        raise ConfigError(f"need more than {spec.chunk_dim} endpoints per prefix")
+    if steps < 1:
+        raise ConfigError("steps must be >= 1")
     rng = np.random.default_rng(seed)
     x0 = sample_clean_with_rng(dist, n_prefix, rng)
     prefix_draws = x0[:, spec.prefix_slice(chunk_index)]
     tiled = np.repeat(prefix_draws, n_samples, axis=0)
     noise_rng = np.random.default_rng(int(rng.integers(2**32)))
     x1 = noise_rng.standard_normal((tiled.shape[0], spec.chunk_dim))
-    field_fn = chunk_velocity_field(students, chunk_index, tiled)
-    endpoints = integrate(field_fn, x1, 1.0, 0.0, steps)
     cond_means, cond_cov = _single_gaussian_rows(
         condition_clean_prefix_batch(dist, chunk_index, prefix_draws)
     )
-    kls = np.empty(n_prefix)
-    for p in range(n_prefix):
-        cloud = endpoints[p * n_samples : (p + 1) * n_samples]
-        moments = (cloud.mean(axis=0), np.atleast_2d(np.cov(cloud, rowvar=False)))
-        kls[p] = gaussian_kl(moments, (cond_means[p], cond_cov))
-    value, se = mean_with_se(kls)
-    report = DiagnosticsReport(name="trained_conditional_kl")
-    report.add(
-        "expected_kl", value, se, n_prefix,
-        note=f"chunk {chunk_index}, {n_samples} endpoints per prefix",
-    )
-    return report
+
+    def endpoints(students):
+        field_fn = chunk_velocity_field(students, chunk_index, tiled)
+        return integrate(field_fn, x1, 1.0, 0.0, steps)
+
+    reports = []
+    for ends in _share(endpoints, sets):
+        kls = np.empty(n_prefix)
+        for p in range(n_prefix):
+            cloud = ends[p * n_samples : (p + 1) * n_samples]
+            moments = (cloud.mean(axis=0), np.atleast_2d(np.cov(cloud, rowvar=False)))
+            kls[p] = gaussian_kl(moments, (cond_means[p], cond_cov))
+        value, se = mean_with_se(kls)
+        report = DiagnosticsReport(name="trained_conditional_kl")
+        report.add(
+            "expected_kl", value, se, n_prefix,
+            note=f"chunk {chunk_index}, {n_samples} endpoints per prefix",
+        )
+        reports.append(report)
+    return reports
 
 
 def consistency_rms(

@@ -149,7 +149,8 @@ def _share(fn, items, cells=None) -> list:
     starts none: each featurize call inside d2-init's two DMD arms is one.
     A call made from inside an item of a call with w >= 2 has w = 1, so
     nested calls start no thread and there are never more threads than
-    CPUs.  Each thread stops at its first failing item.  Every started
+    CPUs: the featurize calls inside trained_conditional_kl's arms, each
+    arm one item, run in their arm's thread.  Each thread stops at its first failing item.  Every started
     thread is joined, also when the calling thread's items raise; then the
     first failing item's exception, in item order, is raised.  Items must
     share nothing they write.
@@ -224,8 +225,8 @@ def _openblas_function(name: str):
 def _pin_blas_threads() -> None:
     """Hold numpy's OpenBLAS to one thread, so that the threads of _share
     (featurize's and energy_distance's row blocks, d2-init's two DMD arms,
-    d3-init's joint and causal halves) are the only parallelism in the
-    package.
+    d3-init's joint and causal halves, trained_conditional_kl's arms) are
+    the only parallelism in the package.
 
     A call that OpenBLAS splits over its own threads leaves them spinning on
     the other CPUs for about 0.1 s, taking the CPU featurize's threads and

@@ -163,7 +163,12 @@ def _run_fig3(config: ExperimentConfig):
 
 def _run_fig4(config: ExperimentConfig):
     """Clean-past vs re-noised-past denoiser training, scored by the KL of
-    each learned conditional against the exact one."""
+    each learned conditional against the exact one.
+
+    The two ridge trainings run one after the other: run at once, their
+    normal-equation feature blocks are live together.  Both arms are then
+    scored in one trained_conditional_kl call, which integrates them at
+    once."""
     dist = config.distribution()
     seed = config.master_seed
     cfg = config.train["diffusion"]
@@ -172,16 +177,12 @@ def _run_fig4(config: ExperimentConfig):
     vel_df = config.chunk_models("ar-velocity", seed + 12)
     res_df = train_ar_diffusion_df(dist, vel_df, cfg, seed=seed + 21)
 
-    rep_tf = _renamed(
-        trained_conditional_kl(vel_tf, dist, 2, n_prefix=12, n_samples=400,
-                               steps=64, seed=seed + 31),
-        "conditional_kl_tf",
+    rep_tf, rep_df = trained_conditional_kl(
+        [vel_tf, vel_df], dist, 2, n_prefix=12, n_samples=400, steps=64,
+        seed=seed + 31,
     )
-    rep_df = _renamed(
-        trained_conditional_kl(vel_df, dist, 2, n_prefix=12, n_samples=400,
-                               steps=64, seed=seed + 31),
-        "conditional_kl_df",
-    )
+    rep_tf = _renamed(rep_tf, "conditional_kl_tf")
+    rep_df = _renamed(rep_df, "conditional_kl_df")
     kl_tf = rep_tf.metrics["expected_kl"].value
     kl_df = rep_df.metrics["expected_kl"].value
     checks = {
@@ -198,7 +199,11 @@ def _run_fig4(config: ExperimentConfig):
 def _run_table2(config: ExperimentConfig):
     """AR(1) sequences at two chunk sizes: every pairing of training style
     (clean vs noisy past), distillation data (joint vs chunk-wise), and —
-    for the coarse chunking — consistency-training teacher."""
+    for the coarse chunking — consistency-training teacher.
+
+    At each chunk size the two velocity arms are scored in one
+    trained_conditional_kl call, which integrates them at once, and the two
+    generator arms in one conditional_energy_distance call."""
     seed = config.master_seed
     reports, checks, datasets, traces = [], {}, {}, {}
     for chunk_size in (1, 3):
@@ -215,16 +220,12 @@ def _run_table2(config: ExperimentConfig):
         res = train_ar_diffusion_df(dist, vel_df, sub.train["diffusion"],
                                     seed=seed + 21)
         traces[f"diffusion_df_{tag}_trace.csv"] = res.loss_trace
-        rep_tf = _renamed(
-            trained_conditional_kl(vel_tf, dist, 2, n_prefix=10, n_samples=300,
-                                   steps=48, seed=seed + 31),
-            f"conditional_kl_tf_{tag}",
+        rep_tf, rep_df = trained_conditional_kl(
+            [vel_tf, vel_df], dist, 2, n_prefix=10, n_samples=300, steps=48,
+            seed=seed + 31,
         )
-        rep_df = _renamed(
-            trained_conditional_kl(vel_df, dist, 2, n_prefix=10, n_samples=300,
-                                   steps=48, seed=seed + 31),
-            f"conditional_kl_df_{tag}",
-        )
+        rep_tf = _renamed(rep_tf, f"conditional_kl_tf_{tag}")
+        rep_df = _renamed(rep_df, f"conditional_kl_df_{tag}")
         reports += [rep_tf, rep_df]
         checks[f"df_kl_above_tf_{tag}"] = (
             rep_df.metrics["expected_kl"].value > rep_tf.metrics["expected_kl"].value

@@ -28,7 +28,7 @@ from ardlab.diagnostics import (
 )
 from ardlab.diagnostics import _mean_cross_norm
 from ardlab.distributions import GaussianComponent, SequenceDistribution
-from ardlab.errors import ConfigError, SingularCovarianceError
+from ardlab.errors import ConfigError, DivergenceError, SingularCovarianceError
 from ardlab.models import _THREAD_CELLS, _row_blocks, make_chunk_models
 from ardlab.ode import DEFAULT_GRID
 
@@ -284,13 +284,13 @@ def test_conditional_energy_distance_float_and_determinism():
     assert a > 0.0
 
 
-def _random_head_students(spec, seed):
-    """Anchored generators whose heads are random, so that arms differ."""
-    students = make_chunk_models(spec, role="generator", m=16, seed=seed)
+def _random_head_students(spec, seed, role="generator", scale=0.3):
+    """Students whose heads are random, so that arms differ."""
+    students = make_chunk_models(spec, role=role, m=16, seed=seed)
     rng = np.random.default_rng(seed)
     for i in range(1, spec.n_chunks + 1):
         member = students.member(i)
-        theta = 0.3 * rng.standard_normal(member.theta.shape)
+        theta = scale * rng.standard_normal(member.theta.shape)
         students.replace_member(i, dataclasses.replace(member, theta=theta))
     return students
 
@@ -319,6 +319,18 @@ def test_energy_distances_match_energy_distance_bit_for_bit():
         diagnostics.energy_distances([sets[0], rng.standard_normal((10, 2))], reference)
     with pytest.raises(ValueError):
         diagnostics.energy_distances([sets[0], reference[:, 0]], reference)
+
+
+def test_an_empty_set_list_is_refused_before_any_work(monkeypatch):
+    def fail(*args):
+        raise AssertionError("no work may precede the refusal")
+
+    monkeypatch.setattr(diagnostics, "_mean_cross_norm", fail)
+    monkeypatch.setattr(diagnostics, "sample_clean_with_rng", fail)
+    with pytest.raises(ConfigError):
+        diagnostics.energy_distances([], np.ones((5, 2)))
+    with pytest.raises(ConfigError):
+        conditional_energy_distance([], DIST, DEFAULT_GRID, 2, count=100, seed=0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -402,13 +414,72 @@ def test_df_mismatch_guards():
 
 def test_trained_conditional_kl_mechanics():
     velocities = make_chunk_models(DIST.spec, role="ar-velocity", m=8, seed=11)
-    report = trained_conditional_kl(
-        velocities, DIST, 2, n_prefix=4, n_samples=120, steps=24, seed=12
+    [report] = trained_conditional_kl(
+        [velocities], DIST, 2, n_prefix=4, n_samples=120, steps=24, seed=12
     )
     entry = report["expected_kl"]
     # the zero velocity model leaves noise untouched: N(0,1) vs N(rho y, 1-rho^2)
     assert entry.value > 0.1
     assert np.isfinite(entry.uncertainty)
+
+
+def _kl_bits(report):
+    entry = report["expected_kl"]
+    return entry.value, entry.uncertainty
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_trained_conditional_kl_arms_match_their_single_calls(cpus):
+    arms = [_random_head_students(DIST.spec, seed, role="ar-velocity") for seed in (1, 2, 3)]
+    kwargs = dict(n_prefix=3, n_samples=40, steps=8, seed=9)
+    singles = [_kl_bits(trained_conditional_kl([vel], DIST, 2, **kwargs)[0]) for vel in arms]
+    with mock.patch.object(models, "_cpu_count", lambda: cpus):
+        joint = [_kl_bits(report) for report in trained_conditional_kl(arms, DIST, 2, **kwargs)]
+    assert joint == singles
+    assert len(set(joint)) == 3
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_a_diverging_arm_reaches_the_trained_kl_caller(cpus, position):
+    arms = [_random_head_students(DIST.spec, seed, role="ar-velocity") for seed in (1, 2)]
+    arms.insert(position, _random_head_students(DIST.spec, 3, role="ar-velocity", scale=np.inf))
+    with mock.patch.object(models, "_cpu_count", lambda: cpus):
+        with pytest.raises(DivergenceError):
+            trained_conditional_kl(arms, DIST, 2, n_prefix=3, n_samples=40, steps=8, seed=9)
+
+
+_VELOCITIES = make_chunk_models(DIST.spec, role="ar-velocity", m=8, seed=11)
+
+
+@pytest.mark.parametrize(
+    "sets, kwargs",
+    [
+        ([], {}),
+        ([_zero_students(DIST.spec)], {}),
+        ([make_chunk_models(ar1_sequence(3, 0.8, 1).spec, "ar-velocity", m=8, seed=1)], {}),
+        ([_VELOCITIES], {"chunk_index": 3}),
+        ([_VELOCITIES], {"chunk_index": 0}),
+        ([_VELOCITIES], {"n_prefix": 1}),
+        ([_VELOCITIES], {"n_prefix": 0}),
+        ([_VELOCITIES], {"n_samples": 1}),
+        ([_VELOCITIES], {"n_samples": 0}),
+        ([_VELOCITIES], {"steps": 0}),
+    ],
+    ids=["no-sets", "generator-role", "other-layout", "chunk-past-end", "chunk-0",
+         "one-prefix", "no-prefix", "one-sample", "no-sample", "no-step"],
+)
+def test_trained_conditional_kl_refuses_bad_arguments_before_any_draw(
+    sets, kwargs, monkeypatch
+):
+    def fail(*args):
+        raise AssertionError("no draw may precede the refusal")
+
+    monkeypatch.setattr(diagnostics, "sample_clean_with_rng", fail)
+    args = {"chunk_index": 2, "n_prefix": 4, "n_samples": 50, "steps": 4, **kwargs}
+    with pytest.raises(ConfigError):
+        trained_conditional_kl(sets, DIST, **args)
 
 
 def test_consistency_rms_mechanics():

@@ -1,5 +1,6 @@
 """Work that presets share out by models._share, at once or in turn: d2-init's
-two DMD arms and d3-init's joint and causal halves."""
+two DMD arms, d3-init's joint and causal halves and fig4-analog's two
+conditional-KL arms."""
 
 import hashlib
 import threading
@@ -54,16 +55,16 @@ def test_a_failing_arm_reaches_the_caller_when_the_other_succeeds(cpus):
             models._share(_call, [_dmd_arm(), _dmd_arm(learning_rate=1e8)])
 
 
-def _small_d3_config(name, overrides=None):
-    """d3-init's config cut down so that a run takes about a second."""
-    config = presets._base_config(name)
-    train = dict(config.train)
-    train["diffusion"] = TrainConfig(method="ridge", step_count=10, batch_size=50)
-    return config.with_overrides(dataset_size=64, solver_steps=8,
-                                 feature_count=32, train=train)
+def _files_on_one_cpu_and_two(tmp_path, name, **cuts):
+    """Each file's digest from a run of the preset, cut down by `cuts` and a
+    small diffusion training so that it takes about a second, on one CPU and
+    on two; only the two-CPU run may start threads."""
+    def small_config(name, overrides=None):
+        config = presets._base_config(name)
+        train = dict(config.train)
+        train["diffusion"] = TrainConfig(method="ridge", step_count=10, batch_size=50)
+        return config.with_overrides(feature_count=32, train=train, **cuts)
 
-
-def test_d3_writes_the_same_bytes_on_one_cpu_and_two(tmp_path):
     runs, starts = [], []
     start = threading.Thread.start
 
@@ -75,19 +76,31 @@ def test_d3_writes_the_same_bytes_on_one_cpu_and_two(tmp_path):
         root = tmp_path / f"cpus{cpus}"
         starts.clear()
         with mock.patch.object(models, "_cpu_count", lambda: cpus), \
-                mock.patch.object(presets, "preset_config", _small_d3_config), \
+                mock.patch.object(presets, "preset_config", small_config), \
                 mock.patch.object(threading.Thread, "start", counted_start):
             try:
-                presets.run_preset("d3-init", output_dir=str(root))
+                presets.run_preset(name, output_dir=str(root))
             except PresetCheckError:
                 pass  # the cut-down run's checks are not what is compared
         assert bool(starts) == (cpus == 2)  # one CPU starts no thread
         runs.append({
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted((root / "d3-init").iterdir())
+            for path in sorted((root / name).iterdir())
         })
     assert runs[0] == runs[1]
+    return set(runs[0])
+
+
+def test_d3_writes_the_same_bytes_on_one_cpu_and_two(tmp_path):
+    files = _files_on_one_cpu_and_two(tmp_path, "d3-init", dataset_size=64,
+                                      solver_steps=8)
     assert {"report.csv", "report.txt", "pairs_bidirectional.jsonl",
             "pairs_causal.jsonl", "finetune_joint_init_trace.csv",
             "finetune_denoiser_init_trace.csv", "distill_baseline_trace.csv",
-            "diffusion_tf_trace.csv"} <= set(runs[0])
+            "diffusion_tf_trace.csv"} <= files
+
+
+def test_fig4_writes_the_same_bytes_on_one_cpu_and_two(tmp_path):
+    files = _files_on_one_cpu_and_two(tmp_path, "fig4-analog")
+    assert {"report.csv", "report.txt", "diffusion_tf_trace.csv",
+            "diffusion_df_trace.csv"} <= files
