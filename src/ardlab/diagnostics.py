@@ -37,11 +37,10 @@ from .distributions import (
     noisy_marginal,
     sample_clean_with_rng,
 )
-from .errors import ConfigError, SingularCovarianceError
+from .errors import ConfigError, DivergenceError, SingularCovarianceError
 from .models import _row_blocks, _share, predict_x0
 from .ode import (
-    _integrate_segments,
-    _segment_plan,
+    _integrate_through,
     bi_velocity_field,
     chunk_velocity_field,
     gaussian_flow_map,
@@ -597,11 +596,16 @@ def trained_conditional_kl(
         return integrate(field_fn, x1, 1.0, 0.0, steps)
 
     reports = []
-    for ends in _share(endpoints, sets):
+    for position, ends in enumerate(_share(endpoints, sets)):
         kls = np.empty(n_prefix)
         for p in range(n_prefix):
             cloud = ends[p * n_samples : (p + 1) * n_samples]
-            moments = (cloud.mean(axis=0), np.atleast_2d(np.cov(cloud, rowvar=False)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                moments = (cloud.mean(axis=0), np.atleast_2d(np.cov(cloud, rowvar=False)))
+            if not all(np.all(np.isfinite(m)) for m in moments):
+                # huge but finite states pass integrate; their moments overflow
+                raise DivergenceError(f"student set {position}: non-finite "
+                                      f"endpoint moments for prefix {p}")
             kls[p] = gaussian_kl(moments, (cond_means[p], cond_cov))
         value, se = mean_with_se(kls)
         report = DiagnosticsReport(name="trained_conditional_kl")
@@ -639,10 +643,10 @@ def consistency_rms(
     prefix = x0[:, spec.prefix_slice(chunk_index)]
     field_fn = chunk_velocity_field(dist, chunk_index, prefix)
     x = rng.standard_normal((count, spec.chunk_dim))
-    endpoint, snaps = _integrate_segments(field_fn, x, _segment_plan(times, steps))
+    endpoint, snapshots = _integrate_through(field_fn, x, times, steps)
     sq = []
-    for t in times:
-        pred = predict_x0(member, snaps[t], prefix, t)
+    for k, t in enumerate(times):
+        pred = predict_x0(member, snapshots[:, k], prefix, t)
         sq.append(np.sum((pred - endpoint) ** 2, axis=1))
     sq = np.concatenate(sq)
     report = DiagnosticsReport(name="consistency_rms")

@@ -9,6 +9,7 @@ initialization whenever the feature banks match.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import math
 import os
@@ -180,7 +181,10 @@ def _share(fn, items, cells=None) -> list:
     started = []
     try:
         for j in range(1, workers):
-            thread = threading.Thread(target=run, args=(j,))
+            # each thread runs in its own copy of the caller's context, so
+            # the items see the caller's numpy error state (np.errstate)
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(run, j))
             thread.start()
             started.append(thread)
         run(0)

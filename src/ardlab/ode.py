@@ -120,7 +120,7 @@ def integrate(
     When t_to is exactly 0 the final sub-step applies the endpoint rule
     x_0 = x - t_min * field(x, t_min), which avoids evaluating the field at
     the singular time 0 and is exact in the small-step limit.  States at
-    intermediate times come from chaining calls (_integrate_segments).
+    intermediate times come from chaining calls (_integrate_through).
     Heun is the only solver; `method` is accepted only as "heun", so callers
     that name it keep working (perfbench's tracer self-test does).
     """
@@ -210,35 +210,36 @@ def _record_seeds(master_seed: int, count: int) -> np.ndarray:
     return np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
 
 
-def _segment_plan(times, steps: int):
-    """Chain of (t_hi, t_lo, sub_steps) segments covering times[0] down to 0.
+def _integrate_through(field_fn, x, times, steps: int):
+    """Integrate rows x from times[0] down to 0 through every time in `times`
+    (a TimestepGrid or any decreasing sequence).  Returns the endpoint rows
+    and the states at `times` as one (N, T, D) array, snapshot 0 a copy of x.
 
-    Each requested time (a TimestepGrid or any decreasing sequence) becomes a
-    segment boundary, so every snapshot is an exact node of its uniform
-    sub-grid; sub-step counts are allocated proportionally to segment length.
+    Each time is a segment boundary, so every snapshot is an exact node of
+    its uniform sub-grid; sub-step counts are allocated proportionally to
+    segment length.
     """
-    bounds = list(times) + [0.0]
-    total = bounds[0]
-    plan = []
-    for hi, lo in zip(bounds, bounds[1:]):
-        sub = max(1, int(round(steps * (hi - lo) / total)))
-        plan.append((hi, lo, sub))
-    return plan
-
-
-def _integrate_segments(field_fn, x, plan):
-    """Run the segment chain, recording the state at every boundary."""
-    snaps = {plan[0][0]: x.copy()}
-    for hi, lo, sub in plan:
+    bounds = tuple(times) + (0.0,)
+    snapshots = np.empty((x.shape[0], len(bounds) - 1, x.shape[1]))
+    for k, (hi, lo) in enumerate(zip(bounds, bounds[1:])):
+        snapshots[:, k] = x
+        sub = max(1, int(round(steps * (hi - lo) / bounds[0])))
         x = integrate(field_fn, x, hi, lo, sub)
-        if lo > 0.0:
-            snaps[lo] = x.copy()
-    return x, snaps
+    return x, snapshots
 
 
-def _grid_columns(snaps, grid) -> np.ndarray:
-    """Per-time snapshot rows (N, D) as one (N, T, D) array in grid order."""
-    return np.stack([snaps[t] for t in grid], axis=1)
+def _pair_dataset(spec, grid, steps, seed, seeds, clean, endpoint, snapshots,
+                  provenance, teacher) -> PairDataset:
+    """A builder's trajectories as a PairDataset: each record's prefix is
+    read from the trajectory's `clean` row (N, total_dim)."""
+    prefix = clean[:, spec.prefix_slice(spec.n_chunks)].copy()
+    return PairDataset(
+        spec=spec, grid=grid, provenance=provenance,
+        records=PairColumns(seed=seeds, prefix=prefix, snapshots=snapshots,
+                            endpoint=endpoint),
+        metadata={"teacher": teacher, "solver": "heun", "steps": steps,
+                  "master_seed": seed},
+    )
 
 
 def make_pairs_bi(
@@ -258,26 +259,9 @@ def make_pairs_bi(
     x1 = np.empty((count, spec.total_dim))
     for r, s in enumerate(seeds):
         x1[r] = np.random.default_rng(int(s)).standard_normal(spec.total_dim)
-    plan = _segment_plan(grid, steps)
-    endpoint, snaps = _integrate_segments(bi_velocity_field(dist), x1, plan)
-    records = PairColumns(
-        seed=seeds,
-        prefix=endpoint[:, spec.prefix_slice(spec.n_chunks)].copy(),
-        snapshots=_grid_columns(snaps, grid),
-        endpoint=endpoint,
-    )
-    return PairDataset(
-        spec=spec,
-        grid=grid,
-        provenance="bidirectional",
-        records=records,
-        metadata={
-            "teacher": "oracle-bidirectional",
-            "solver": "heun",
-            "steps": steps,
-            "master_seed": seed,
-        },
-    )
+    endpoint, snapshots = _integrate_through(bi_velocity_field(dist), x1, grid, steps)
+    return _pair_dataset(spec, grid, steps, seed, seeds, endpoint, endpoint,
+                         snapshots, "bidirectional", "oracle-bidirectional")
 
 
 def make_pairs_causal(
@@ -296,39 +280,21 @@ def make_pairs_causal(
     """
     spec = dist.spec
     seeds = _record_seeds(seed, count)
-    provenance = (
-        "autoregressive-oracle" if teacher is None else "autoregressive-learned"
-    )
     gt = np.empty((count, spec.total_dim))
     eps = np.empty((count, spec.n_chunks, spec.chunk_dim))
     for r, s in enumerate(seeds):
         rng = np.random.default_rng(int(s))
         gt[r] = sample_clean_with_rng(dist, 1, rng)[0]
         eps[r] = rng.standard_normal((spec.n_chunks, spec.chunk_dim))
-    plan = _segment_plan(grid, steps)
     snapshots = np.empty((count, len(grid), spec.total_dim))
     endpoint = np.empty((count, spec.total_dim))
     source = dist if teacher is None else teacher
     for i in range(1, spec.n_chunks + 1):
         sl = spec.chunk_slice(i)
         field_fn = chunk_velocity_field(source, i, gt[:, spec.prefix_slice(i)])
-        endpoint[:, sl], snaps = _integrate_segments(field_fn, eps[:, i - 1], plan)
-        snapshots[:, :, sl] = _grid_columns(snaps, grid)
-    records = PairColumns(
-        seed=seeds,
-        prefix=gt[:, spec.prefix_slice(spec.n_chunks)].copy(),
-        snapshots=snapshots,
-        endpoint=endpoint,
-    )
-    return PairDataset(
-        spec=spec,
-        grid=grid,
-        provenance=provenance,
-        records=records,
-        metadata={
-            "teacher": "oracle-autoregressive" if teacher is None else "learned-autoregressive",
-            "solver": "heun",
-            "steps": steps,
-            "master_seed": seed,
-        },
-    )
+        endpoint[:, sl], snapshots[:, :, sl] = _integrate_through(
+            field_fn, eps[:, i - 1], grid, steps
+        )
+    how = "oracle" if teacher is None else "learned"
+    return _pair_dataset(spec, grid, steps, seed, seeds, gt, endpoint, snapshots,
+                         f"autoregressive-{how}", f"{how}-autoregressive")

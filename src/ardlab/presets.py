@@ -46,17 +46,6 @@ from .stages import (
 )
 from .storage import emit_report, save_dataset, save_loss_trace
 
-PRESET_NAMES = (
-    "fig3-analog",
-    "fig4-analog",
-    "table2-analog",
-    "lemma1-audit",
-    "prop2-audit",
-    "d2-init",
-    "d3-init",
-)
-
-
 @dataclass
 class PresetResult:
     """One finished preset run: its config, reports, checks, and file root."""
@@ -99,8 +88,28 @@ def _at_rho(report: DiagnosticsReport, rho: float) -> DiagnosticsReport:
     return dataclasses.replace(report, metrics=metrics)
 
 
+def injectivity_within_oracle(report: DiagnosticsReport) -> bool:
+    """Lemma 1's pass rule for an injectivity_variance report with its oracle
+    row: the variance is below 1e-3 where the closed form is 0, and within
+    10% of the closed form elsewhere."""
+    mean = report.metrics["mean_variance"].value
+    oracle = report.metrics["oracle_variance"].value
+    if oracle < 1e-12:
+        return mean < 1e-3
+    return abs(mean - oracle) <= 0.1 * oracle
+
+
+def df_mismatch_within_oracle(report: DiagnosticsReport) -> bool:
+    """Proposition 2's pass rule for a df_mismatch report: the Monte Carlo
+    KL is within 3 standard errors (+ 1e-9) of the analytic expectation."""
+    entry = report.metrics["expected_kl"]
+    oracle = report.metrics["oracle_kl"].value
+    return abs(entry.value - oracle) <= 3.0 * entry.uncertainty + 1e-9
+
+
 # ---------------------------------------------------------------------------
-# preset bodies: each returns (reports, checks, datasets_to_save)
+# preset bodies: each returns (reports, checks, datasets, traces), the last
+# two mapping file names to the pair datasets and loss traces to save
 # ---------------------------------------------------------------------------
 
 
@@ -161,37 +170,41 @@ def _run_fig3(config: ExperimentConfig):
     )
 
 
-def _run_fig4(config: ExperimentConfig):
-    """Clean-past vs re-noised-past denoiser training, scored by the KL of
-    each learned conditional against the exact one.
+def _forcing_arms(config: ExperimentConfig, tag: str = "", **scoring):
+    """Clean-past (TF) and re-noised-past (DF) denoiser arms, scored by the
+    KL of each learned chunk-2 conditional against the exact one (`scoring`:
+    trained_conditional_kl's sample sizes): the reports
+    conditional_kl_{tf,df}[_tag] and traces diffusion_{tf,df}[_tag]_trace.csv.
 
     The two ridge trainings run one after the other: run at once, their
     normal-equation feature blocks are live together.  Both arms are then
-    scored in one trained_conditional_kl call, which integrates them at
-    once."""
+    scored in one call, which integrates them at once."""
     dist = config.distribution()
     seed = config.master_seed
-    cfg = config.train["diffusion"]
-    vel_tf = config.chunk_models("ar-velocity", seed + 11)
-    res_tf = train_ar_diffusion_tf(dist, vel_tf, cfg, seed=seed + 21)
-    vel_df = config.chunk_models("ar-velocity", seed + 12)
-    res_df = train_ar_diffusion_df(dist, vel_df, cfg, seed=seed + 21)
+    suffix = f"_{tag}" if tag else ""
+    arms = (("tf", 11, train_ar_diffusion_tf), ("df", 12, train_ar_diffusion_df))
+    sets, traces = [], {}
+    for arm, offset, trainer in arms:
+        vel = config.chunk_models("ar-velocity", seed + offset)
+        res = trainer(dist, vel, config.train["diffusion"], seed=seed + 21)
+        traces[f"diffusion_{arm}{suffix}_trace.csv"] = res.loss_trace
+        sets.append(vel)
+    reports = trained_conditional_kl(sets, dist, 2, seed=seed + 31, **scoring)
+    reports = [_renamed(rep, f"conditional_kl_{arm}{suffix}")
+               for (arm, _, _), rep in zip(arms, reports)]
+    return reports, traces
 
-    rep_tf, rep_df = trained_conditional_kl(
-        [vel_tf, vel_df], dist, 2, n_prefix=12, n_samples=400, steps=64,
-        seed=seed + 31,
-    )
-    rep_tf = _renamed(rep_tf, "conditional_kl_tf")
-    rep_df = _renamed(rep_df, "conditional_kl_df")
+
+def _run_fig4(config: ExperimentConfig):
+    """Clean-past vs re-noised-past denoiser training, scored by the KL of
+    each learned conditional against the exact one."""
+    (rep_tf, rep_df), traces = _forcing_arms(config, n_prefix=12,
+                                             n_samples=400, steps=64)
     kl_tf = rep_tf.metrics["expected_kl"].value
     kl_df = rep_df.metrics["expected_kl"].value
     checks = {
         "tf_kl_small": kl_tf < 0.2,
         "df_kl_over_twice_tf": kl_df > 2.0 * kl_tf,
-    }
-    traces = {
-        "diffusion_tf_trace.csv": res_tf.loss_trace,
-        "diffusion_df_trace.csv": res_df.loss_trace,
     }
     return [rep_tf, rep_df], checks, {}, traces
 
@@ -201,9 +214,9 @@ def _run_table2(config: ExperimentConfig):
     (clean vs noisy past), distillation data (joint vs chunk-wise), and —
     for the coarse chunking — consistency-training teacher.
 
-    At each chunk size the two velocity arms are scored in one
-    trained_conditional_kl call, which integrates them at once, and the two
-    generator arms in one conditional_energy_distance call."""
+    At each chunk size _forcing_arms trains and scores the two velocity
+    arms, and the two generator arms are scored in one
+    conditional_energy_distance call."""
     seed = config.master_seed
     reports, checks, datasets, traces = [], {}, {}, {}
     for chunk_size in (1, 3):
@@ -212,20 +225,10 @@ def _run_table2(config: ExperimentConfig):
         dist = sub.distribution()
         grid = sub.timestep_grid()
 
-        vel_tf = sub.chunk_models("ar-velocity", seed + 11)
-        res = train_ar_diffusion_tf(dist, vel_tf, sub.train["diffusion"],
-                                    seed=seed + 21)
-        traces[f"diffusion_tf_{tag}_trace.csv"] = res.loss_trace
-        vel_df = sub.chunk_models("ar-velocity", seed + 12)
-        res = train_ar_diffusion_df(dist, vel_df, sub.train["diffusion"],
-                                    seed=seed + 21)
-        traces[f"diffusion_df_{tag}_trace.csv"] = res.loss_trace
-        rep_tf, rep_df = trained_conditional_kl(
-            [vel_tf, vel_df], dist, 2, n_prefix=10, n_samples=300, steps=48,
-            seed=seed + 31,
+        (rep_tf, rep_df), arm_traces = _forcing_arms(
+            sub, tag, n_prefix=10, n_samples=300, steps=48
         )
-        rep_tf = _renamed(rep_tf, f"conditional_kl_tf_{tag}")
-        rep_df = _renamed(rep_df, f"conditional_kl_df_{tag}")
+        traces.update(arm_traces)
         reports += [rep_tf, rep_df]
         checks[f"df_kl_above_tf_{tag}"] = (
             rep_df.metrics["expected_kl"].value > rep_tf.metrics["expected_kl"].value
@@ -275,27 +278,22 @@ def _run_lemma1(config: ExperimentConfig):
     """Complement-resampling variance of the joint flow's first chunk across
     correlations, against the closed form: zero iff frames are independent."""
     seed = config.master_seed
-    reports, checks = [], {}
-    means = {}
+    reports, checks, means = [], {}, {}
     for rho in (0.0, 0.4, 0.8):
         dist = bivariate_pair(rho)
         rep = injectivity_variance(dist, 1, t=0.5, n_anchor=24, n_resample=3000,
                                    steps=96, seed=seed + 1)
         tag = f"rho{rho:.1f}".replace(".", "p")
         reports.append(_at_rho(_renamed(rep, f"injectivity_{tag}"), rho))
-        mean = rep.metrics["mean_variance"].value
-        oracle = rep.metrics["oracle_variance"].value
-        means[rho] = mean
+        means[rho] = rep.metrics["mean_variance"].value
+        within = injectivity_within_oracle(rep)
+        witnesses = rep.metrics["positive_fraction"].value
         if rho == 0.0:
-            checks["rho0_variance_vanishes"] = mean < 1e-3
-            checks["rho0_no_witnesses"] = (
-                rep.metrics["positive_fraction"].value == 0.0
-            )
+            checks["rho0_variance_vanishes"] = within
+            checks["rho0_no_witnesses"] = witnesses == 0.0
         else:
-            checks[f"{tag}_matches_oracle_10pct"] = abs(mean - oracle) <= 0.1 * oracle
-            checks[f"{tag}_witness_fraction"] = (
-                rep.metrics["positive_fraction"].value >= 0.9
-            )
+            checks[f"{tag}_matches_oracle_10pct"] = within
+            checks[f"{tag}_witness_fraction"] = witnesses >= 0.9
     checks["variance_monotone_in_rho"] = means[0.0] < means[0.4] < means[0.8]
     return reports, checks, {}, {}
 
@@ -312,10 +310,7 @@ def _run_prop2(config: ExperimentConfig):
         oracle = rep.metrics["oracle_kl"].value
         tag = f"t{t:.2f}".replace(".", "p")
         reports.append(_at_rho(_renamed(rep, f"df_mismatch_{tag}"), rho))
-        entry = rep.metrics["expected_kl"]
-        checks[f"{tag}_matches_oracle_3se"] = (
-            abs(entry.value - oracle) <= 3.0 * entry.uncertainty + 1e-9
-        )
+        checks[f"{tag}_matches_oracle_3se"] = df_mismatch_within_oracle(rep)
         checks[f"{tag}_oracle_positive"] = oracle > 0.0
     rep0 = df_mismatch(bivariate_pair(0.0), 2, 0.5, n=500, seed=seed + 2)
     reports.append(_at_rho(_renamed(rep0, "df_mismatch_independent"), 0.0))
@@ -481,88 +476,77 @@ def _run_d3(config: ExperimentConfig):
 _RIDGE = dict(method="ridge", ridge_lambda=1e-6)
 
 
-def _base_config(name: str) -> ExperimentConfig:
-    biv = component_tables(bivariate_pair(0.8))
-    if name == "fig3-analog":
-        return ExperimentConfig(
-            components=biv,
-            dataset_size=4096,
-            solver_steps=128,
-            train=_stage_train(distill=TrainConfig(**_RIDGE)),
-            master_seed=1300,
-        )
-    if name == "fig4-analog":
-        return ExperimentConfig(
-            components=biv,
-            train=_stage_train(
-                diffusion=TrainConfig(step_count=300, batch_size=100, **_RIDGE)
-            ),
-            master_seed=1400,
-        )
-    if name == "table2-analog":
-        return ExperimentConfig(
-            components=component_tables(ar1_sequence(6, 0.8, 1)),
-            n_frames=6,
-            chunk_size=1,
-            feature_count=512,
-            # six scalar frames make up to 6-d model inputs; the smoother
-            # kernel is what lets m=512 features cover them
-            frequency_scale=0.3,
-            dataset_size=1500,
-            solver_steps=96,
-            train=_stage_train(
-                diffusion=TrainConfig(step_count=900, batch_size=100, **_RIDGE),
-                distill=TrainConfig(**_RIDGE),
-                cd=TrainConfig(step_count=40, batch_size=4096,
-                               ema_rate=0.0, **_RIDGE),
-            ),
-            master_seed=2000,
-        )
-    if name == "lemma1-audit":
-        return ExperimentConfig(components=biv, master_seed=100)
-    if name == "prop2-audit":
-        return ExperimentConfig(components=biv, master_seed=200)
-    if name == "d2-init":
-        return ExperimentConfig(
-            components=component_tables(two_mode(3.0)),
-            n_frames=1,
-            feature_count=256,
-            train=_stage_train(
-                diffusion=TrainConfig(step_count=300, batch_size=100, **_RIDGE),
-                dmd=TrainConfig(step_count=300, batch_size=256,
-                                learning_rate=0.05, fake_update_ratio=2, **_RIDGE),
-            ),
-            master_seed=4200,
-        )
-    if name == "d3-init":
-        return ExperimentConfig(
-            components=biv,
-            dataset_size=4096,
-            solver_steps=128,
-            train=_stage_train(
-                diffusion=TrainConfig(step_count=300, batch_size=100, **_RIDGE),
-                distill=TrainConfig(**_RIDGE),
-            ),
-            master_seed=4300,
-        )
-    raise ConfigError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
-
-
-_RUNNERS = {
-    "fig3-analog": _run_fig3,
-    "fig4-analog": _run_fig4,
-    "table2-analog": _run_table2,
-    "lemma1-audit": _run_lemma1,
-    "prop2-audit": _run_prop2,
-    "d2-init": _run_d2,
-    "d3-init": _run_d3,
+#: each preset's runner, config -> (reports, checks, datasets, traces), and
+#: its base-config builder, called anew for every run
+_PRESETS = {
+    "fig3-analog": (_run_fig3, lambda: ExperimentConfig(
+        components=component_tables(bivariate_pair(0.8)),
+        dataset_size=4096,
+        solver_steps=128,
+        train=_stage_train(distill=TrainConfig(**_RIDGE)),
+        master_seed=1300,
+    )),
+    "fig4-analog": (_run_fig4, lambda: ExperimentConfig(
+        components=component_tables(bivariate_pair(0.8)),
+        train=_stage_train(
+            diffusion=TrainConfig(step_count=300, batch_size=100, **_RIDGE)),
+        master_seed=1400,
+    )),
+    "table2-analog": (_run_table2, lambda: ExperimentConfig(
+        components=component_tables(ar1_sequence(6, 0.8, 1)),
+        n_frames=6,
+        chunk_size=1,
+        feature_count=512,
+        # six scalar frames make up to 6-d model inputs; the smoother
+        # kernel is what lets m=512 features cover them
+        frequency_scale=0.3,
+        dataset_size=1500,
+        solver_steps=96,
+        train=_stage_train(
+            diffusion=TrainConfig(step_count=900, batch_size=100, **_RIDGE),
+            distill=TrainConfig(**_RIDGE),
+            cd=TrainConfig(step_count=40, batch_size=4096,
+                           ema_rate=0.0, **_RIDGE),
+        ),
+        master_seed=2000,
+    )),
+    "lemma1-audit": (_run_lemma1, lambda: ExperimentConfig(
+        components=component_tables(bivariate_pair(0.8)), master_seed=100)),
+    "prop2-audit": (_run_prop2, lambda: ExperimentConfig(
+        components=component_tables(bivariate_pair(0.8)), master_seed=200)),
+    "d2-init": (_run_d2, lambda: ExperimentConfig(
+        components=component_tables(two_mode(3.0)),
+        n_frames=1,
+        feature_count=256,
+        train=_stage_train(
+            diffusion=TrainConfig(step_count=300, batch_size=100, **_RIDGE),
+            dmd=TrainConfig(step_count=300, batch_size=256,
+                            learning_rate=0.05, fake_update_ratio=2, **_RIDGE),
+        ),
+        master_seed=4200,
+    )),
+    "d3-init": (_run_d3, lambda: ExperimentConfig(
+        components=component_tables(bivariate_pair(0.8)),
+        dataset_size=4096,
+        solver_steps=128,
+        train=_stage_train(
+            diffusion=TrainConfig(step_count=300, batch_size=100, **_RIDGE),
+            distill=TrainConfig(**_RIDGE),
+        ),
+        master_seed=4300,
+    )),
 }
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_config(name: str, overrides: dict | None = None) -> ExperimentConfig:
     """The preset's base config.  master_seed is the only override it takes:
     every other field is fixed by the claim the preset checks."""
-    config = _base_config(name)
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
+    _, base_config = _PRESETS[name]
+    config = base_config()
     if overrides:
         ignored = sorted(set(overrides) - {"master_seed"})
         if ignored:
@@ -579,12 +563,14 @@ def run_preset(
     """Run one preset end to end, write its artifacts, assert its checks.
 
     Artifacts land in <output_dir>/<name>/: config.json, report.csv,
-    report.txt, and any ODE-pair datasets the preset built.  All files are
+    report.txt, any ODE-pair datasets the preset built (*.jsonl) and the
+    loss trace of each stage it trained (*_trace.csv).  All files are
     written before checks are evaluated, so a failed run still leaves its
     evidence on disk; the first failed check raises PresetCheckError.
     """
     config = preset_config(name, overrides)
-    reports, checks, datasets, traces = _RUNNERS[name](config)
+    run, _ = _PRESETS[name]
+    reports, checks, datasets, traces = run(config)
 
     digest = config.digest()
     reports = [dataclasses.replace(rep, config_digest=digest) for rep in reports]

@@ -326,6 +326,41 @@ def test_cli_df_mismatch_audit_passes_on_a_law_with_nonzero_mean(tmp_path, capsy
     assert reports["df_mismatch"]["oracle_kl"].value == pytest.approx(0.36263, abs=1e-5)
 
 
+def _off_oracle(audit, metric, moved):
+    """`audit` with its report's oracle row `metric` moved off the estimate."""
+    def wrapped(*args, **kwargs):
+        report = audit(*args, **kwargs)
+        entry = report.metrics[metric]
+        report.add(metric, moved(report), entry.uncertainty, entry.sample_count,
+                   note=entry.note)
+        return report
+    return wrapped
+
+
+@pytest.mark.parametrize("kind, failed", [
+    ("injectivity", 1), ("df-mismatch", 1), ("both", 2),
+])
+def test_cli_audit_fails_on_reports_off_their_oracle(tmp_path, capsys, monkeypatch,
+                                                     kind, failed):
+    monkeypatch.setattr(ardlab.cli, "injectivity_variance", _off_oracle(
+        ardlab.cli.injectivity_variance, "oracle_variance",
+        lambda rep: 2.0 * rep.metrics["mean_variance"].value,
+    ))
+    monkeypatch.setattr(ardlab.cli, "df_mismatch", _off_oracle(
+        ardlab.cli.df_mismatch, "oracle_kl",
+        lambda rep: rep.metrics["expected_kl"].value + 1.0,
+    ))
+    out = tmp_path / "audit"
+    argv = ["audit", "--kind", kind, "--anchors", "4", "--resamples", "200",
+            "--output-dir", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if line.startswith("audit check failed:")]) == failed
+    reports = read_report_csv(out / "audit_report.csv")
+    assert len(reports) == failed
+    assert (out / "audit_report.txt").exists()
+
+
 def test_cli_report_round_trip(tmp_path, capsys):
     out = tmp_path / "audit"
     main([

@@ -450,6 +450,16 @@ def test_a_diverging_arm_reaches_the_trained_kl_caller(cpus, position):
             trained_conditional_kl(arms, DIST, 2, n_prefix=3, n_samples=40, steps=8, seed=9)
 
 
+@pytest.mark.parametrize("position", [0, 1])
+def test_an_arm_with_huge_finite_heads_ends_with_a_divergence_error(position):
+    # its states stay finite through integrate, but its endpoint moments
+    # overflow; the error names the arm's position in the list
+    arms = [_random_head_students(DIST.spec, 1, role="ar-velocity")]
+    arms.insert(position, _random_head_students(DIST.spec, 3, role="ar-velocity", scale=1e300))
+    with pytest.raises(DivergenceError, match=f"student set {position}"):
+        trained_conditional_kl(arms, DIST, 2, n_prefix=3, n_samples=40, steps=8, seed=9)
+
+
 _VELOCITIES = make_chunk_models(DIST.spec, role="ar-velocity", m=8, seed=11)
 
 

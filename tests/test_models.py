@@ -266,6 +266,19 @@ def test_started_threads_are_joined_when_the_calling_threads_item_raises():
     assert finished == [True]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_shared_items_run_under_the_callers_numpy_error_state(cpus):
+    def item(_):
+        try:
+            return np.float64(1.0) / np.float64(0.0)
+        except FloatingPointError:
+            return "raised"
+
+    with mock.patch.object(models, "_cpu_count", lambda: cpus), \
+            np.errstate(all="raise"):
+        assert models._share(item, [0, 1]) == ["raised", "raised"]
+
+
 def test_share_starts_no_thread_below_the_threading_size():
     def thread_of(item):
         return threading.current_thread()

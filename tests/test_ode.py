@@ -16,6 +16,7 @@ from ardlab.models import make_chunk_models, predict
 from ardlab.ode import (
     DEFAULT_GRID,
     TimestepGrid,
+    _integrate_through,
     bi_velocity_field,
     chunk_velocity_field,
     gaussian_flow_map,
@@ -175,6 +176,25 @@ def test_flow_map_identity_on_component_mean_ray(t):
 # ---------------------------------------------------------------------------
 # pair datasets
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("times", [DEFAULT_GRID, (0.9, 0.5, 0.125)],
+                         ids=["grid", "tuple"])
+def test_integrate_through_matches_chained_integrate_calls(times):
+    field_fn = bi_velocity_field(DIST)
+    x = np.random.default_rng(3).standard_normal((50, 2))
+    steps = 40
+    endpoint, snapshots = _integrate_through(field_fn, x, times, steps)
+    assert snapshots.shape == (50, len(times), 2)
+    assert np.array_equal(snapshots[:, 0], x)
+    assert not np.shares_memory(snapshots, x)
+    bounds = list(times) + [0.0]
+    state = x
+    for k, (hi, lo) in enumerate(zip(bounds, bounds[1:])):
+        assert np.array_equal(snapshots[:, k], state)
+        sub = max(1, int(round(steps * (hi - lo) / bounds[0])))
+        state = integrate(field_fn, state, hi, lo, sub)
+    assert np.array_equal(endpoint, state)
 
 
 def test_make_pairs_bi_layout_and_determinism():

@@ -60,7 +60,8 @@ def _files_on_one_cpu_and_two(tmp_path, name, **cuts):
     small diffusion training so that it takes about a second, on one CPU and
     on two; only the two-CPU run may start threads."""
     def small_config(name, overrides=None):
-        config = presets._base_config(name)
+        _, base_config = presets._PRESETS[name]
+        config = base_config()
         train = dict(config.train)
         train["diffusion"] = TrainConfig(method="ridge", step_count=10, batch_size=50)
         return config.with_overrides(feature_count=32, train=train, **cuts)

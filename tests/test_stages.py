@@ -32,7 +32,6 @@ from ardlab.models import (
 )
 from ardlab.ode import (
     DEFAULT_GRID,
-    _segment_plan,
     bi_velocity_field,
     chunk_velocity_field,
     gaussian_flow_map,
@@ -695,8 +694,10 @@ def test_learned_teacher_pairs_integrate_its_field(learned_teacher):
         prefixes = cols.prefix[:, : spec.prefix_dim(i)]
         field_fn = chunk_velocity_field(learned_teacher, i, prefixes)
         x = cols.snapshots[:, 0, sl]  # the noise at t = 1
-        for k, (hi, lo, sub) in enumerate(_segment_plan(DEFAULT_GRID, steps), start=1):
-            x = integrate(field_fn, x, hi, lo, sub)
+        # one segment per grid interval, steps shared in proportion to length
+        bounds = list(DEFAULT_GRID) + [0.0]
+        for k, (hi, lo) in enumerate(zip(bounds, bounds[1:]), start=1):
+            x = integrate(field_fn, x, hi, lo, max(1, round(steps * (hi - lo))))
             if lo > 0.0:
                 assert np.array_equal(x, cols.snapshots[:, k, sl])
         assert np.array_equal(x, cols.endpoint[:, sl])
