@@ -1,12 +1,26 @@
 """Command-line interface: one verb per pipeline stage, plus presets.
 
-Verbs: gen-data, train, distill, dmd, cd, audit, preset, report.  Every
-pipeline verb accepts the same configuration flags (mirroring
-ExperimentConfig fields) plus --config pointing at a JSON document; values
-from the document override flags, which override built-in defaults.  Which
-arm of a stage runs is no config field: each verb takes only the stage
-toggles it reads (--diffusion, --ode, --cd, --init).  A preset fixes its
-own config, so `preset` takes only --master-seed and --output-dir.
+Verbs: gen-data, train, distill, dmd, cd, audit, preset, report.  Each
+pipeline verb takes --config (a JSON document whose values override flags,
+which override defaults), --master-seed, --output-dir, and a flag or
+document key for only the fields and train stages its body reads
+(VERB_FIELDS).  Layout is n_frames, frame_dim and chunk_size; the family
+flags (--distribution, --rho, --corr, --separation, --components) set
+components.
+
+  gen-data  components, layout, grid, solver_steps, dataset_size
+  train     components, layout, feature_count, frequency_scale, train.diffusion
+  distill   feature_count, frequency_scale, train.distill
+  dmd       components, layout, grid, feature_count, frequency_scale,
+            train.dmd, and train.diffusion with --init denoiser
+  cd        components, layout, feature_count, frequency_scale, train.cd
+  audit     components, layout
+
+Any other field or train stage is a configuration error that names it
+(exit 2), so a field a verb does not read keeps its default.  distill takes
+its layout from its dataset.  Each verb takes only the stage toggles it
+reads (--diffusion, --ode, --cd, --init); `preset` takes only
+--master-seed and --output-dir.
 
 Exit codes: 0 success, 1 failed run-level assertion or diverged training,
 2 usage or configuration error (a singular covariance or ridge normal
@@ -70,41 +84,67 @@ from .storage import (
     save_models,
 )
 
-#: ExperimentConfig fields that every pipeline verb takes as a flag of the
-#: same name (n_frames is --n-frames), typed like the field's default
-CONFIG_FLAG_FIELDS = (
-    "n_frames",
-    "frame_dim",
-    "chunk_size",
-    "grid",
-    "solver_steps",
-    "feature_count",
-    "frequency_scale",
-    "dataset_size",
-    "master_seed",
-    "output_dir",
-)
+#: the data law: mixture tables and sequence layout
+LAW = ("components", "n_frames", "frame_dim", "chunk_size")
+#: the model fields
+MODEL = ("feature_count", "frequency_scale")
+#: the fields every pipeline verb reads
+COMMON_FIELDS = ("master_seed", "output_dir")
+
+#: each pipeline verb's other fields and train stages ("train.<stage>"):
+#: its config flags and the document keys it accepts
+VERB_FIELDS = {
+    "gen-data": (*LAW, "grid", "solver_steps", "dataset_size"),
+    "train": (*LAW, *MODEL, "train.diffusion"),
+    "distill": (*MODEL, "train.distill"),
+    "dmd": (*LAW, "grid", *MODEL, "train.dmd", "train.diffusion"),
+    "cd": (*LAW, *MODEL, "train.cd"),
+    "audit": LAW,
+}
+
+#: each family parameter flag and the --distribution it belongs to
+_FAMILY_PARAMS = {"rho": "bivariate", "corr": "ar1", "separation": "two-mode"}
+
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+
+#: the fields with a flag of their own name (n_frames is --n-frames)
+_FIELD_FLAGS = tuple(name for name in _DEFAULTS if name not in ("components", "train"))
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+class _Unread(argparse.Action):
+    """A flag of a field the verb does not read: a usage error naming it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"configuration error: {parser.prog.split()[-1]} does not "
+                     f"read {self.dest} ({option_string})")
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, verb: str) -> None:
+    reads = VERB_FIELDS[verb] + COMMON_FIELDS
     group = parser.add_argument_group("configuration")
     group.add_argument("--config", metavar="PATH",
                        help="JSON config document; its values override flags")
-    group.add_argument("--distribution", choices=("bivariate", "ar1", "two-mode"),
-                       help="named lab distribution; fills components and layout")
-    group.add_argument("--rho", type=float, help="bivariate correlation")
-    group.add_argument("--corr", type=float, help="ar1 frame correlation")
-    group.add_argument("--separation", type=float, help="two-mode mode offset")
-    group.add_argument("--components", metavar="JSON",
-                       help="mixture component tables as a JSON list")
-    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
-    for name in CONFIG_FLAG_FIELDS:
-        if name == "grid":  # parsed by gather_overrides
-            kwargs = dict(metavar="T1,T2,...",
-                          help="few-step grid times, comma separated")
+    flags = {  # the family flags set components
+        "distribution": dict(choices=("bivariate", "ar1", "two-mode"),
+                             help="named lab distribution; sets components, layout"),
+        "rho": dict(type=float, help="bivariate correlation"),
+        "corr": dict(type=float, help="ar1 frame correlation"),
+        "separation": dict(type=float, help="two-mode mode offset"),
+        "components": dict(metavar="JSON",
+                           help="mixture component tables as a JSON list"),
+    }
+    for name in _FIELD_FLAGS:
+        flags[name] = dict(type=type(_DEFAULTS[name]))
+    # build_config parses the grid
+    flags["grid"] = dict(metavar="T1,T2,...", help="few-step grid times")
+    for name, kwargs in flags.items():
+        field_name = name if name in _DEFAULTS else "components"
+        flag = f"--{name.replace('_', '-')}"
+        if field_name in reads:
+            group.add_argument(flag, dest=name, **kwargs)
         else:
-            kwargs = dict(type=type(defaults[name]))
-        group.add_argument(f"--{name.replace('_', '-')}", dest=name, **kwargs)
+            parser.add_argument(flag, dest=field_name, action=_Unread,
+                                default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
 
 #: stage toggles, each a flag of only the verbs that read it
@@ -121,57 +161,62 @@ def _add_toggle_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(f"--{name}", **_TOGGLES[name])
 
 
-def _distribution_overrides(args) -> dict:
-    """Expand --distribution (+ its parameter flags) into config fields."""
-    if args.distribution is None:
-        return {}
-    params = {}
-    if args.distribution == "bivariate" and args.rho is not None:
-        params["rho"] = args.rho
-    if args.distribution == "ar1":
-        if args.corr is not None:
-            params["corr"] = args.corr
-        if args.n_frames is not None:
-            params["n_frames"] = args.n_frames
-        if args.chunk_size is not None:
-            params["chunk_size"] = args.chunk_size
-    if args.distribution == "two-mode" and args.separation is not None:
-        params["separation"] = args.separation
-    dist = named_distribution(args.distribution, **params)
-    spec = dist.spec
-    return {
-        "components": component_tables(dist),
-        "n_frames": spec.n_frames,
-        "frame_dim": spec.frame_dim,
-        "chunk_size": spec.chunk_size,
-    }
-
-
-def gather_overrides(args) -> dict:
-    """Explicitly-set flags as a config fragment (defaults stay absent)."""
-    overrides = dict(_distribution_overrides(args))
-    for name in CONFIG_FLAG_FIELDS:
-        if getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
+def _family_overrides(args) -> dict:
+    """components from the family flags, and the layout from --distribution.
+    A parameter flag needs its own --distribution, and --components excludes
+    --distribution."""
+    for name, family in _FAMILY_PARAMS.items():
+        if getattr(args, name) is not None and args.distribution != family:
+            raise ConfigError(f"--{name} needs --distribution {family}")
     if args.components is not None:
+        if args.distribution is not None:
+            raise ConfigError("--components and --distribution both set the "
+                              "mixture tables; give one")
         try:
-            overrides["components"] = json.loads(args.components)
+            return {"components": json.loads(args.components)}
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--components is not valid JSON: {exc}")
-    if "grid" in overrides and isinstance(overrides["grid"], str):
-        try:
-            overrides["grid"] = tuple(
-                float(part) for part in overrides["grid"].split(",")
-            )
-        except ValueError:
-            raise ConfigError(f"--grid must be comma-separated floats")
-    if args.config is not None:
-        overrides.update(read_config_document(args.config))
-    return overrides
+    if args.distribution is None:
+        return {}
+    params = {name: getattr(args, name) for name in _FAMILY_PARAMS}
+    if args.distribution == "ar1":
+        params.update(n_frames=args.n_frames, chunk_size=args.chunk_size)
+    dist = named_distribution(args.distribution, **{
+        name: value for name, value in params.items() if value is not None})
+    spec = dist.spec
+    return {"components": component_tables(dist), "n_frames": spec.n_frames,
+            "frame_dim": spec.frame_dim, "chunk_size": spec.chunk_size}
 
 
 def build_config(args) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(gather_overrides(args))
+    """The verb's config: defaults, then its flags, then its --config
+    document.  A field or train stage outside the verb's VERB_FIELDS row is
+    a ConfigError that names it."""
+    overrides = {}
+    if "components" in VERB_FIELDS[args.verb]:
+        overrides.update(_family_overrides(args))
+    for name in _FIELD_FLAGS:
+        if getattr(args, name, None) is not None:
+            overrides[name] = getattr(args, name)
+    if "grid" in overrides:
+        try:
+            overrides["grid"] = tuple(float(t) for t in overrides["grid"].split(","))
+        except ValueError:
+            raise ConfigError("--grid must be comma-separated floats")
+    if args.config is not None:
+        overrides.update(read_config_document(args.config))
+    config = ExperimentConfig.from_dict(overrides)
+    reads = VERB_FIELDS[args.verb] + COMMON_FIELDS
+    verb = args.verb
+    if verb == "dmd" and args.init != "denoiser":
+        reads = tuple(name for name in reads if name != "train.diffusion")
+        verb = "dmd without --init denoiser"
+    names = [key for key in overrides if key != "train"]
+    names += [f"train.{stage}" for stage in overrides.get("train", {})]
+    unread = [name for name in names if name not in reads]
+    if unread:
+        raise ConfigError(f"{verb} does not read {', '.join(unread)}")
+    return config
 
 
 def _out_root(config: ExperimentConfig) -> Path:
@@ -228,7 +273,8 @@ def _cmd_distill(args) -> int:
     if args.ode == "none":
         raise ConfigError("distill needs --ode to pick its data")
     dataset = load_dataset(_dataset_path(config, args))
-    students = config.chunk_models("generator", config.master_seed + 11)
+    students = config.chunk_models("generator", config.master_seed + 11,
+                                   spec=dataset.spec)
     result = ode_distill(dataset, students, config.train["distill"],
                          seed=config.master_seed + 22)
     root = _out_root(config)
@@ -240,13 +286,13 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_dmd(args) -> int:
+    if args.diffusion is not None and args.init != "denoiser":
+        raise ConfigError("--diffusion picks the denoiser of --init denoiser")
     config = build_config(args)
     dist = config.distribution()
     grid = config.timestep_grid()
     root = _out_root(config)
     generators = config.chunk_models("generator", config.master_seed + 11)
-    if args.diffusion is not None and args.init != "denoiser":
-        raise ConfigError("--diffusion picks the denoiser of --init denoiser")
     if args.init == "denoiser":
         velocities = config.chunk_models("ar-velocity", config.master_seed + 11)
         trainer = (train_ar_diffusion_df if args.diffusion == "df"
@@ -373,46 +419,33 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("gen-data", help="integrate and store ODE pair datasets")
-    _add_config_flags(p)
-    _add_toggle_flags(p, "ode")
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("train", help="train per-chunk denoisers (tf or df)")
-    _add_config_flags(p)
-    _add_toggle_flags(p, "diffusion")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("distill", help="regress few-step generators onto stored pairs")
-    _add_config_flags(p)
-    _add_toggle_flags(p, "ode")
-    p.add_argument("--data", metavar="PATH",
-                   help="pair dataset (default: the gen-data output path)")
-    p.set_defaults(func=_cmd_distill)
-
-    p = sub.add_parser("dmd", help="distribution-matching generator updates")
-    _add_config_flags(p)
-    _add_toggle_flags(p, "init")
+    verbs = {}
+    for verb, func, toggles, text in (
+        ("gen-data", _cmd_gen_data, ("ode",), "integrate and store ODE pair datasets"),
+        ("train", _cmd_train, ("diffusion",), "train per-chunk denoisers (tf or df)"),
+        ("distill", _cmd_distill, ("ode",),
+         "regress few-step generators onto stored pairs"),
+        ("dmd", _cmd_dmd, ("init",), "distribution-matching generator updates"),
+        ("cd", _cmd_cd, ("cd",), "consistency training on a uniform grid"),
+        ("audit", _cmd_audit, (), "oracle-backed diagnostics with pass/fail"),
+    ):
+        verbs[verb] = p = sub.add_parser(verb, help=text)
+        _add_config_flags(p, verb)
+        _add_toggle_flags(p, *toggles)
+        p.set_defaults(func=func)
+    verbs["distill"].add_argument("--data", metavar="PATH",
+                                  help="pair dataset (default: gen-data's output)")
     # read only by --init denoiser, so it has no default of its own here
-    p.add_argument("--diffusion", choices=_TOGGLES["diffusion"]["choices"])
-    p.set_defaults(func=_cmd_dmd)
-
-    p = sub.add_parser("cd", help="consistency training on a uniform grid")
-    _add_config_flags(p)
-    _add_toggle_flags(p, "cd")
-    p.add_argument("--cd-cells", type=int, default=12,
-                   help="uniform grid cell count (default 12)")
-    p.set_defaults(func=_cmd_cd)
-
-    p = sub.add_parser("audit", help="oracle-backed diagnostics with pass/fail")
-    _add_config_flags(p)
+    verbs["dmd"].add_argument("--diffusion", choices=_TOGGLES["diffusion"]["choices"])
+    verbs["cd"].add_argument("--cd-cells", type=int, default=12,
+                             help="uniform grid cell count (default 12)")
+    p = verbs["audit"]
     p.add_argument("--kind", choices=("injectivity", "df-mismatch", "both"),
                    default="both")
     p.add_argument("--time", type=float, default=0.5,
                    help="noise level t for the audits (default 0.5)")
     p.add_argument("--anchors", type=int, default=24)
     p.add_argument("--resamples", type=int, default=3000)
-    p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("preset", help="run a canned experiment end to end")
     p.add_argument("name", choices=PRESET_NAMES + ("all",))

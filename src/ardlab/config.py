@@ -213,14 +213,18 @@ class ExperimentConfig:
     def timestep_grid(self) -> TimestepGrid:
         return TimestepGrid(self.grid)
 
-    def chunk_models(self, role: str, seed: int) -> ChunkModelSet:
-        """A fresh model set of the given role on this run's layout.  A fake
-        score gets half the features (at least 32); every other role gets
+    def chunk_models(self, role: str, seed: int,
+                     spec: SequenceSpec | None = None) -> ChunkModelSet:
+        """A fresh model set of the given role on spec, by default this
+        run's layout (a stored dataset brings its own).  A fake score gets
+        half the features (at least 32); every other role gets
         feature_count."""
         m = self.feature_count
         if role == "fake-score":
             m = max(32, m // 2)
-        return make_chunk_models(self.sequence_spec(), role, m, seed,
+        if spec is None:
+            spec = self.sequence_spec()
+        return make_chunk_models(spec, role, m, seed,
                                  frequency_scale=self.frequency_scale)
 
     def pairs(self, kind: str) -> PairDataset:

@@ -505,6 +505,8 @@ def df_mismatch(
     expectation, df_mismatch_oracle, as oracle_kl.
     """
     oracle = df_mismatch_oracle(dist, chunk_index, t)  # also guards the arguments
+    if n < 2:
+        raise ConfigError("need at least 2 prefix draws")
     rng = np.random.default_rng(seed)
     x0 = sample_clean_with_rng(dist, n, rng)
     prefixes = x0[:, dist.spec.prefix_slice(chunk_index)]

@@ -473,9 +473,6 @@ def _run_d3(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-_RIDGE = dict(method="ridge", ridge_lambda=1e-6)
-
-
 #: each preset's runner, config -> (reports, checks, datasets, traces), and
 #: its base-config builder, called anew for every run
 _PRESETS = {
@@ -483,13 +480,12 @@ _PRESETS = {
         components=component_tables(bivariate_pair(0.8)),
         dataset_size=4096,
         solver_steps=128,
-        train=_stage_train(distill=TrainConfig(**_RIDGE)),
         master_seed=1300,
     )),
     "fig4-analog": (_run_fig4, lambda: ExperimentConfig(
         components=component_tables(bivariate_pair(0.8)),
         train=_stage_train(
-            diffusion=TrainConfig(step_count=300, batch_size=100, **_RIDGE)),
+            diffusion=TrainConfig(step_count=300, batch_size=100)),
         master_seed=1400,
     )),
     "table2-analog": (_run_table2, lambda: ExperimentConfig(
@@ -503,10 +499,8 @@ _PRESETS = {
         dataset_size=1500,
         solver_steps=96,
         train=_stage_train(
-            diffusion=TrainConfig(step_count=900, batch_size=100, **_RIDGE),
-            distill=TrainConfig(**_RIDGE),
-            cd=TrainConfig(step_count=40, batch_size=4096,
-                           ema_rate=0.0, **_RIDGE),
+            diffusion=TrainConfig(step_count=900, batch_size=100),
+            cd=TrainConfig(step_count=40, batch_size=4096, ema_rate=0.0),
         ),
         master_seed=2000,
     )),
@@ -519,9 +513,9 @@ _PRESETS = {
         n_frames=1,
         feature_count=256,
         train=_stage_train(
-            diffusion=TrainConfig(step_count=300, batch_size=100, **_RIDGE),
+            diffusion=TrainConfig(step_count=300, batch_size=100),
             dmd=TrainConfig(step_count=300, batch_size=256,
-                            learning_rate=0.05, fake_update_ratio=2, **_RIDGE),
+                            learning_rate=0.05, fake_update_ratio=2),
         ),
         master_seed=4200,
     )),
@@ -530,9 +524,7 @@ _PRESETS = {
         dataset_size=4096,
         solver_steps=128,
         train=_stage_train(
-            diffusion=TrainConfig(step_count=300, batch_size=100, **_RIDGE),
-            distill=TrainConfig(**_RIDGE),
-        ),
+            diffusion=TrainConfig(step_count=300, batch_size=100)),
         master_seed=4300,
     )),
 }

@@ -30,7 +30,6 @@ same least-squares problem as matching G to x0 directly.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -72,13 +71,12 @@ DMD_DIVERGENCE_LIMIT = 1e6
 
 @dataclass
 class StageResult:
-    """What a training stage hands back: the models plus bookkeeping."""
+    """What a training stage hands back: the models, their loss trace, and
+    its ridge fits' readings (info["ridge"], and info["per_chunk_loss"] for
+    the velocity and distill stages)."""
 
     models: ChunkModelSet
     loss_trace: np.ndarray
-    config: TrainConfig
-    master_seed: int
-    wall_seconds: float
     info: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
@@ -163,7 +161,6 @@ def _train_velocity(
     spec = students.seq_spec
     if spec != dist.spec:
         raise ConfigError("student and distribution sequence layouts differ")
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
 
     if cfg.method == "ridge":
@@ -207,18 +204,11 @@ def _train_velocity(
             )
             trace[step] = float(np.mean(resid**2))
 
-    info = {"prefix_mode": prefix_mode, "mode": cfg.method}
+    info = {}
     if per_chunk is not None:
         info["per_chunk_loss"] = per_chunk
         info["ridge"] = _ridge_info(range(1, spec.n_chunks + 1), fits)
-    return StageResult(
-        models=students,
-        loss_trace=trace,
-        config=cfg,
-        master_seed=seed,
-        wall_seconds=time.perf_counter() - start,
-        info=info,
-    )
+    return StageResult(models=students, loss_trace=trace, info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +309,6 @@ def ode_distill(
     if sets[0].seq_spec != dataset.spec:
         raise ConfigError("student and dataset sequence layouts differ")
     spec = dataset.spec
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     design = _distill_design(dataset, prefix_mode)
 
@@ -373,25 +362,13 @@ def ode_distill(
                 models.replace_member(i, member)
             del phi_all  # hold one chunk's features at a time
 
-    wall_seconds = time.perf_counter() - start
     results = []
     for k, models in enumerate(sets):
-        info = {
-            "prefix_mode": prefix_mode,
-            "mode": cfg.method,
-            "rows_per_chunk": {i: design[i]["t"].size for i in design},
-        }
+        info = {}
         if per_chunk is not None:
             info["per_chunk_loss"] = per_chunk[k]
             info["ridge"] = _ridge_info(range(1, spec.n_chunks + 1), fits[k])
-        results.append(StageResult(
-            models=models,
-            loss_trace=traces[k],
-            config=cfg,
-            master_seed=seed,
-            wall_seconds=wall_seconds,
-            info=info,
-        ))
+        results.append(StageResult(models=models, loss_trace=traces[k], info=info))
     return results if isinstance(students, list) else results[0]
 
 
@@ -544,7 +521,6 @@ def dmd_train(
     if generators.seq_spec != dist.spec or fake_models.seq_spec != dist.spec:
         raise ConfigError("model and distribution sequence layouts differ")
     spec = dist.spec
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     trace = np.empty(cfg.step_count)
     fit_chunks, fits = [], []
@@ -581,17 +557,8 @@ def dmd_train(
         grad = dmd_generator_gradient(final_phi, t_last, delta)
         generators.replace_member(i, sgd_step(member, grad, cfg.learning_rate))
 
-    info = {"fake_models": fake_models}
-    if fits:
-        info["ridge"] = _ridge_info(fit_chunks, fits)
-    return StageResult(
-        models=generators,
-        loss_trace=trace,
-        config=cfg,
-        master_seed=seed,
-        wall_seconds=time.perf_counter() - start,
-        info=info,
-    )
+    info = {"ridge": _ridge_info(fit_chunks, fits)} if fits else {}
+    return StageResult(models=generators, loss_trace=trace, info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +618,6 @@ def cd_train(
     spec = students.seq_spec
     if spec != dist.spec:
         raise ConfigError("student and distribution sequence layouts differ")
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     dt = 1.0 / grid_size
     theta_minus = {
@@ -704,14 +670,5 @@ def cd_train(
             theta_minus[i], students.member(i).theta, cfg.ema_rate
         )
 
-    info = {"grid_size": grid_size, "teacher_kind": teacher_kind}
-    if fits:
-        info["ridge"] = _ridge_info(fit_chunks, fits)
-    return StageResult(
-        models=students,
-        loss_trace=trace,
-        config=cfg,
-        master_seed=seed,
-        wall_seconds=time.perf_counter() - start,
-        info=info,
-    )
+    info = {"ridge": _ridge_info(fit_chunks, fits)} if fits else {}
+    return StageResult(models=students, loss_trace=trace, info=info)

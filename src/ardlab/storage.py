@@ -422,12 +422,15 @@ def read_report_csv(path) -> dict:
             report = out.setdefault(
                 name, DiagnosticsReport(name=name, config_digest=digest)
             )
-            report.metrics[metric] = MetricEntry(
-                value=float(value),
-                uncertainty=float(unc),
-                sample_count=int(count),
-                note=note,
-            )
+            try:
+                report.metrics[metric] = MetricEntry(
+                    value=float(value),
+                    uncertainty=float(unc),
+                    sample_count=int(count),
+                    note=note,
+                )
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}, line {lineno}: {exc}")
     return out
 
 
@@ -457,5 +460,13 @@ def load_loss_trace(path) -> np.ndarray:
                 raise DatasetFormatError(
                     f"{path}, line {lineno}: expected two columns"
                 )
-            losses.append(float(row[1]))
+            try:
+                loss = float(row[1])
+            except ValueError:
+                loss = np.nan
+            if not np.isfinite(loss):
+                raise DatasetFormatError(
+                    f"{path}, line {lineno}: loss {row[1]!r} is not a finite number"
+                )
+            losses.append(loss)
     return np.asarray(losses)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import ardlab.config
-from ardlab.cli import CONFIG_FLAG_FIELDS, build_config, main, make_parser
+from ardlab.cli import COMMON_FIELDS, VERB_FIELDS, build_config, main, make_parser
 from ardlab.config import (
+    TRAIN_STAGES,
     ExperimentConfig,
     ar1_sequence,
     bivariate_pair,
@@ -22,7 +23,13 @@ from ardlab.errors import ConfigError, GridError
 from ardlab.models import TrainConfig, make_chunk_models
 from ardlab.ode import make_pairs_bi, make_pairs_causal
 from ardlab.presets import PRESET_NAMES, preset_config, run_preset
-from ardlab.storage import load_models, read_report_csv, save_dataset, save_models
+from ardlab.storage import (
+    load_dataset,
+    load_models,
+    read_report_csv,
+    save_dataset,
+    save_models,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +197,10 @@ def test_cli_usage_and_config_errors_exit_2(tmp_path, capsys):
     assert main(_gen_data_args(tmp_path, 0) + ["--config", str(bad)]) == 2
     bad.write_text("[1, 2]")
     assert main(_gen_data_args(tmp_path, 0) + ["--config", str(bad)]) == 2
+    # the df-mismatch audit needs two prefix draws for its standard error
+    assert main(["audit", "--kind", "df-mismatch", "--resamples", "0",
+                 "--output-dir", str(tmp_path / "audit")]) == 2
+    assert not (tmp_path / "audit").exists()
     with pytest.raises(SystemExit) as exc:
         main(["gen-data", "--diffusion", "ddim"])
     assert exc.value.code == 2
@@ -230,22 +241,28 @@ def test_cli_bad_mixture_tables_exit_2(tmp_path, capsys, table):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("document", [
+def _on(verb, document):
+    """A document case run by a verb that reads its field."""
+    return pytest.param(verb, document, id=document)
+
+
+@pytest.mark.parametrize("verb, document", [
     # a count must be an int, not a string, a bool or a fraction
-    '{"dataset_size": "10"}',
-    '{"feature_count": true}',
-    '{"train": {"diffusion": {"step_count": 2.5}}}',
-    '{"solver_steps": 2.5}',
+    _on("gen-data", '{"dataset_size": "10"}'),
+    _on("train", '{"feature_count": true}'),
+    _on("train", '{"train": {"diffusion": {"step_count": 2.5}}}'),
+    _on("gen-data", '{"solver_steps": 2.5}'),
     # a real must be finite
-    '{"train": {"diffusion": {"method": "sgd", "learning_rate": NaN}}}',
+    _on("train", '{"train": {"diffusion": {"method": "sgd", "learning_rate": NaN}}}'),
     # the mixture tables are a list, the output directory a path string
-    '{"components": 5}',
-    '{"output_dir": 5}',
+    _on("train", '{"components": 5}'),
+    _on("train", '{"output_dir": 5}'),
 ])
-def test_cli_bad_numbers_in_a_config_document_exit_2(tmp_path, capsys, document):
+def test_cli_bad_numbers_in_a_config_document_exit_2(tmp_path, capsys, verb, document):
     doc = tmp_path / "config.json"
     doc.write_text(document)
-    argv = ["train", "--config", str(doc), "--output-dir", str(tmp_path / "out")]
+    argv = [verb, "--ode", "causal-ode"] if verb == "gen-data" else [verb]
+    argv += ["--config", str(doc), "--output-dir", str(tmp_path / "out")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
@@ -277,7 +294,12 @@ def test_cli_io_errors_exit_3(tmp_path, capsys):
     garbled = tmp_path / "garbled.jsonl"
     garbled.write_text("not a dataset\n")
     assert main(args[:4] + [str(garbled), "--output-dir", str(tmp_path)]) == 3
-    capsys.readouterr()
+    # a report cell that is not a finite number is a format error too
+    report = tmp_path / "report.csv"
+    report.write_text("report,metric,value,uncertainty,sample_count,config_digest,note\n"
+                      "r,m,abc,0.0,1,cafe01234567,\n")
+    assert main(["report", str(report)]) == 3
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_cli_distill_malformed_record_exits_3(tmp_path, capsys):
@@ -381,14 +403,13 @@ def test_cli_report_round_trip(tmp_path, capsys):
 
 
 def test_cli_train_distill_pipeline(tmp_path, capsys):
+    # each verb is given only the flags of the fields it reads
     out = tmp_path / "pipe"
-    common = [
-        "--feature-count", "64", "--master-seed", "4", "--output-dir", str(out),
-        "--dataset-size", "200", "--solver-steps", "16",
-    ]
-    assert main(["gen-data", "--ode", "causal-ode"] + common) == 0
-    assert main(["train", "--diffusion", "tf"] + common) == 0
-    assert main(["distill", "--ode", "causal-ode"] + common) == 0
+    common = ["--master-seed", "4", "--output-dir", str(out)]
+    assert main(["gen-data", "--ode", "causal-ode", "--dataset-size", "200",
+                 "--solver-steps", "16", *common]) == 0
+    assert main(["train", "--diffusion", "tf", "--feature-count", "64", *common]) == 0
+    assert main(["distill", "--ode", "causal-ode", "--feature-count", "64", *common]) == 0
     capsys.readouterr()
     from ardlab.storage import load_loss_trace, load_models
 
@@ -435,10 +456,10 @@ def test_cli_dmd_init_picks_the_starting_heads(tmp_path, monkeypatch, init):
     out = tmp_path / "dmd"
     out.mkdir()
     doc = tmp_path / "config.json"
-    doc.write_text(json.dumps({"train": {
-        "diffusion": {"step_count": 3, "batch_size": 16},
-        "dmd": {"step_count": 2, "batch_size": 16},
-    }}))
+    train = {"dmd": {"step_count": 2, "batch_size": 16}}
+    if init == "denoiser":  # the only start that reads train.diffusion
+        train["diffusion"] = {"step_count": 3, "batch_size": 16}
+    doc.write_text(json.dumps({"train": train}))
     stored = make_chunk_models(bivariate_pair(0.8).spec, role="generator", m=16,
                                seed=11)
     rng = np.random.default_rng(0)
@@ -680,23 +701,264 @@ _FLAG_CASES = {
 
 PIPELINE_VERBS = ("gen-data", "train", "distill", "dmd", "cd", "audit")
 
+_LAW_FLAGS = ("--distribution", "--rho", "--corr", "--separation", "--components",
+              "--n-frames", "--frame-dim", "--chunk-size")
+_MODEL_FLAGS = ("--feature-count", "--frequency-scale")
 
-@pytest.mark.parametrize("name", CONFIG_FLAG_FIELDS)
+#: each pipeline verb's config flags besides --config, --master-seed and
+#: --output-dir, which every verb takes
+_VERB_CONFIG_FLAGS = {
+    "gen-data": (*_LAW_FLAGS, "--grid", "--solver-steps", "--dataset-size"),
+    "train": (*_LAW_FLAGS, *_MODEL_FLAGS),
+    "distill": _MODEL_FLAGS,
+    "dmd": (*_LAW_FLAGS, "--grid", *_MODEL_FLAGS),
+    "cd": (*_LAW_FLAGS, *_MODEL_FLAGS),
+    "audit": _LAW_FLAGS,
+}
+_EVERY_VERB = ("--config", "--master-seed", "--output-dir")
+
+#: each pipeline verb's other flags: stage toggles and run options
+_OTHER_FLAGS = {
+    "gen-data": ("--ode",),
+    "train": ("--diffusion",),
+    "distill": ("--ode", "--data"),
+    "dmd": ("--init", "--diffusion"),
+    "cd": ("--cd", "--cd-cells"),
+    "audit": ("--kind", "--time", "--anchors", "--resamples"),
+}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _help_flags(verb, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"])
+    assert exc.value.code == 0
+    return {token for token in capsys.readouterr().out.split() if token.startswith("--")}
+
+
+@pytest.mark.parametrize("name", _FLAG_CASES)
 def test_each_config_flag_sets_its_field(name):
     text, value, extra = _FLAG_CASES[name]
-    flag = "--" + name.replace("_", "-")
+    verb = next(verb for verb in PIPELINE_VERBS
+                if _flag(name) in _VERB_CONFIG_FLAGS[verb] + _EVERY_VERB)
     assert getattr(ExperimentConfig(), name) != value
-    assert getattr(make_parser().parse_args(["train"]), name) is None
-    config = build_config(make_parser().parse_args(["train", flag, text, *extra]))
+    assert getattr(make_parser().parse_args([verb]), name) is None
+    config = build_config(make_parser().parse_args([verb, _flag(name), text, *extra]))
     assert getattr(config, name) == value
     assert type(getattr(config, name)) is type(value)
 
 
-@pytest.mark.parametrize("name", CONFIG_FLAG_FIELDS)
+@pytest.mark.parametrize("name", _FLAG_CASES)
 def test_each_pipeline_verb_lists_each_config_flag(name, capsys):
-    flag = "--" + name.replace("_", "-")
+    # a verb lists a field's flag exactly when it reads the field
     for verb in PIPELINE_VERBS:
+        listed = _flag(name) in _help_flags(verb, capsys)
+        assert listed == (_flag(name) in _VERB_CONFIG_FLAGS[verb] + _EVERY_VERB), verb
+
+
+@pytest.mark.parametrize("verb", PIPELINE_VERBS)
+def test_each_verb_help_lists_exactly_its_flags(verb, capsys):
+    want = {"--help", *_VERB_CONFIG_FLAGS[verb], *_EVERY_VERB, *_OTHER_FLAGS[verb]}
+    assert _help_flags(verb, capsys) == want
+
+
+# ---------------------------------------------------------------------------
+# each verb takes the fields it reads, and only those
+# ---------------------------------------------------------------------------
+
+
+_AR4 = component_tables(ar1_sequence(4, 0.5))
+_LAW = {"components": _AR4, "n_frames": 4}
+_TINY = {"step_count": 2, "batch_size": 16}
+
+#: a small call of each pipeline verb: its arguments and its config document
+_SMALL_CALLS = {
+    "gen-data": (["--ode", "causal-ode"],
+                 {**_LAW, "grid": [1.0, 0.5], "solver_steps": 8, "dataset_size": 6}),
+    "train": ([], {**_LAW, "feature_count": 16, "train": {"diffusion": _TINY}}),
+    "distill": (["--ode", "causal-ode"],
+                {"feature_count": 16, "train": {"distill": _TINY}}),
+    "dmd": (["--init", "denoiser"],
+            {**_LAW, "feature_count": 16, "train": {"diffusion": _TINY, "dmd": _TINY}}),
+    "cd": (["--cd", "causal-cd", "--cd-cells", "4"],
+           {**_LAW, "feature_count": 16, "train": {"cd": _TINY}}),
+    "audit": (["--anchors", "8", "--resamples", "800"], dict(_LAW)),
+}
+
+#: a changed value of each field.  n_frames * frame_dim is the law's
+#: dimension, so these two change together.
+_CHANGES = {
+    "components": {"components": component_tables(ar1_sequence(4, 0.2))},
+    "n_frames": {"n_frames": 2, "frame_dim": 2},
+    "frame_dim": {"frame_dim": 2, "n_frames": 2},
+    "chunk_size": {"chunk_size": 2},
+    "grid": {"grid": [1.0, 0.75]},
+    "solver_steps": {"solver_steps": 9},
+    "dataset_size": {"dataset_size": 7},
+    "feature_count": {"feature_count": 24},
+    "frequency_scale": {"frequency_scale": 0.5},
+    "master_seed": {"master_seed": 1},
+}
+
+
+def _changed(document, name):
+    if name.startswith("train."):
+        stage = name.removeprefix("train.")
+        settings = {**document.get("train", {}).get(stage, {}), "ridge_lambda": 0.5}
+        return {**document, "train": {**document.get("train", {}), stage: settings}}
+    return {**document, **_CHANGES[name]}
+
+
+@pytest.fixture
+def small_pairs(tmp_path):
+    """A causal pair dataset on the small calls' four-frame law."""
+    path = tmp_path / "pairs.jsonl"
+    config = ExperimentConfig(components=_AR4, n_frames=4, grid=(1.0, 0.5),
+                              solver_steps=8, dataset_size=6)
+    save_dataset(config.pairs("causal"), path)
+    return path
+
+
+def _call(tmp_path, verb, document, tag, small_pairs, extra=()):
+    """Run the verb's small call with this document into its own directory;
+    returns the exit code and that directory."""
+    args, _ = _SMALL_CALLS[verb]
+    if verb == "distill":
+        args = [*args, "--data", str(small_pairs)]
+    doc = tmp_path / f"{tag}.json"
+    doc.write_text(json.dumps(document))
+    out = tmp_path / tag
+    code = main([verb, *args, *extra, "--config", str(doc), "--output-dir", str(out)])
+    return code, out
+
+
+def _results(out):
+    """Every output file's bytes; an audit report as its metric entries, since
+    its config_digest column names the config, not a result."""
+    results = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "audit_report.csv":
+            results[path.name] = {(name, metric): entry
+                                  for name, report in read_report_csv(path).items()
+                                  for metric, entry in report.metrics.items()}
+        elif path.name != "audit_report.txt":
+            results[path.name] = path.read_bytes()
+    return results
+
+
+@pytest.mark.parametrize("verb", PIPELINE_VERBS)
+def test_each_field_a_verb_takes_changes_a_result(tmp_path, capsys, small_pairs, verb):
+    _, base = _SMALL_CALLS[verb]
+    code, out = _call(tmp_path, verb, base, "base", small_pairs)
+    assert code == 0
+    want = _results(out)
+    for name in VERB_FIELDS[verb] + ("master_seed",):
+        code, out = _call(tmp_path, verb, _changed(base, name), name, small_pairs)
+        assert code == 0, name
+        got = _results(out)
+        assert got.keys() == want.keys(), name
+        assert got != want, name
+    capsys.readouterr()
+
+
+#: a value of each flag, for the flags of unread fields
+_FLAG_TEXT = {
+    **{_flag(name): text for name, (text, _, _) in _FLAG_CASES.items()},
+    "--distribution": "ar1", "--rho": "0.5", "--corr": "0.5", "--separation": "2",
+    "--components": json.dumps(_AR4),
+}
+
+
+@pytest.mark.parametrize("verb", PIPELINE_VERBS)
+def test_each_field_a_verb_does_not_read_is_a_configuration_error(
+        tmp_path, capsys, small_pairs, verb):
+    _, base = _SMALL_CALLS[verb]
+    reads = VERB_FIELDS[verb] + COMMON_FIELDS
+    names = [name for name in ExperimentConfig().to_dict() if name != "train"]
+    names += [f"train.{stage}" for stage in TRAIN_STAGES]
+    unread = [name for name in names if name not in reads]
+    assert unread
+    for name in unread:
+        # as a document key, with a value the field takes
+        document = _changed(base, name) if name.startswith("train.") else {
+            **base, name: ExperimentConfig().to_dict()[name]}
+        code, out = _call(tmp_path, verb, document, "doc", small_pairs)
+        assert code == 2, name
+        err = capsys.readouterr().err
+        assert "configuration error" in err and name in err
+        assert not out.exists()
+    flags = [flag for flag in _FLAG_TEXT
+             if flag not in _VERB_CONFIG_FLAGS[verb] + _EVERY_VERB]
+    for flag in flags:
         with pytest.raises(SystemExit) as exc:
-            main([verb, "--help"])
-        assert exc.value.code == 0
-        assert flag in capsys.readouterr().out.split()
+            _call(tmp_path, verb, base, "flag", small_pairs,
+                  extra=(flag, _FLAG_TEXT[flag]))
+        assert exc.value.code == 2, flag
+        err = capsys.readouterr().err
+        assert "configuration error" in err and flag in err
+        assert not (tmp_path / "flag").exists()
+
+
+def test_dmd_reads_train_diffusion_only_with_the_denoiser_init(tmp_path, capsys):
+    doc = tmp_path / "config.json"
+    doc.write_text(json.dumps({"train": {"diffusion": _TINY}}))
+    for init in ("fresh", "distilled"):
+        out = tmp_path / init
+        argv = ["dmd", "--init", init, "--config", str(doc), "--output-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "train.diffusion" in err
+        assert not out.exists()
+
+
+def test_cli_distill_takes_its_layout_from_its_dataset(tmp_path, capsys):
+    # a six-frame gen-data run, then a distill run with no layout flags
+    out = tmp_path / "run"
+    assert main(["gen-data", "--ode", "causal-ode", "--distribution", "ar1",
+                 "--n-frames", "6", "--dataset-size", "10", "--solver-steps", "8",
+                 "--output-dir", str(out)]) == 0
+    assert main(["distill", "--ode", "causal-ode", "--feature-count", "16",
+                 "--master-seed", "3", "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    spec = load_dataset(out / "pairs_causal.jsonl").spec
+    assert spec.n_frames == 6
+    students = load_models(out / "models_generator.jsonl")
+    assert students.seq_spec == spec
+    fresh = ExperimentConfig(feature_count=16).chunk_models("generator", 14, spec=spec)
+    for got, want in zip(students.members, fresh.members, strict=True):
+        assert got.features == want.features
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--rho", "0.5"], "--rho needs --distribution bivariate"),
+    (["--distribution", "ar1", "--rho", "0.5"], "--rho needs --distribution bivariate"),
+    (["--corr", "0.5"], "--corr needs --distribution ar1"),
+    (["--distribution", "bivariate", "--corr", "0.5"], "--corr needs --distribution ar1"),
+    (["--separation", "2"], "--separation needs --distribution two-mode"),
+    (["--distribution", "ar1", "--separation", "2"],
+     "--separation needs --distribution two-mode"),
+    (["--distribution", "bivariate", "--components", json.dumps(_AR4)],
+     "--components and --distribution"),
+])
+def test_cli_family_flag_rules(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert main(["audit", *flags, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, dist", [
+    (["--distribution", "bivariate", "--rho", "0.3"], bivariate_pair(0.3)),
+    (["--distribution", "ar1", "--corr", "0.3", "--n-frames", "4", "--chunk-size", "2"],
+     ar1_sequence(4, 0.3, 2)),
+    (["--distribution", "two-mode", "--separation", "2"], two_mode(2.0)),
+    (["--components", json.dumps(_AR4), "--n-frames", "4"], ar1_sequence(4, 0.5)),
+])
+def test_cli_family_flags_set_the_law(flags, dist):
+    config = build_config(make_parser().parse_args(["audit", *flags]))
+    assert config.components == component_tables(dist)
+    assert config.sequence_spec() == dist.spec

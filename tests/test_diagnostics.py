@@ -407,6 +407,14 @@ def test_df_mismatch_guards():
             audit(flat, 2, 0.5)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_df_mismatch_needs_two_prefix_draws(n):
+    # one draw has no standard error, and zero draws have no mean
+    with pytest.raises(ConfigError, match="at least 2"):
+        df_mismatch(DIST, 2, 0.5, n=n)
+    assert df_mismatch(DIST, 2, 0.5, n=2)["expected_kl"].sample_count == 2
+
+
 # ---------------------------------------------------------------------------
 # trained-model metrics (mechanics on untrained students)
 # ---------------------------------------------------------------------------

@@ -609,13 +609,7 @@ def test_cd_fitted_iteration_improves_consistency():
 def test_stage_result_rejects_nonfinite_trace():
     students = make_chunk_models(SPEC, role="generator", m=8, seed=0)
     with pytest.raises(DivergenceError):
-        StageResult(
-            models=students,
-            loss_trace=np.array([1.0, np.nan]),
-            config=TrainConfig(),
-            master_seed=0,
-            wall_seconds=0.0,
-        )
+        StageResult(models=students, loss_trace=np.array([1.0, np.nan]))
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,20 @@ def test_read_report_rejects_bad_header(tmp_path):
         read_report_csv(path)
 
 
+@pytest.mark.parametrize("column", [2, 3, 4])  # value, uncertainty, sample_count
+@pytest.mark.parametrize("cell", ["abc", "nan", "inf", ""])
+def test_read_report_rejects_a_cell_that_is_not_a_finite_number(tmp_path, column, cell):
+    path = tmp_path / "report.csv"
+    emit_report(_reports(), "csv", path)
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    row[column] = cell
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match="line 3"):
+        read_report_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # loss traces
 # ---------------------------------------------------------------------------
@@ -338,4 +352,12 @@ def test_loss_trace_bad_header(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("loss\n1.0\n")
     with pytest.raises(DatasetFormatError, match="header"):
+        load_loss_trace(path)
+
+
+@pytest.mark.parametrize("cell", ["abc", "nan", "-inf", ""])
+def test_loss_trace_rejects_a_loss_that_is_not_a_finite_number(tmp_path, cell):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"step,loss\n0,1.0\n1,{cell}\n")
+    with pytest.raises(DatasetFormatError, match="line 3"):
         load_loss_trace(path)
