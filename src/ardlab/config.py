@@ -117,16 +117,13 @@ def _default_tables() -> tuple:
     return component_tables(bivariate_pair(0.8))
 
 
-def _default_train() -> dict:
-    return {name: TrainConfig() for name in TRAIN_STAGES}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a pipeline run needs, in JSON-friendly form.
 
     The distribution is stored as explicit mixture tables plus the sequence
-    layout fields.
+    layout fields.  `train` maps each of TRAIN_STAGES to its TrainConfig; a
+    stage the table leaves out gets TrainConfig().
     """
 
     components: tuple = field(default_factory=_default_tables)
@@ -135,7 +132,7 @@ class ExperimentConfig:
     chunk_size: int = 1
     grid: tuple = DEFAULT_GRID
     solver_steps: int = DATASET_STEPS
-    train: dict = field(default_factory=_default_train)
+    train: dict = field(default_factory=dict)
     feature_count: int = 512
     frequency_scale: float = 1.0
     dataset_size: int = 4096
@@ -167,12 +164,12 @@ class ExperimentConfig:
         object.__setattr__(self, "components", tuple(self.components))
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
-        missing = [name for name in TRAIN_STAGES if name not in self.train]
-        if missing:
-            raise ConfigError(f"train settings missing for stages: {missing}")
         extra = [name for name in self.train if name not in TRAIN_STAGES]
         if extra:
             raise ConfigError(f"train settings for unknown stages: {extra}")
+        object.__setattr__(self, "train", {
+            name: self.train.get(name, TrainConfig()) for name in TRAIN_STAGES
+        })
         # fail early on malformed tables rather than at pipeline time
         self.distribution()
 
@@ -261,7 +258,7 @@ class ExperimentConfig:
         if "train" in data:
             if not isinstance(data["train"], dict):
                 raise ConfigError("train must map stage names to settings")
-            train = _default_train()
+            train = {}
             for name, sub in data["train"].items():
                 if name not in TRAIN_STAGES:
                     raise ConfigError(f"train settings for unknown stage {name!r}")

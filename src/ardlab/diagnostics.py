@@ -568,10 +568,7 @@ def trained_conditional_kl(
     if not sets:
         raise ConfigError("trained_conditional_kl needs at least one student set")
     for students in sets:
-        if students.role != "ar-velocity" or students.seq_spec != spec:
-            raise ConfigError(
-                "trained_conditional_kl scores ar-velocity sets on the law's layout"
-            )
+        students.expect("ar-velocity", spec, "trained_conditional_kl")
     if len(dist.components) != 1:
         raise ConfigError("conditional KL oracle covers single-component data")
     if not (1 <= chunk_index <= spec.n_chunks):

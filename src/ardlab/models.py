@@ -23,7 +23,13 @@ from .errors import ConfigError, SingularCovarianceError
 
 TIME_EMBED_DIM = 4
 
-ROLES = ("generator", "ar-velocity", "fake-score")
+#: the readout each role's head enters: an ar-velocity head is the velocity
+#: itself, and a generator or fake-score head enters the anchored readout
+#: chunk - t * head(chunk, prefix, t) (see predict_x0), which is the
+#: identity at t = 0 by construction
+ROLE_READOUT = {"generator": "anchored", "ar-velocity": "direct",
+                "fake-score": "anchored"}
+ROLES = tuple(ROLE_READOUT)
 
 
 def _time_column(t) -> np.ndarray:
@@ -282,47 +288,17 @@ def featurize(spec: FeatureSpec, chunk, prefix, t, head=None) -> np.ndarray:
 
 @dataclass
 class LinearStudent:
-    """Linear head over a fixed feature bank.
-
-    The head's meaning follows the role: an ar-velocity head is the
-    velocity itself, and a generator or fake-score head enters the anchored
-    readout chunk - t * head(chunk, prefix, t) (see predict_x0), which is
-    the identity at t = 0 by construction.
-    """
+    """Linear head over a fixed feature bank.  Its meaning is the role of
+    the ChunkModelSet that holds it (see ROLE_READOUT)."""
 
     features: FeatureSpec
     theta: np.ndarray
-    role: str = "generator"
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
         if theta.ndim != 2 or theta.shape[0] != self.features.m:
             raise ValueError("theta must have shape (m, output_dim)")
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
         self.theta = theta
-
-
-def build_student(
-    m: int,
-    chunk_dim: int,
-    prefix_dim: int,
-    role: str,
-    seed: int = 0,
-    frequency_scale: float = 1.0,
-) -> LinearStudent:
-    spec = FeatureSpec(
-        m=m,
-        chunk_dim=chunk_dim,
-        prefix_dim=prefix_dim,
-        frequency_scale=frequency_scale,
-        seed=seed,
-    )
-    return LinearStudent(
-        features=spec,
-        theta=np.zeros((m, chunk_dim)),
-        role=role,
-    )
 
 
 def predict(model: LinearStudent, chunk, prefix, t) -> np.ndarray:
@@ -479,9 +455,9 @@ class TrainConfig:
 
     `method` picks how every head update is made: a closed-form ridge fit
     over a sampled design ("ridge", see fit_head) or one plain minibatch
-    gradient step ("sgd", see update_head).  The design size of a ridge
-    stage is step_count * batch_size, so budgets stay comparable across
-    methods.
+    gradient step ("sgd", see update_head).  A ridge velocity fit draws a
+    design of step_count * batch_size rows, so budgets stay comparable
+    across methods; docs/config_schema.md says which stage reads which key.
     """
 
     learning_rate: float = 0.1
@@ -583,7 +559,8 @@ class ChunkModelSet:
     """One student per chunk index; chunk i never sees chunks at or after i.
 
     Causal masking is structural: the chunk-i member's feature bank only
-    accepts (i - 1) chunks of prefix input.
+    accepts (i - 1) chunks of prefix input.  The set's role says how every
+    member's head is read out (ROLE_READOUT).
     """
 
     seq_spec: SequenceSpec
@@ -596,15 +573,19 @@ class ChunkModelSet:
         if len(self.members) != self.seq_spec.n_chunks:
             raise ValueError("need exactly one member per chunk")
         for i, member in enumerate(self.members, start=1):
-            if member.role != self.role:
-                raise ValueError(
-                    f"member {i} has role {member.role!r}, not the set's {self.role!r}"
-                )
             if member.features.chunk_dim != self.seq_spec.chunk_dim:
                 raise ValueError(f"member {i} has the wrong chunk width")
             if member.features.prefix_dim != self.seq_spec.prefix_dim(i):
                 raise ValueError(f"member {i} has the wrong prefix width")
         self.members = tuple(self.members)
+
+    def expect(self, role: str, spec: SequenceSpec, user: str) -> None:
+        """ConfigError unless this set has `role` and the sequence layout
+        `spec`; `user` names the caller in the message."""
+        if self.role != role:
+            raise ConfigError(f"{user} expects {role} models, got {self.role}")
+        if self.seq_spec != spec:
+            raise ConfigError(f"{user}: model and data sequence layouts differ")
 
     def member(self, i: int) -> LinearStudent:
         return self.members[i - 1]
@@ -628,14 +609,12 @@ def make_chunk_models(
     seed: int = 0,
     frequency_scale: float = 1.0,
 ) -> ChunkModelSet:
+    """A set of zero heads, chunk i's on the bank seeded member_seed(seed, i)."""
     members = tuple(
-        build_student(
-            m=m,
-            chunk_dim=seq_spec.chunk_dim,
-            prefix_dim=seq_spec.prefix_dim(i),
-            role=role,
-            seed=member_seed(seed, i),
-            frequency_scale=frequency_scale,
+        LinearStudent(
+            FeatureSpec(m, seq_spec.chunk_dim, seq_spec.prefix_dim(i),
+                        frequency_scale, member_seed(seed, i)),
+            np.zeros((m, seq_spec.chunk_dim)),
         )
         for i in range(1, seq_spec.n_chunks + 1)
     )

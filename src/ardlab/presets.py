@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import models
 from .config import (
-    TRAIN_STAGES,
     ExperimentConfig,
     ar1_sequence,
     bivariate_pair,
@@ -63,13 +62,6 @@ def _scalar_report(name: str, entries: dict) -> DiagnosticsReport:
     for metric, value in entries.items():
         report.add(metric, float(value), 0.0, 1)
     return report
-
-
-def _stage_train(**overrides) -> dict:
-    """Full per-stage train table: defaults plus the given stage settings."""
-    table = {name: TrainConfig() for name in TRAIN_STAGES}
-    table.update(overrides)
-    return table
 
 
 def _renamed(report: DiagnosticsReport, name: str) -> DiagnosticsReport:
@@ -484,7 +476,7 @@ _PRESETS = {
     )),
     "fig4-analog": (_run_fig4, lambda: ExperimentConfig(
         components=component_tables(bivariate_pair(0.8)),
-        train=_stage_train(
+        train=dict(
             diffusion=TrainConfig(step_count=300, batch_size=100)),
         master_seed=1400,
     )),
@@ -498,7 +490,7 @@ _PRESETS = {
         frequency_scale=0.3,
         dataset_size=1500,
         solver_steps=96,
-        train=_stage_train(
+        train=dict(
             diffusion=TrainConfig(step_count=900, batch_size=100),
             cd=TrainConfig(step_count=40, batch_size=4096, ema_rate=0.0),
         ),
@@ -512,7 +504,7 @@ _PRESETS = {
         components=component_tables(two_mode(3.0)),
         n_frames=1,
         feature_count=256,
-        train=_stage_train(
+        train=dict(
             diffusion=TrainConfig(step_count=300, batch_size=100),
             dmd=TrainConfig(step_count=300, batch_size=256,
                             learning_rate=0.05, fake_update_ratio=2),
@@ -523,7 +515,7 @@ _PRESETS = {
         components=component_tables(bivariate_pair(0.8)),
         dataset_size=4096,
         solver_steps=128,
-        train=_stage_train(
+        train=dict(
             diffusion=TrainConfig(step_count=300, batch_size=100)),
         master_seed=4300,
     )),

@@ -156,11 +156,8 @@ def _train_velocity(
     """Fit per-chunk velocity students to the target eps - x0."""
     if prefix_mode not in ("clean", "noisy"):
         raise ConfigError(f"unknown prefix_mode {prefix_mode!r}")
-    if students.role != "ar-velocity":
-        raise ConfigError("train_ar_diffusion_tf/df expect ar-velocity students")
-    spec = students.seq_spec
-    if spec != dist.spec:
-        raise ConfigError("student and distribution sequence layouts differ")
+    students.expect("ar-velocity", dist.spec, "train_ar_diffusion_tf/df")
+    spec = dist.spec
     rng = np.random.default_rng(seed)
 
     if cfg.method == "ridge":
@@ -304,10 +301,7 @@ def ode_distill(
             "noisy-prefix distillation needs a jointly-integrated dataset; "
             f"got provenance {dataset.provenance!r}"
         )
-    if sets[0].role != "generator":
-        raise ConfigError("ode_distill expects generator students")
-    if sets[0].seq_spec != dataset.spec:
-        raise ConfigError("student and dataset sequence layouts differ")
+    sets[0].expect("generator", dataset.spec, "ode_distill")
     spec = dataset.spec
     rng = np.random.default_rng(seed)
     design = _distill_design(dataset, prefix_mode)
@@ -514,12 +508,8 @@ def dmd_train(
     a control.  The trace records mean |score difference|^2 per step; a trace
     above DMD_DIVERGENCE_LIMIT aborts with DivergenceError.
     """
-    if generators.role != "generator":
-        raise ConfigError("dmd_train expects generator students")
-    if fake_models.role != "fake-score":
-        raise ConfigError("dmd_train expects fake-score companions")
-    if generators.seq_spec != dist.spec or fake_models.seq_spec != dist.spec:
-        raise ConfigError("model and distribution sequence layouts differ")
+    generators.expect("generator", dist.spec, "dmd_train")
+    fake_models.expect("fake-score", dist.spec, "dmd_train")
     spec = dist.spec
     rng = np.random.default_rng(seed)
     trace = np.empty(cfg.step_count)
@@ -613,11 +603,8 @@ def cd_train(
         raise ConfigError(f"unknown teacher_kind {teacher_kind!r}")
     if teacher_kind == "bidirectional" and teacher is not None:
         raise ConfigError("the bidirectional teacher is always the exact field")
-    if students.role != "generator":
-        raise ConfigError("cd_train expects generator students")
-    spec = students.seq_spec
-    if spec != dist.spec:
-        raise ConfigError("student and distribution sequence layouts differ")
+    students.expect("generator", dist.spec, "cd_train")
+    spec = dist.spec
     rng = np.random.default_rng(seed)
     dt = 1.0 / grid_size
     theta_minus = {

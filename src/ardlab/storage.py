@@ -11,14 +11,15 @@ files.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 
 from .diagnostics import DiagnosticsReport, MetricEntry
 from .distributions import SequenceSpec
-from .errors import DatasetFormatError
-from .models import ChunkModelSet, FeatureSpec, LinearStudent
+from .errors import DatasetFormatError, GridError
+from .models import ROLE_READOUT, ROLES, ChunkModelSet, FeatureSpec, LinearStudent
 from .ode import PairColumns, PairDataset, TimestepGrid
 
 DATASET_FORMAT = "ardlab-pairs"
@@ -27,10 +28,8 @@ FORMAT_VERSION = 1
 
 _TIME_KEY = "{:.6f}"
 
-#: the readout each role's head enters, as a checkpoint line records it: a
-#: velocity head is the velocity, the others are read out as x - t * head
-_ROLE_READOUT = {"generator": "anchored", "ar-velocity": "direct",
-                 "fake-score": "anchored"}
+#: the FeatureSpec fields a checkpoint line records: they rebuild its bank
+_BANK_FIELDS = tuple(f.name for f in dataclasses.fields(FeatureSpec) if f.init)
 
 
 def _dumps(obj) -> str:
@@ -80,14 +79,14 @@ def _require(obj: dict, keys, lineno: int, path) -> None:
 
 
 def _vector(values, size: int, what: str, lineno: int, path) -> np.ndarray:
-    """values as a float vector of exactly `size` entries."""
+    """values as a float vector of exactly `size` finite entries."""
     try:
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         arr = None
-    if arr is None or arr.shape != (size,):
+    if arr is None or arr.shape != (size,) or not np.all(np.isfinite(arr)):
         raise DatasetFormatError(
-            f"{path}, line {lineno}: {what} must hold {size} values"
+            f"{path}, line {lineno}: {what} must hold {size} finite values"
         )
     return arr
 
@@ -158,7 +157,7 @@ def load_dataset(path) -> PairDataset:
         try:
             spec = SequenceSpec(**header["spec"])
             grid = TimestepGrid(tuple(header["grid"]))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, GridError) as exc:
             raise DatasetFormatError(f"{path}, line 1: bad spec or grid ({exc})")
         keys = [_TIME_KEY.format(t) for t in grid.times]
         n, cd = spec.n_chunks, spec.chunk_dim
@@ -267,22 +266,16 @@ def save_models(models: ChunkModelSet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dumps(header) + "\n")
         for i, member in enumerate(models.members, start=1):
-            feats = member.features
-            row = {
-                "chunk_index": i,
-                "m": feats.m,
-                "chunk_dim": feats.chunk_dim,
-                "prefix_dim": feats.prefix_dim,
-                "frequency_scale": feats.frequency_scale,
-                "seed": int(feats.seed),
-                "role": member.role,
-                "parameterization": _ROLE_READOUT[member.role],
-                "theta": member.theta.tolist(),
-            }
+            row = {name: getattr(member.features, name) for name in _BANK_FIELDS}
+            row.update(chunk_index=i, role=models.role,
+                       parameterization=ROLE_READOUT[models.role],
+                       theta=member.theta.tolist())
             fh.write(_dumps(row) + "\n")
 
 
 def load_models(path) -> ChunkModelSet:
+    """Read a checkpoint, checking every line: line k + 1 holds member k,
+    with the header's role, that role's readout and finite numbers."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -290,60 +283,49 @@ def load_models(path) -> ChunkModelSet:
     header = _parse_line(lines[0], 1, path)
     _check_header(header, MODELS_FORMAT, 1, path)
     _require(header, ("spec", "role", "member_count"), 1, path)
-    count = header["member_count"]
-    if not isinstance(count, int) or isinstance(count, bool):
+    count, role = header["member_count"], header["role"]
+    if not _is_int(count):
         raise DatasetFormatError(f"{path}, line 1: member_count must be an integer")
+    if role not in ROLES:
+        raise DatasetFormatError(f"{path}, line 1: unknown role {role!r}")
     try:
         spec = SequenceSpec(**header["spec"])
     except (TypeError, ValueError) as exc:
         raise DatasetFormatError(f"{path}, line 1: bad sequence spec ({exc})")
     members = []
     for lineno, line in enumerate(lines[1:], start=2):
+        where, k = f"{path}, line {lineno}", lineno - 1
         obj = _parse_line(line, lineno, path)
-        _require(
-            obj,
-            (
-                "chunk_index",
-                "m",
-                "chunk_dim",
-                "prefix_dim",
-                "frequency_scale",
-                "seed",
-                "role",
-                "parameterization",
-                "theta",
-            ),
-            lineno,
-            path,
-        )
-        try:
-            feats = FeatureSpec(
-                m=obj["m"],
-                chunk_dim=obj["chunk_dim"],
-                prefix_dim=obj["prefix_dim"],
-                frequency_scale=obj["frequency_scale"],
-                seed=obj["seed"],
-            )
-            member = LinearStudent(
-                features=feats,
-                theta=np.asarray(obj["theta"], dtype=float),
-                role=obj["role"],
-            )
-        except (TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"{path}, line {lineno}: {exc}")
-        if obj["parameterization"] != _ROLE_READOUT[member.role]:
+        _require(obj, ("chunk_index", *_BANK_FIELDS, "role", "parameterization",
+                       "theta"), lineno, path)
+        if not _is_int(obj["chunk_index"]) or obj["chunk_index"] != k:
             raise DatasetFormatError(
-                f"{path}, line {lineno}: a {member.role} head has the "
-                f"{_ROLE_READOUT[member.role]} readout, not "
-                f"{obj['parameterization']!r}"
+                f"{where}: chunk_index {obj['chunk_index']!r} is not {k}"
             )
+        if obj["role"] != role:
+            raise DatasetFormatError(
+                f"{where}: member {k} has role {obj['role']!r}, not the set's {role!r}"
+            )
+        if obj["parameterization"] != ROLE_READOUT[role]:
+            raise DatasetFormatError(
+                f"{where}: a {role} head has the {ROLE_READOUT[role]} readout, "
+                f"not {obj['parameterization']!r}"
+            )
+        try:
+            feats = FeatureSpec(**{name: obj[name] for name in _BANK_FIELDS})
+            member = LinearStudent(feats, np.asarray(obj["theta"], dtype=float))
+            if not (np.isfinite(feats.frequency_scale)
+                    and np.all(np.isfinite(member.theta))):
+                raise ValueError("frequency_scale and theta must be finite")
+        except (TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"{where}: {exc}")
         members.append(member)
     if len(members) != count:
         raise DatasetFormatError(
             f"{path}: header promises {count} members, found {len(members)}"
         )
     try:
-        return ChunkModelSet(seq_spec=spec, role=header["role"], members=tuple(members))
+        return ChunkModelSet(seq_spec=spec, role=role, members=tuple(members))
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: inconsistent model set ({exc})")
 

@@ -73,6 +73,18 @@ def test_partial_document_fills_defaults():
     assert config.train["diffusion"] == TrainConfig()
 
 
+def test_partial_train_table_is_completed_with_defaults():
+    cd = TrainConfig(step_count=40, ema_rate=0.0)
+    partial = ExperimentConfig(train={"cd": cd})
+    full = ExperimentConfig(train={name: TrainConfig() for name in TRAIN_STAGES}
+                            | {"cd": cd})
+    assert partial == full
+    assert partial.digest() == full.digest()
+    assert list(partial.train) == list(TRAIN_STAGES)
+    with pytest.raises(ConfigError, match="unknown stages"):
+        ExperimentConfig(train={"warmup": TrainConfig()})
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown config keys"):
         ExperimentConfig.from_dict({"master_sed": 3})
@@ -321,6 +333,40 @@ def test_cli_distill_malformed_record_exits_3(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def _nan_snapshot(lines):
+    rec = json.loads(lines[2])
+    rec["snapshots"][min(rec["snapshots"])][0] = float("nan")
+    lines[2] = json.dumps(rec)
+
+
+def _infinite_endpoint(lines):
+    lines[2] = json.dumps({**json.loads(lines[2]), "endpoint": [float("inf")]})
+
+
+def _bad_grid(lines):
+    lines[0] = json.dumps({**json.loads(lines[0]), "grid": [0.9, 0.5]})
+
+
+@pytest.mark.parametrize("edit, line", [
+    (_nan_snapshot, 3), (_infinite_endpoint, 3), (_bad_grid, 1),
+], ids=["nan-snapshot", "infinite-endpoint", "bad-grid"])
+def test_cli_distill_dataset_with_bad_numbers_exits_3(tmp_path, capsys, edit, line):
+    from ardlab.ode import make_pairs_causal
+    from ardlab.storage import save_dataset
+
+    path = tmp_path / "pairs.jsonl"
+    save_dataset(make_pairs_causal(bivariate_pair(0.8), count=3, steps=8), path)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    args = [
+        "distill", "--ode", "causal-ode", "--data", str(path),
+        "--output-dir", str(tmp_path / "out"),
+    ]
+    assert main(args) == 3
+    assert f"{path}, line {line}" in capsys.readouterr().err
+
+
 def test_cli_audit_passes_and_writes_reports(tmp_path, capsys):
     out = tmp_path / "audit"
     args = [
@@ -563,6 +609,24 @@ def test_cli_dmd_checkpoint_with_unknown_header_role_exits_3(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert main(["dmd", "--init", "distilled", "--output-dir", str(out)]) == 3
     assert "role 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("theta", [[float("nan")]] * 16),
+                                        ("chunk_index", 7)],
+                         ids=["nan-theta", "chunk-index-7"])
+def test_cli_dmd_checkpoint_with_a_bad_member_line_exits_3(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "models_generator.jsonl"
+    save_models(
+        make_chunk_models(bivariate_pair(0.8).spec, role="generator", m=16),
+        path,
+    )
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), key: value})
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["dmd", "--init", "distilled", "--output-dir", str(out)]) == 3
+    assert f"{path}, line 2" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

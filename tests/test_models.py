@@ -20,7 +20,6 @@ from ardlab.models import (
     FeatureSpec,
     LinearStudent,
     TrainConfig,
-    build_student,
     copy_head,
     ema_update,
     featurize,
@@ -500,7 +499,7 @@ def test_residual_from_sums_matches_the_explicit_residual():
     t = rng.uniform(0.05, 1.0, n)
     y = np.sin(3.0 * chunk) + 0.3 * rng.standard_normal((n, 1))
     rows = featurize(spec, chunk, prefix, t) * t[:, None]
-    model = build_student(m=64, chunk_dim=1, prefix_dim=1, role="generator", seed=5)
+    model = LinearStudent(spec, np.zeros((64, 1)))
     normal = normal_equations(spec, chunk, prefix, t, y, t)
     fitted, readings = fit_head(model, normal, 1e-6)
     sse = float(np.sum((rows @ fitted.theta - y) ** 2))
@@ -536,7 +535,8 @@ def test_ridge_solution_is_strict_local_minimum():
 
 
 def test_head_jacobian_matches_finite_differences():
-    model = build_student(m=24, chunk_dim=2, prefix_dim=1, role="generator", seed=4)
+    model = LinearStudent(FeatureSpec(m=24, chunk_dim=2, prefix_dim=1, seed=4),
+                          np.zeros((24, 2)))
     rng = np.random.default_rng(4)
     model.theta[:] = rng.standard_normal(model.theta.shape)
     chunk = rng.standard_normal(2)
@@ -548,9 +548,9 @@ def test_head_jacobian_matches_finite_differences():
         for k in (0, 1):
             bumped = model.theta.copy()
             bumped[j, k] += h
-            up = predict(LinearStudent(model.features, bumped, "generator"), chunk, prefix, t)
+            up = predict(LinearStudent(model.features, bumped), chunk, prefix, t)
             bumped[j, k] -= 2 * h
-            dn = predict(LinearStudent(model.features, bumped, "generator"), chunk, prefix, t)
+            dn = predict(LinearStudent(model.features, bumped), chunk, prefix, t)
             fd = (up[k] - dn[k]) / (2 * h)
             assert abs(fd - phi[j]) < 1e-8
 
@@ -558,7 +558,8 @@ def test_head_jacobian_matches_finite_differences():
 @given(t=st.floats(0.0, 1.0), x=st.floats(-3.0, 3.0))
 @settings(max_examples=40, deadline=None)
 def test_anchored_readout_identity_at_zero(t, x):
-    model = build_student(m=8, chunk_dim=1, prefix_dim=0, role="generator", seed=5)
+    model = LinearStudent(FeatureSpec(m=8, chunk_dim=1, prefix_dim=0, seed=5),
+                          np.zeros((8, 1)))
     model.theta[:] = 0.7
     out = predict_x0(model, np.array([x]), np.empty(0), t)
     head = predict(model, np.array([x]), np.empty(0), t)
@@ -571,8 +572,8 @@ def test_student_validation():
     spec = FeatureSpec(m=4, chunk_dim=1, prefix_dim=0, seed=0)
     with pytest.raises(ValueError):
         LinearStudent(spec, np.zeros((5, 1)))
-    with pytest.raises(ValueError):
-        LinearStudent(spec, np.zeros((4, 1)), role="oracle")
+    with pytest.raises(ValueError, match="unknown role"):
+        make_chunk_models(SPEC, role="oracle", m=4)
 
 
 @given(
@@ -590,10 +591,7 @@ def test_update_head_readouts_and_gradient(seed, anchored, n, m, d):
     t = rng.uniform(0.05, 1.0, n)
     target = rng.standard_normal((n, d))
     anchor = (chunk, t) if anchored else None
-    model = LinearStudent(
-        spec, rng.standard_normal((m, d)),
-        "generator" if anchored else "ar-velocity",
-    )
+    model = LinearStudent(spec, rng.standard_normal((m, d)))
 
     # the residual is the model's readout minus the target: the clean-chunk
     # readout of a generator, the head itself for a velocity model
@@ -624,14 +622,14 @@ def test_update_head_readouts_and_gradient(seed, anchored, n, m, d):
     assert np.array_equal(given.theta, stepped.theta)
 
     # the ridge fit at lambda 0 on a full-rank design (n > m) is where that
-    # gradient vanishes; it keeps the model's role.  The anchored
+    # gradient vanishes; it keeps the model's feature bank.  The anchored
     # fit regresses chunk - target on rows scaled by t.
     if anchored:
         rows, y = phi * t[:, None], chunk - target
     else:
         rows, y = phi, target
     fitted, _ = fit_head(model, (rows.T @ rows, rows.T @ y, float(np.sum(y**2))), 0.0)
-    assert fitted.role == model.role
+    assert fitted.features == model.features
     step = fitted.theta - update_head(fitted, phi, target, sgd, anchor).theta
     scale = 1.0 + np.abs(fitted.theta).max() * np.abs(phi).max() ** 2
     assert np.abs(step).max() <= 1e-9 * scale
@@ -670,7 +668,8 @@ def test_head_gradient_matches_the_scaled_transpose_product(seed, anchored, n, m
 
 
 def test_sgd_step_and_ema():
-    model = build_student(m=4, chunk_dim=1, prefix_dim=0, role="generator", seed=0)
+    model = LinearStudent(FeatureSpec(m=4, chunk_dim=1, prefix_dim=0, seed=0),
+                          np.zeros((4, 1)))
     grad = np.ones_like(model.theta)
     stepped = sgd_step(model, grad, 0.1)
     assert np.allclose(stepped.theta, model.theta - 0.1)

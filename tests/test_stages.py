@@ -19,9 +19,11 @@ from ardlab.distributions import (
 from ardlab.errors import ConfigError, DivergenceError
 from ardlab.models import (
     RIDGE_READINGS,
+    ROLES,
+    FeatureSpec,
+    LinearStudent,
     TrainConfig,
     _row_blocks,
-    build_student,
     featurize,
     head_residual,
     make_chunk_models,
@@ -101,12 +103,6 @@ def test_tf_training_learns_standard_normal_velocity():
         assert np.sqrt(np.mean((v - coef * x) ** 2)) < 0.15
 
 
-def test_velocity_training_rejects_wrong_role():
-    students = make_chunk_models(SPEC, role="generator", m=16, seed=0)
-    with pytest.raises(ConfigError):
-        train_ar_diffusion_tf(DIST, students, TrainConfig(step_count=1), seed=0)
-
-
 def test_sgd_velocity_training_descends():
     students = make_chunk_models(SPEC, role="ar-velocity", m=64, seed=3)
     cfg = TrainConfig(method="sgd", learning_rate=0.5, step_count=400, batch_size=128)
@@ -141,17 +137,6 @@ def test_distill_learns_conditional_flow_map():
         expected = RHO * y + np.sqrt(s2) * (x - a * RHO * y) / np.sqrt(a**2 * s2 + t**2)
         worst = max(worst, float(np.sqrt(np.mean((pred - expected) ** 2))))
     assert worst < 0.05
-
-
-def test_distill_requires_generator_role_and_matching_spec():
-    pairs = make_pairs_causal(DIST, DEFAULT_GRID, count=8, steps=8, seed=0)
-    wrong_role = make_chunk_models(SPEC, role="ar-velocity", m=8, seed=0)
-    with pytest.raises(ConfigError):
-        ode_distill(pairs, wrong_role, TrainConfig(), seed=0)
-    other_spec = SequenceSpec(n_frames=4, frame_dim=1, chunk_size=1)
-    wrong_spec = make_chunk_models(other_spec, role="generator", m=8, seed=0)
-    with pytest.raises(ConfigError):
-        ode_distill(pairs, wrong_spec, TrainConfig(), seed=0)
 
 
 def test_distill_noisy_prefix_needs_bidirectional_data():
@@ -477,7 +462,8 @@ def test_rollout_matches_data_moments():
 def test_fake_score_consistent_with_velocity_algebra():
     # the fake field is v = -x + t * head; its implied score must equal the
     # bounded closed form the fake head trains against
-    model = build_student(m=32, chunk_dim=1, prefix_dim=0, role="fake-score", seed=10)
+    model = LinearStudent(FeatureSpec(m=32, chunk_dim=1, prefix_dim=0, seed=10),
+                          np.zeros((32, 1)))
     model.theta[:] = np.random.default_rng(10).standard_normal(model.theta.shape)
     x = np.array([[0.4], [-1.2]])
     t = np.array([0.3, 0.9])
@@ -494,7 +480,8 @@ def test_fake_score_consistent_with_velocity_algebra():
 def test_dmd_generator_gradient_matches_surrogate_fd():
     # gradient of mean_b <delta_b, sample_b(theta)> with the sampler's final
     # application as the only theta-dependent piece
-    model = build_student(m=20, chunk_dim=1, prefix_dim=1, role="generator", seed=11)
+    model = LinearStudent(FeatureSpec(m=20, chunk_dim=1, prefix_dim=1, seed=11),
+                          np.zeros((20, 1)))
     rng = np.random.default_rng(11)
     model.theta[:] = rng.standard_normal(model.theta.shape)
     n, t_last = 16, 0.625
@@ -505,8 +492,6 @@ def test_dmd_generator_gradient_matches_surrogate_fd():
     grad = dmd_generator_gradient(phi, t_last, delta)
 
     def surrogate(theta):
-        from ardlab.models import LinearStudent
-
         probe = LinearStudent(model.features, theta)
         return -float(np.mean(
             np.sum(delta * predict_x0(probe, final_in, prefixes, t_last), axis=1)
@@ -554,22 +539,12 @@ def test_dmd_improves_energy_distance():
     assert ed_after < 0.35 * ed_before
 
 
-def test_dmd_validates_roles():
-    dist = two_mode(3.0)
-    generators = make_chunk_models(dist.spec, role="generator", m=8, seed=0)
-    with pytest.raises(ConfigError):
-        dmd_train(generators, generators, dist, DEFAULT_GRID, TrainConfig(), seed=0)
-
-
 # ---------------------------------------------------------------------------
 # stage 4: consistency training
 # ---------------------------------------------------------------------------
 
 
-def test_cd_requires_anchored_generators():
-    velocity = make_chunk_models(SPEC, role="ar-velocity", m=8, seed=0)
-    with pytest.raises(ConfigError):
-        cd_train(DIST, velocity, TrainConfig(step_count=1), seed=0)
+def test_cd_validates_grid_and_teacher_kind():
     generators = make_chunk_models(SPEC, role="generator", m=8, seed=0)
     with pytest.raises(ConfigError):
         cd_train(DIST, generators, TrainConfig(step_count=1), seed=0, grid_size=1)
@@ -610,6 +585,46 @@ def test_stage_result_rejects_nonfinite_trace():
     students = make_chunk_models(SPEC, role="generator", m=8, seed=0)
     with pytest.raises(DivergenceError):
         StageResult(models=students, loss_trace=np.array([1.0, np.nan]))
+
+
+# ---------------------------------------------------------------------------
+# every entry point's role and layout guard
+# ---------------------------------------------------------------------------
+
+
+#: each training stage's role and layout guard: the role it expects of the
+#: set under test, and a small call on that set (trained_conditional_kl's
+#: guard is tested with its other arguments in test_diagnostics)
+_GUARDED = {
+    "velocity": ("ar-velocity", lambda models: train_ar_diffusion_tf(
+        DIST, models, TrainConfig(step_count=1), seed=0)),
+    "distill": ("generator", lambda models: ode_distill(
+        make_pairs_causal(DIST, DEFAULT_GRID, count=8, steps=8, seed=0), models,
+        TrainConfig(), seed=0)),
+    "dmd-generators": ("generator", lambda models: dmd_train(
+        models, make_chunk_models(SPEC, role="fake-score", m=8), DIST,
+        DEFAULT_GRID, TrainConfig(step_count=1), seed=0)),
+    "dmd-fakes": ("fake-score", lambda models: dmd_train(
+        make_chunk_models(SPEC, role="generator", m=8), models, DIST,
+        DEFAULT_GRID, TrainConfig(step_count=1), seed=0)),
+    "cd": ("generator", lambda models: cd_train(
+        DIST, models, TrainConfig(step_count=1), seed=0)),
+}
+
+
+@pytest.mark.parametrize("wrong", ["role", "layout"])
+@pytest.mark.parametrize("entry", list(_GUARDED))
+def test_entry_points_reject_a_wrong_role_or_layout(entry, wrong):
+    role, call = _GUARDED[entry]
+    call(make_chunk_models(SPEC, role=role, m=8))  # the right set runs
+    if wrong == "role":
+        other = next(r for r in ROLES if r != role)
+        models, match = make_chunk_models(SPEC, role=other, m=8), f"expects {role}"
+    else:
+        four = SequenceSpec(n_frames=4, frame_dim=1, chunk_size=1)
+        models, match = make_chunk_models(four, role=role, m=8), "layouts differ"
+    with pytest.raises(ConfigError, match=match):
+        call(models)
 
 
 # ---------------------------------------------------------------------------

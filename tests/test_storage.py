@@ -90,6 +90,12 @@ def test_dataset_header_checks(tmp_path):
     path.write_text('{"format":"ardlab-pairs","version":99}\n')
     with pytest.raises(DatasetFormatError, match="version"):
         load_dataset(path)
+    save_dataset(small_dataset(), path)
+    header, *records = path.read_text().splitlines()
+    header = json.dumps({**json.loads(header), "grid": [0.9, 0.5]})
+    path.write_text("\n".join([header, *records]) + "\n")
+    with pytest.raises(DatasetFormatError, match="line 1: bad spec or grid"):
+        load_dataset(path)
 
 
 def test_dataset_record_count_mismatch(tmp_path):
@@ -140,6 +146,10 @@ def _bump_prefix_head(recs, k):
     recs[k]["prefix"][0] += 1.0
 
 
+def _nan_snapshot(recs, k):
+    recs[k]["snapshots"][min(recs[k]["snapshots"])][0] = float("nan")
+
+
 def corrupt_record(path, edit, line=3):
     """Rewrite a saved dataset through `edit`(records, index of `line`)."""
     lines = path.read_text().splitlines()
@@ -170,6 +180,8 @@ AR3 = ar1_sequence(3, 0.5)
         (_swap_with_next, DIST, 3),
         (_swap_with_next, AR3, 3),
         (_bump_prefix_head, AR3, 4),
+        (_nan_snapshot, DIST, 3),
+        (_set("endpoint", [float("inf")]), DIST, 3),
     ],
     ids=[
         "chunk-index-0", "chunk-index-past-last", "missing-snapshot-time",
@@ -177,6 +189,7 @@ AR3 = ar1_sequence(3, 0.5)
         "seed-text", "seed-null", "seed-fraction", "seed-negative",
         "seed-past-uint64", "seed-differs-from-chunk-1", "provenance-differs",
         "swapped-lines", "chunk-out-of-order", "prefix-does-not-extend",
+        "nan-snapshot", "infinite-endpoint",
     ],
 )
 def test_dataset_rejects_records_that_disagree_with_header(tmp_path, edit, dist, line):
@@ -247,6 +260,41 @@ def test_models_bad_member_line(tmp_path):
     lines[1] = lines[1].replace('"role":"generator"', '"role":"oracle"')
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DatasetFormatError, match="line 2"):
+        load_models(path)
+
+
+def _edit_member(key, value, line=2):
+    def edit(lines):
+        lines[line - 1] = json.dumps({**json.loads(lines[line - 1]), key: value})
+
+    return edit
+
+
+def _nan_theta(lines):
+    row = json.loads(lines[1])
+    row["theta"][0][0] = float("nan")
+    lines[1] = json.dumps(row)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (_nan_theta, "line 2: frequency_scale and theta must be finite"),
+        (_edit_member("frequency_scale", float("inf")), "line 2: .* must be finite"),
+        (_edit_member("chunk_index", 7), "line 2: chunk_index 7 is not 1"),
+        (_edit_member("chunk_index", 1, line=3), "line 3: chunk_index 1 is not 2"),
+        (_edit_member("chunk_index", True), "line 2: chunk_index True is not 1"),
+    ],
+    ids=["nan-theta", "infinite-frequency-scale", "chunk-index-7",
+         "chunk-index-repeated", "chunk-index-bool"],
+)
+def test_models_member_line_checks(tmp_path, edit, match):
+    path = tmp_path / "models.jsonl"
+    save_models(small_models(), path)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=match):
         load_models(path)
 
 
