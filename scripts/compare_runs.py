@@ -5,12 +5,14 @@ Usage: python3 scripts/compare_runs.py DIR_A DIR_B
 Compares every file under the two trees by sha256 and prints one line per
 file that differs or exists on one side only.  For a CSV, JSON, JSON-lines
 or key=value text report (report.txt) present on both sides it also prints
-the largest relative change of any number, |b - a| / max(|a|, |b|), and
-where it occurs, and for a CSV or text report the columns or keys of the
-non-numeric cells that differ.  Report rows (a report.csv or report.txt,
-where every row names a distinct report and metric) are paired by
-(report, metric), and the rows found on one side only are named; other
-CSVs, such as loss traces, are compared line by line.  JSON lines are
+the largest relative change of any number, |b - a| / max(|a|, |b|), with
+its absolute change |b - a| and where it occurs, the largest absolute
+change and where it occurs when that reads larger, and for a CSV or text
+report the columns or keys of the non-numeric cells that differ.  Report
+rows (a report.csv or report.txt, where every row names a distinct report
+and metric) are paired by (report, metric), and the rows found on one side
+only are named; other CSVs, such as loss traces, are compared line by
+line.  JSON lines are
 compared value by value when both files have the same record structure; a
 JSON document also lists the keys found on one side only (side A is DIR_A,
 side B is DIR_B) and compares the values found on both.
@@ -45,18 +47,25 @@ def _largest_change(cells, text_columns=()) -> str:
     """Summarize differing cells, given as (where, a, b) with a and b floats,
     or None for a value that is not a number; text_columns names the columns
     the non-numeric ones are in."""
-    worst, at, text_cells = 0.0, None, 0
+    worst, worst_diff, at, text_cells = 0.0, 0.0, None, 0
+    widest, wide_at = 0.0, None
     for where, a, b in cells:
         if a is None or b is None:
             text_cells += 1
             continue
+        diff = abs(b - a)
         scale = max(abs(a), abs(b))
-        change = abs(b - a) / scale if scale else 0.0
+        change = diff / scale if scale else 0.0
         if change > worst or at is None:
-            worst, at = change, where
+            worst, worst_diff, at = change, diff, where
+        if diff > widest or wide_at is None:
+            widest, wide_at = diff, where
     parts = []
     if at is not None:
-        parts.append(f"largest relative change {worst:.3g} at {at}")
+        parts.append(f"largest relative change {worst:.3g} "
+                     f"(absolute {worst_diff:.3g}) at {at}")
+    if wide_at is not None and f"{widest:.3g}" != f"{worst_diff:.3g}":
+        parts.append(f"largest absolute change {widest:.3g} at {wide_at}")
     if text_cells:
         columns = f" in column {', '.join(text_columns)}" if text_columns else ""
         parts.append(f"{text_cells} non-numeric cells differ{columns}")

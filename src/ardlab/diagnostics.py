@@ -253,7 +253,7 @@ def _complement_chunk_ends(dist, chunk_index, anchors, t, n_resample, steps, rng
         block = full[b * n_resample : (b + 1) * n_resample]
         block[:, observed] = anchors[b]
         block[:, rest] = z
-    endpoints = integrate(bi_velocity_field(dist), full, t, 0.0, steps)
+    endpoints = _integrate_through(bi_velocity_field(dist), full, (t,), steps)[0]
     return endpoints[:, sl].reshape(anchors.shape[0], n_resample, -1)
 
 
@@ -402,7 +402,7 @@ def collapse_gap(
             eps = rng.standard_normal((n, spec.chunk_dim))
             x_t = (1.0 - t) * x0[:, spec.chunk_slice(chunk_index)] + t * eps
             field_fn = chunk_velocity_field(dist, chunk_index, prefix[:n_rms])
-            oracle = integrate(field_fn, x_t[:n_rms], t, 0.0, steps)
+            oracle = _integrate_through(field_fn, x_t[:n_rms], (t,), steps)[0]
         pred = predict_x0(member, x_t, prefix, t)
         sq_gaps.append(np.sum((pred[:n_rms] - oracle) ** 2, axis=1))
         outputs.append(pred)

@@ -37,6 +37,10 @@ class SequenceSpec:
     chunk_size: int = 1
 
     def __post_init__(self):
+        for name in ("n_frames", "frame_dim", "chunk_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.n_frames < 1 or self.frame_dim < 1:
             raise ValueError("n_frames and frame_dim must be positive")
         if not (1 <= self.chunk_size <= self.n_frames):

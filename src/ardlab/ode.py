@@ -67,30 +67,54 @@ DEFAULT_GRID = TimestepGrid((1.0, 0.9375, 0.8333, 0.625))
 # ---------------------------------------------------------------------------
 
 
-def bi_velocity_field(dist: SequenceDistribution):
-    """Velocity callable f(x, t) over row batches for the joint field."""
+@dataclass(frozen=True, eq=False)
+class OracleField:
+    """The exact velocity field (x - E[x0 | x_t = x]) / t of a Gaussian
+    mixture, f(x, t) over row batches; t may be a scalar or one time per row.
 
-    def field_fn(x, t):
+    The arrays are those of distributions._mixture_posterior_mean: log_w (K,)
+    and means (K, D) shared by every row (the joint field), or (B, K) and
+    (B, K, D), one conditional law per row (a chunk field).  With one
+    component the field is linear in the state and the component mean
+    jointly, v = (x - mu - A_t (x - a mu)) / t with A_t the posterior gain,
+    so _integrate_through maps its rows through Heun's flow map instead of
+    stepping them (see _affine_flow_basis).
+    """
+
+    log_w: np.ndarray
+    means: np.ndarray
+    eigvecs: np.ndarray
+    eigvals: np.ndarray
+
+    def __call__(self, x, t):
         m = _mixture_posterior_mean(
-            dist._log_w, dist._means, dist._eigvecs, dist._eigvals, x, t
+            self.log_w, self.means, self.eigvecs, self.eigvals, x, t
         )
         return (x - m) / _time_column(t)
 
-    return field_fn
+
+def bi_velocity_field(dist: SequenceDistribution) -> OracleField:
+    """The joint field f(x, t) over row batches.  On a one-component law
+    _integrate_through takes it by the affine route: equal to stepping its
+    rows up to rounding, not to the bit."""
+    return OracleField(dist._log_w, dist._means, dist._eigvecs, dist._eigvals)
 
 
 def chunk_velocity_field(source, i: int, prefixes: np.ndarray):
     """Chunk-i velocity callable f(x, t) given one prefix per row of x.
 
-    `source` is a SequenceDistribution (the exact conditional field, with
-    the prefixes conditioned on once) or a ChunkModelSet (its trained chunk-i
-    member).  t may be a scalar or one time per row.
+    `source` is a SequenceDistribution (the exact conditional field, an
+    OracleField with the prefixes conditioned on once) or a ChunkModelSet
+    (its trained chunk-i member).  t may be a scalar or one time per row.
+    The exact field of a one-component law takes _integrate_through's affine
+    route, equal to stepping its rows up to rounding; a trained member's
+    field and a mixture's are stepped row by row.
     """
     if isinstance(source, ChunkModelSet):
         member = source.member(i)
         return lambda x, t: predict(member, x, prefixes, t)
     cond = condition_clean_prefix_batch(source, i, prefixes)
-    return lambda x, t: (x - cond.posterior_mean(x, t)) / _time_column(t)
+    return OracleField(cond.log_w, cond.means, cond.eigvecs, cond.eigvals)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +234,32 @@ def _record_seeds(master_seed: int, count: int) -> np.ndarray:
     return np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
 
 
+def _affine_flow_basis(field_fn, x):
+    """The affine route's parts for a one-component OracleField, else None.
+
+    Such a field is linear in (state, component mean), and so is each Heun
+    step and the endpoint rule: a segment maps rows [x, w] through one
+    matrix, w the rows' coordinates on the mean part.  For a shared mean
+    (the joint field) w is a column of ones and the mean part one row, mu;
+    for per-row means (a chunk field) w is each row's mean and the mean
+    part the identity.  Returns (w, start, basis): integrating the basis
+    field from the start rows (the identity over the state, then zero
+    states carrying the mean part) over a segment gives that matrix, whose
+    rows are the images of the basis rows.
+    """
+    if not isinstance(field_fn, OracleField) or field_fn.eigvals.shape[0] != 1:
+        return None
+    d = x.shape[1]
+    if field_fn.means.ndim == 2:
+        w, mean_part = np.ones((x.shape[0], 1)), field_fn.means
+    else:
+        w, mean_part = field_fn.means[:, 0], np.eye(d)
+    start = np.concatenate([np.eye(d), np.zeros(mean_part.shape)])
+    means = np.concatenate([np.zeros((d, d)), mean_part])[:, None, :]
+    basis = OracleField(np.zeros(1), means, field_fn.eigvecs, field_fn.eigvals)
+    return w, start, basis
+
+
 def _integrate_through(field_fn, x, times, steps: int):
     """Integrate rows x from times[0] down to 0 through every time in `times`
     (a TimestepGrid or any decreasing sequence).  Returns the endpoint rows
@@ -217,14 +267,29 @@ def _integrate_through(field_fn, x, times, steps: int):
 
     Each time is a segment boundary, so every snapshot is an exact node of
     its uniform sub-grid; sub-step counts are allocated proportionally to
-    segment length.
+    segment length.  The exact field of a one-component law (an OracleField
+    with one component) takes the affine route: per segment `integrate`
+    steps only the few basis rows of _affine_flow_basis (D + 1 for the joint
+    field, 2D for a chunk field), and all rows then go through the resulting
+    map in one product.  That is the same Heun scheme on the same grid,
+    reassociated, so it matches stepping the rows to rounding, not to the
+    bit.  Every other field steps its rows.  The route is chosen here, not
+    inside `integrate`, so a wrapper around the field callable given to
+    `integrate` cannot change it.
     """
     bounds = tuple(times) + (0.0,)
     snapshots = np.empty((x.shape[0], len(bounds) - 1, x.shape[1]))
+    affine = _affine_flow_basis(field_fn, x)
     for k, (hi, lo) in enumerate(zip(bounds, bounds[1:])):
         snapshots[:, k] = x
         sub = max(1, int(round(steps * (hi - lo) / bounds[0])))
-        x = integrate(field_fn, x, hi, lo, sub)
+        if affine is None:
+            x = integrate(field_fn, x, hi, lo, sub)
+        else:
+            w, start, basis = affine
+            x = np.concatenate([x, w], axis=1) @ integrate(basis, start, hi, lo, sub)
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(f"non-finite state while stepping to t={lo}")
     return x, snapshots
 
 

@@ -30,7 +30,7 @@ def test_compare_runs_names_each_differing_file(tmp_path, capsys):
     assert lines == [
         f"p/only_a.csv: only in {a}",
         f"p/only_b.jsonl: only in {b}",
-        "p/report.csv: differs, largest relative change 0.2 at line 3 column value",
+        "p/report.csv: differs, largest relative change 0.2 (absolute 0.5) at line 3 column value",
         "3 of 5 files differ",
     ]
 
@@ -41,6 +41,23 @@ def test_largest_csv_change_reports_shape_and_text(tmp_path):
         "1 non-numeric cells differ in column k"
     )
     assert compare_runs.largest_csv_change(a / "a.csv", a / "c.csv") == "shape differs"
+
+
+def test_largest_change_prints_the_absolute_change_beside_the_relative_one(tmp_path):
+    # a value that is rounding noise around 0 changes by most relative to
+    # itself; its absolute change shows that, and the largest absolute
+    # change, elsewhere, is named too
+    a = _tree(tmp_path / "a", {"v.csv": "k,value\nx,4e-33\ny,1.0\nz,2.0\n"})
+    b = _tree(tmp_path / "b", {"v.csv": "k,value\nx,1.6e-32\ny,1.0000001\nz,2.0\n",
+                               "w.csv": "k,value\nx,4e-33\ny,1.0\nz,2.5\n"})
+    assert compare_runs.largest_csv_change(a / "v.csv", b / "v.csv") == (
+        "largest relative change 0.75 (absolute 1.2e-32) at line 2 column value; "
+        "largest absolute change 1e-07 at line 3 column value"
+    )
+    # one cell both largest: named once
+    assert compare_runs.largest_csv_change(a / "v.csv", b / "w.csv") == (
+        "largest relative change 0.2 (absolute 0.5) at line 4 column value"
+    )
 
 
 def test_largest_jsonl_change_compares_records_of_one_structure(tmp_path):
@@ -54,7 +71,7 @@ def test_largest_jsonl_change_compares_records_of_one_structure(tmp_path):
         "bad.jsonl": '{"format":\n',
     })
     assert compare_runs.largest_jsonl_change(a / "pairs.jsonl", b / "pairs.jsonl") == (
-        "largest relative change 0.2 at line 2 endpoint[1]"
+        "largest relative change 0.2 (absolute 0.5) at line 2 endpoint[1]"
     )
     assert compare_runs.largest_jsonl_change(a / "pairs.jsonl", b / "longer.jsonl") == "shape differs"
     assert compare_runs.largest_jsonl_change(b / "text.jsonl", b / "text.jsonl") == (
@@ -64,7 +81,7 @@ def test_largest_jsonl_change_compares_records_of_one_structure(tmp_path):
     assert compare_runs.largest_jsonl_change(a / "pairs.jsonl", b / "bad.jsonl") == "not JSON lines"
     head = _tree(tmp_path / "c", {"t.jsonl": '{"format":"x","n":3}\n'})
     assert compare_runs.largest_jsonl_change(b / "text.jsonl", head / "t.jsonl") == (
-        "largest relative change 0.333 at line 1 n; 1 non-numeric cells differ"
+        "largest relative change 0.333 (absolute 1) at line 1 n; 1 non-numeric cells differ"
     )
 
 
@@ -77,7 +94,7 @@ def test_json_change_lists_one_sided_keys_and_the_largest_shared_change(tmp_path
                                "bad.json": "{"})
     assert compare_runs.json_change(a / "config.json", b / "config.json") == (
         "keys only on side A: cd, ode; keys only on side B: new; "
-        "largest relative change 0.5 at train.lr"
+        "largest relative change 0.5 (absolute 0.1) at train.lr"
     )
     assert compare_runs.json_change(a / "config.json", b / "same.json") == (
         "cells equal, bytes differ"
@@ -98,7 +115,7 @@ def test_largest_report_text_change_reads_key_value_records(tmp_path):
         "plain.txt": "ok\n",
     })
     assert compare_runs.largest_report_text_change(a / "report.txt", b / "report.txt") == (
-        "largest relative change 0.2 at line 1 uncertainty"
+        "largest relative change 0.2 (absolute 0.1) at line 1 uncertainty"
     )
     assert compare_runs.largest_report_text_change(a / "report.txt", b / "digest.txt") == (
         "2 non-numeric cells differ in column config_digest"
@@ -131,7 +148,7 @@ def test_report_rows_pair_by_report_and_metric(tmp_path):
         "gained.csv": header + "".join(row.format(*r) for r in a_rows + b_rows[:1]),
     })
     want = ("rows only on side B: energy.asym; "
-            "largest relative change 0.2 at energy.causal value")
+            "largest relative change 0.2 (absolute 0.5) at energy.causal value")
     assert compare_runs.largest_csv_change(a / "report.csv", b / "report.csv") == want
     assert compare_runs.largest_report_text_change(a / "report.txt", b / "report.txt") == want
     assert compare_runs.largest_csv_change(b / "gained.csv", a / "report.csv") == (

@@ -347,9 +347,15 @@ def _bad_grid(lines):
     lines[0] = json.dumps({**json.loads(lines[0]), "grid": [0.9, 0.5]})
 
 
+def _float_chunk_size(lines):
+    header = json.loads(lines[0])
+    lines[0] = json.dumps({**header, "spec": {**header["spec"], "chunk_size": 1.0}})
+
+
 @pytest.mark.parametrize("edit, line", [
     (_nan_snapshot, 3), (_infinite_endpoint, 3), (_bad_grid, 1),
-], ids=["nan-snapshot", "infinite-endpoint", "bad-grid"])
+    (_float_chunk_size, 1),
+], ids=["nan-snapshot", "infinite-endpoint", "bad-grid", "float-chunk-size"])
 def test_cli_distill_dataset_with_bad_numbers_exits_3(tmp_path, capsys, edit, line):
     from ardlab.ode import make_pairs_causal
     from ardlab.storage import save_dataset
@@ -609,6 +615,26 @@ def test_cli_dmd_checkpoint_with_unknown_header_role_exits_3(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert main(["dmd", "--init", "distilled", "--output-dir", str(out)]) == 3
     assert "role 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("chunk_size", 1.0), ("n_frames", True)])
+def test_cli_dmd_checkpoint_with_a_non_integer_spec_field_exits_3(tmp_path, capsys,
+                                                                   field, value):
+    # a float or bool layout field is refused at the header, not passed on
+    # to slice chunks or to be written back
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "models_generator.jsonl"
+    save_models(
+        make_chunk_models(bivariate_pair(0.8).spec, role="generator", m=16),
+        path,
+    )
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    lines[0] = json.dumps({**header, "spec": {**header["spec"], field: value}})
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["dmd", "--init", "distilled", "--output-dir", str(out)]) == 3
+    assert f"{path}, line 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("theta", [[float("nan")]] * 16),

@@ -27,7 +27,7 @@ from ardlab.diagnostics import (
     trained_conditional_kl,
 )
 from ardlab.diagnostics import _mean_cross_norm
-from ardlab.distributions import GaussianComponent, SequenceDistribution
+from ardlab.distributions import GaussianComponent, SequenceDistribution, SequenceSpec
 from ardlab.errors import ConfigError, DivergenceError, SingularCovarianceError
 from ardlab.models import _THREAD_CELLS, _row_blocks, make_chunk_models
 from ardlab.ode import DEFAULT_GRID
@@ -413,6 +413,102 @@ def test_df_mismatch_needs_two_prefix_draws(n):
     with pytest.raises(ConfigError, match="at least 2"):
         df_mismatch(DIST, 2, 0.5, n=n)
     assert df_mismatch(DIST, 2, 0.5, n=2)["expected_kl"].sample_count == 2
+
+
+# ---------------------------------------------------------------------------
+# the lemmas as properties over random one-component laws
+# ---------------------------------------------------------------------------
+
+
+def _random_pd(rng, n):
+    a = rng.standard_normal((n, n))
+    return a @ a.T / n + rng.uniform(0.05, 1.0) * np.eye(n)
+
+
+def _root(s):
+    lam, q = np.linalg.eigh(s)
+    return (q * np.sqrt(lam)) @ q.T
+
+
+def _coupled_law(rng, chunk_size, n_chunks, n_left, n_right, r):
+    """A one-component law whose first n_left coordinates and next n_right
+    are coupled with normalized cross-correlation R (spectral norm r < 1):
+    covariance S_L^1/2 R S_R^1/2 between the two blocks, each block A A^T / d
+    + c I, and any later coordinates independent of both.  r = 0 makes the
+    blocks independent.  The mean is random and nonzero."""
+    d = chunk_size * n_chunks
+    m = n_left + n_right
+    coupling = rng.standard_normal((n_left, n_right))
+    coupling *= r / np.linalg.norm(coupling, 2)
+    corr = np.block([[np.eye(n_left), coupling], [coupling.T, np.eye(n_right)]])
+    root = np.zeros((m, m))
+    root[:n_left, :n_left] = _root(_random_pd(rng, n_left))
+    root[n_left:, n_left:] = _root(_random_pd(rng, n_right))
+    cov = np.zeros((d, d))
+    cov[:m, :m] = root @ corr @ root
+    if m < d:
+        cov[m:, m:] = _random_pd(rng, d - m)
+    mean = rng.uniform(0.5, 2.0, d) * rng.choice([-1.0, 1.0], d)
+    spec = SequenceSpec(n_frames=d, frame_dim=1, chunk_size=chunk_size)
+    comp = GaussianComponent(1.0, mean, 0.5 * (cov + cov.T))
+    return SequenceDistribution(spec, (comp,))
+
+
+# Both closed forms are quadratic in the coupling, and with t -> 0 the flow
+# map's off-diagonal block and the prefix noise shrink, so both vanish like
+# r^2 t^4 or faster.  Over 3,000 seeded draws (t at 0.05, 0.95 and between,
+# r at 0.2 and between) the smallest value / (r^2 t^4) read 0.023
+# (injectivity) and 0.044 (mismatch), so 1e-3 r^2 t^4 leaves a margin of 20;
+# an independent block read at most 7.8e-16.
+_POSITIVE = 1e-3
+_ZERO = 1e-12
+
+_LAWS = dict(
+    chunk_size=st.integers(1, 2),
+    n_chunks=st.integers(2, 3),
+    t=st.floats(0.05, 0.95),
+    r=st.floats(0.2, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(**_LAWS)
+@settings(max_examples=30, deadline=None)
+def test_injectivity_oracle_vanishes_exactly_when_chunk_1_is_independent(
+        chunk_size, n_chunks, t, r, seed):
+    rng = np.random.default_rng(seed)
+    rest = chunk_size * (n_chunks - 1)
+    independent = _coupled_law(rng, chunk_size, n_chunks, chunk_size, rest, 0.0)
+    assert abs(injectivity_variance_oracle(independent, 1, t)) <= _ZERO
+    coupled = _coupled_law(rng, chunk_size, n_chunks, chunk_size, rest, r)
+    assert injectivity_variance_oracle(coupled, 1, t) > _POSITIVE * r * r * t**4
+
+
+@given(data=st.data(), **_LAWS)
+@settings(max_examples=30, deadline=None)
+def test_df_mismatch_oracle_vanishes_exactly_when_chunk_i_is_independent_of_its_prefix(
+        data, chunk_size, n_chunks, t, r, seed):
+    i = data.draw(st.integers(2, n_chunks), label="chunk")
+    rng = np.random.default_rng(seed)
+    prefix = chunk_size * (i - 1)
+    independent = _coupled_law(rng, chunk_size, n_chunks, prefix, chunk_size, 0.0)
+    assert abs(df_mismatch_oracle(independent, i, t)) <= _ZERO
+    coupled = _coupled_law(rng, chunk_size, n_chunks, prefix, chunk_size, r)
+    assert df_mismatch_oracle(coupled, i, t) > _POSITIVE * r * r * t**4
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_audits_match_their_oracles_on_random_laws_with_two_frame_chunks(seed):
+    # nonzero means and 2-frame chunks, the gap the presets leave; at full
+    # size, since the joint flows of a one-component law are composed maps
+    rng = np.random.default_rng(seed)
+    dist = _coupled_law(rng, 2, 3, 2, 4, 0.6)
+    for t in (0.25, 0.5):
+        entry = injectivity_variance(dist, 1, t, seed=seed)["mean_variance"]
+        oracle = injectivity_variance_oracle(dist, 1, t)
+        assert abs(entry.value - oracle) <= 3.0 * entry.uncertainty
+        entry = df_mismatch(dist, 3, t, seed=seed)["expected_kl"]
+        assert abs(entry.value - df_mismatch_oracle(dist, 3, t)) <= 3.0 * entry.uncertainty
 
 
 # ---------------------------------------------------------------------------

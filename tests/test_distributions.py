@@ -47,6 +47,17 @@ def test_spec_rejects_bad_chunking():
         SequenceSpec(n_frames=0, frame_dim=1)
 
 
+@pytest.mark.parametrize("fields", [
+    {"n_frames": 2, "frame_dim": 1, "chunk_size": 1.0},
+    {"n_frames": 2.0, "frame_dim": 1},
+    {"n_frames": 2, "frame_dim": True},
+    {"n_frames": 2, "frame_dim": 1, "chunk_size": "1"},
+], ids=["float-chunk-size", "float-n-frames", "bool-frame-dim", "str-chunk-size"])
+def test_spec_rejects_non_integer_fields(fields):
+    with pytest.raises(TypeError, match="must be an integer"):
+        SequenceSpec(**fields)
+
+
 def test_component_validation():
     with pytest.raises(ValueError):
         GaussianComponent(1.0, np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))

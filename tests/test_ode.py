@@ -1,9 +1,12 @@
 """Velocity fields, fixed-step integration, closed-form flow maps, datasets."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ardlab import ode
 from ardlab.config import ar1_sequence, bivariate_pair
 from ardlab.distributions import (
     GaussianComponent,
@@ -11,7 +14,7 @@ from ardlab.distributions import (
     SequenceSpec,
     sample_clean_with_rng,
 )
-from ardlab.errors import GridError
+from ardlab.errors import DivergenceError, GridError
 from ardlab.models import make_chunk_models, predict
 from ardlab.ode import (
     DEFAULT_GRID,
@@ -27,6 +30,11 @@ from ardlab.ode import (
 
 RHO = 0.8
 DIST = bivariate_pair(RHO)
+# two components, so its exact field is stepped row by row
+MIXTURE = SequenceDistribution(DIST.spec, (
+    GaussianComponent(0.3, np.array([1.0, -0.5]), DIST.components[0].covariance),
+    GaussianComponent(0.7, np.array([-0.4, 0.2]), np.diag([0.5, 1.5])),
+))
 
 
 def standard_normal_dist(dim=2):
@@ -181,7 +189,8 @@ def test_flow_map_identity_on_component_mean_ray(t):
 @pytest.mark.parametrize("times", [DEFAULT_GRID, (0.9, 0.5, 0.125)],
                          ids=["grid", "tuple"])
 def test_integrate_through_matches_chained_integrate_calls(times):
-    field_fn = bi_velocity_field(DIST)
+    # a mixture's field is stepped row by row: the same bits as the chain
+    field_fn = bi_velocity_field(MIXTURE)
     x = np.random.default_rng(3).standard_normal((50, 2))
     steps = 40
     endpoint, snapshots = _integrate_through(field_fn, x, times, steps)
@@ -195,6 +204,105 @@ def test_integrate_through_matches_chained_integrate_calls(times):
         sub = max(1, int(round(steps * (hi - lo) / bounds[0])))
         state = integrate(field_fn, state, hi, lo, sub)
     assert np.array_equal(endpoint, state)
+
+
+def _random_gaussian(data):
+    """A one-component law with 1-2 frames per chunk, 2-3 chunks, a nonzero
+    mean and covariance A A^T / d + c I."""
+    chunk_size = data.draw(st.integers(1, 2), label="chunk_size")
+    n_chunks = data.draw(st.integers(2, 3), label="n_chunks")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    d = chunk_size * n_chunks
+    a = rng.standard_normal((d, d))
+    cov = a @ a.T / d + rng.uniform(0.05, 1.0) * np.eye(d)
+    mean = rng.uniform(0.5, 3.0, d) * rng.choice([-1.0, 1.0], d)
+    spec = SequenceSpec(n_frames=d, frame_dim=1, chunk_size=chunk_size)
+    comp = GaussianComponent(1.0, mean, 0.5 * (cov + cov.T))
+    return SequenceDistribution(spec, (comp,)), rng
+
+
+def _chained(field_fn, x, times, steps):
+    """_integrate_through's segments, each stepped row by row by integrate,
+    and the smallest time at which the field is evaluated."""
+    bounds = list(times) + [0.0]
+    states, t_min = [x], 1.0
+    for hi, lo in zip(bounds, bounds[1:]):
+        sub = max(1, int(round(steps * (hi - lo) / bounds[0])))
+        states.append(integrate(field_fn, states[-1], hi, lo, sub))
+        t_min = min(t_min, lo + (hi - lo) / sub)
+    return states, t_min
+
+
+@given(
+    data=st.data(),
+    times=st.one_of(
+        st.just(tuple(DEFAULT_GRID)),
+        st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4, unique=True)
+        .map(lambda ts: tuple(sorted(ts, reverse=True))),
+    ),
+    steps=st.integers(1, 96),
+)
+@settings(max_examples=40, deadline=None)
+def test_affine_route_matches_row_stepping(data, times, steps):
+    # on a one-component law the joint field and the prefix-conditioned chunk
+    # fields take the affine route; it is Heun on the same grid reassociated,
+    # so it matches the row-stepped chain to rounding.  The field is
+    # (x - m) / t, so the rounding grows like eps * steps / t_min.
+    dist, rng = _random_gaussian(data)
+    spec = dist.spec
+    i = data.draw(st.integers(2, spec.n_chunks), label="chunk")
+    x = 2.0 * rng.standard_normal((30, spec.total_dim))
+    prefixes = sample_clean_with_rng(dist, 30, rng)[:, spec.prefix_slice(i)]
+    for field_fn, rows in (
+        (bi_velocity_field(dist), x),
+        (chunk_velocity_field(dist, i, prefixes), x[:, spec.chunk_slice(i)]),
+    ):
+        scale = 1.0 + np.max(np.abs(rows)) + np.max(np.abs(dist._means))
+        # the grid, and one (t,) segment as the audits integrate
+        for ts in (times, times[-1:]):
+            endpoint, snapshots = _integrate_through(field_fn, rows, ts, steps)
+            states, t_min = _chained(field_fn, rows, ts, steps)
+            bound = 4.0 * np.finfo(float).eps * steps / t_min * scale
+            assert np.array_equal(snapshots[:, 0], rows)
+            for k in range(1, len(ts)):
+                assert np.max(np.abs(snapshots[:, k] - states[k])) <= bound
+            assert np.max(np.abs(endpoint - states[-1])) <= bound
+
+
+@pytest.mark.parametrize("field_of", [
+    lambda: bi_velocity_field(DIST),
+    lambda: chunk_velocity_field(ar1_sequence(6, 0.7, 2), 3,
+                                 np.linspace(-1.0, 1.0, 200).reshape(50, 4)),
+    lambda: bi_velocity_field(MIXTURE),
+], ids=["joint", "chunk", "mixture"])
+def test_integrate_through_route_survives_a_wrapped_field(monkeypatch, field_of):
+    # a profiler that hands integrate a functools.partial around the field
+    # must not move the rows to another route (and so to other bits)
+    field_fn = field_of()
+    x = np.random.default_rng(4).standard_normal((50, 2))
+    plain = _integrate_through(field_fn, x, DEFAULT_GRID, 40)
+    calls = []
+
+    def wrapped(field, *args, **kwargs):
+        calls.append(field)
+        return integrate(functools.partial(lambda f, x, t: f(x, t), field),
+                         *args, **kwargs)
+
+    monkeypatch.setattr(ode, "integrate", wrapped)
+    shimmed = _integrate_through(field_fn, x, DEFAULT_GRID, 40)
+    assert len(calls) == len(DEFAULT_GRID)
+    assert np.array_equal(plain[0], shimmed[0])
+    assert np.array_equal(plain[1], shimmed[1])
+
+
+def test_affine_route_raises_divergence_naming_the_time():
+    # the flow from t = 0.5 to 0 stretches the law's major axis by about
+    # 1.6, so rows near the largest float overflow in the product; the error
+    # names the segment's end time, as integrate's does
+    x = np.full((3, 2), 1.5e308)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="t=0.0"):
+        _integrate_through(bi_velocity_field(DIST), x, (0.5,), 16)
 
 
 def test_make_pairs_bi_layout_and_determinism():
